@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Check that two source trees of obliquerules fit and report byte-identically.
+
+Each tree is imported in its own fresh interpreter, which writes:
+
+- fits.json: every stage's train risk, complexity, intercept and rule weights,
+  and every proposition's indices, weights and threshold (floats as repr), of
+  lltboost and tgb fits on make_oblique, make_rotated_box and make_staircase
+  (n=300, d=6, seeds 0 and 1) under logistic and squared loss;
+- report.json and the three result CSVs of a small run_benchmark run;
+- model_lltboost.json and model_tgb.json written by ``obliquerules train``.
+
+Then every file is compared byte for byte.  For a JSON file that differs, the
+paths of the differing values are listed.
+
+Usage:
+    python3 scripts/compare_outputs.py BEFORE_SRC AFTER_SRC
+
+where each argument is the ``src`` directory of a checkout.  Exit status 0
+when every file is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FILES = ("fits.json", "report.json", "complexity_table.csv", "risk_table.csv",
+         "curves.csv", "model_lltboost.json", "model_tgb.json")
+
+
+def _stage_doc(stage) -> dict:
+    ens = stage.ensemble
+    return {
+        "train_risk": repr(stage.train_risk),
+        "complexity": stage.complexity,
+        "intercept": repr(ens.intercept),
+        "rules": [
+            {"weight": repr(rule.weight),
+             "propositions": [{"indices": p.indices.tolist(),
+                               "weights": [repr(float(w)) for w in p.weights],
+                               "threshold": repr(p.threshold)}
+                              for p in rule.propositions]}
+            for rule in ens.rules
+        ],
+    }
+
+
+def write_outputs(out: Path) -> None:
+    """Fit, run the protocol and train through the CLI; write FILES into ``out``."""
+    from obliquerules import cli, lltboost, tgb
+    from obliquerules.datasets import make_oblique, make_rotated_box, make_staircase, write_csv
+    from obliquerules.evaluation import ProtocolConfig, run_benchmark
+    from obliquerules.losses import LossKind
+
+    fits = {}
+    for make in (make_oblique, make_rotated_box, make_staircase):
+        for seed in (0, 1):
+            data = make(n=300, d=6, seed=seed)
+            for kind in (LossKind.LOGISTIC, LossKind.SQUARED):
+                for module, cfg in ((lltboost, lltboost.LLTConfig(loss=kind, seed=seed)),
+                                    (tgb, tgb.TGBConfig(loss=kind, reg_strength=1.0))):
+                    trace = module.fit(data.X, data.y, cfg)
+                    key = f"{make.__name__}/seed{seed}/{kind.value}/{module.__name__}"
+                    fits[key] = [_stage_doc(stage) for stage in trace.stages]
+    (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))
+
+    datasets = [make_oblique(n=150, d=4, seed=3), make_staircase(n=150, d=4, seed=4)]
+    config = ProtocolConfig(max_rules=4, bootstrap_cap=100, tgb_reg_grid=(0.01, 1.0, 100.0))
+    run_benchmark(datasets, config).write(out)
+    (out / "timing_table.csv").unlink()  # wall clock, never identical
+
+    csv_path = out / "train.csv"
+    write_csv(make_rotated_box(n=200, d=4, seed=5), csv_path)
+    for method in ("lltboost", "tgb"):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["train", "--data", str(csv_path), "--target", "target",
+                             "--task", "clf", "--method", method, "--rules", "4",
+                             "--out", str(out / f"model_{method}.json")])
+        if code != 0:
+            raise SystemExit(f"train --method {method} exited {code}: {err.getvalue()}")
+    csv_path.unlink()
+
+
+def _json_diffs(a, b, path="") -> list[str]:
+    """Paths at which two decoded JSON documents differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b)):
+            if key in a and key in b:
+                out += _json_diffs(a[key], b[key], f"{path}.{key}")
+            else:
+                out.append(f"{path}.{key}: {a.get(key, '<absent>')!r} -> "
+                           f"{b.get(key, '<absent>')!r}")
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            out += _json_diffs(x, y, f"{path}[{i}]")
+        return out
+    return [] if a == b else [f"{path or '.'}: {a!r} -> {b!r}"]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--write":  # child: one tree, one output dir
+        sys.path.insert(0, argv[1])
+        write_outputs(Path(argv[2]))
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for side, src in zip(("before", "after"), argv):
+            out = Path(tmp) / side
+            out.mkdir()
+            subprocess.run([sys.executable, __file__, "--write", str(Path(src).resolve()),
+                            str(out)], check=True, stdout=subprocess.DEVNULL)
+            outs.append(out)
+        same = True
+        for name in FILES:
+            a, b = ((out / name).read_bytes() for out in outs)
+            digest = hashlib.sha256(a).hexdigest()[:16]
+            if a == b:
+                print(f"identical  {digest}  {name}")
+                continue
+            same = False
+            print(f"DIFFERS    {digest}  {name}")
+            if name.endswith(".json"):
+                for line in _json_diffs(json.loads(a), json.loads(b)):
+                    print(f"    {line}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

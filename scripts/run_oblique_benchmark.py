@@ -65,7 +65,8 @@ def main(argv=None) -> int:
 
     print(f"finished in {elapsed:.1f}s; report written to {args.out}\n")
     print("median minimum complexity to reach the baseline's mean test risk")
-    print("(0/1 metric, rank-based 90%-level interval in brackets):\n")
+    print("(0/1 metric; in brackets the (4th, 7th) order-statistic interval, "
+          "65.6% coverage):\n")
     header = f"{'dataset':<14} {'method':<10} {'median':>8} {'interval':>16}"
     print(header)
     print("-" * len(header))

@@ -8,7 +8,6 @@ from .core import (
     SparseProposition,
     Standardizer,
     Task,
-    conjunction_complexity,
     ensemble_complexity,
 )
 from .losses import LossKind, gradient, init_intercept, loss
@@ -47,7 +46,6 @@ __all__ = [
     "Standardizer",
     "TGBConfig",
     "Task",
-    "conjunction_complexity",
     "ensemble_complexity",
     "fit_lltboost",
     "fit_tgb",

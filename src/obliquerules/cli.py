@@ -13,10 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, lltboost, tgb
+from . import __version__
 from .core import Task
-from .datasets import SYNTHETIC_GENERATORS, DataError, Dataset, load_csv, write_csv
-from .evaluation import ProtocolConfig, run_benchmark
+from .datasets import (
+    SYNTHETIC_GENERATORS,
+    DataError,
+    Dataset,
+    load_csv,
+    load_feature_rows,
+    write_csv,
+)
+from .evaluation import LEARNERS, ProtocolConfig, learner_config, run_benchmark
 from .losses import LossKind, loss
 from .serialize import ModelFile, ModelFormatError, load_model, save_model
 
@@ -103,17 +110,6 @@ def _read_json(path, what: str) -> dict:
     return doc
 
 
-def _align_features(dataset: Dataset, model: ModelFile) -> np.ndarray:
-    index_of = {name: j for j, name in enumerate(dataset.feature_names)}
-    missing = [n for n in model.feature_names if n not in index_of]
-    if missing:
-        raise DataError(
-            f"{dataset.name}: missing feature column(s) {missing} required by the model"
-        )
-    cols = [index_of[n] for n in model.feature_names]
-    return dataset.X[:, cols]
-
-
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -151,25 +147,17 @@ def _cmd_train(args) -> int:
         "logistic" if task is Task.CLASSIFICATION else "squared"
     )
     try:
-        kind = LossKind(loss_name)
-        if args.method == "lltboost":
-            cfg = lltboost.LLTConfig(
-                max_rules=int(settings["rules"]),
-                max_propositions=int(settings["propositions"]),
-                max_nonzeros=int(settings["nonzeros"]),
-                loss=kind,
-                validation_fraction=float(settings["validation_fraction"]),
-                seed=int(settings["seed"]),
-            )
-        else:
-            cfg = tgb.TGBConfig(
-                max_rules=int(settings["rules"]),
-                max_propositions=int(settings["propositions"]),
-                loss=kind,
-                reg_strength=float(settings["reg"]),
-                seed=int(settings["seed"]),
-            )
-    except ValueError as exc:
+        cfg = learner_config(
+            args.method,
+            max_rules=int(settings["rules"]),
+            max_propositions=int(settings["propositions"]),
+            max_nonzeros=int(settings["nonzeros"]),
+            loss=LossKind(loss_name),
+            validation_fraction=float(settings["validation_fraction"]),
+            reg_strength=float(settings["reg"]),
+            seed=int(settings["seed"]),
+        )
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
 
     dataset = load_csv(args.data, args.target, task)
@@ -178,9 +166,8 @@ def _cmd_train(args) -> int:
             f"note: skipped {dataset.n_skipped_rows} row(s) with missing cells",
             file=sys.stderr,
         )
-    fit = lltboost.fit if args.method == "lltboost" else tgb.fit
     try:
-        trace = fit(dataset.X, dataset.y, cfg)
+        trace = LEARNERS[args.method].module.fit(dataset.X, dataset.y, cfg)
     except Exception as exc:
         raise FitError(f"{type(exc).__name__}: {exc}") from exc
 
@@ -214,67 +201,19 @@ def _cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_feature_rows(path, model: ModelFile) -> np.ndarray:
-    """Read a target-less CSV containing at least the model's features."""
-    import csv as _csv
-
-    path = Path(path)
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = _csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        index_of = {name: j for j, name in enumerate(header)}
-        missing = [n for n in model.feature_names if n not in index_of]
-        if missing:
-            raise DataError(f"{path}: missing feature column(s) {missing}")
-        cols = [index_of[n] for n in model.feature_names]
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(record)}"
-                )
-            cells = [record[j].strip() for j in cols]
-            if any(c == "" for c in cells):
-                raise DataError(
-                    f"{path}:{line_no}: missing cell; rows given to predict must be complete"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(c for c in cells if not _is_float(c))
-                raise DataError(
-                    f"{path}:{line_no}: non-numeric value {bad!r}"
-                ) from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ens = model.ensemble
+    X = load_feature_rows(args.data, model.feature_names)
     y = None
     if args.target:
         dataset = load_csv(args.data, args.target, ens.task)
-        X = _align_features(dataset, model)
+        if dataset.n_skipped_rows:
+            raise DataError(
+                f"{args.data}: {dataset.n_skipped_rows} row(s) with missing cells; "
+                "rows given to predict must be complete"
+            )
         y = dataset.y
-    else:
-        X = _load_feature_rows(args.data, model)
     scores = ens.decision_function(X)
 
     out_lines = [repr(float(s)) for s in scores]
@@ -385,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--task", required=True)
-    p.add_argument("--method", required=True, choices=("lltboost", "tgb"))
+    p.add_argument("--method", required=True, choices=sorted(LEARNERS))
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file; explicit flags override its values")
     p.add_argument("--rules", type=int)

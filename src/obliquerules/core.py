@@ -8,7 +8,7 @@ and nonzero proposition weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -171,6 +171,14 @@ class SparseProposition:
         return int(self.activations(x.reshape(1, -1))[0])
 
 
+def conjunction_cover(propositions, X) -> np.ndarray:
+    """0/1 array: rows of ``X`` where every one of ``propositions`` fires."""
+    out = propositions[0].activations(X)
+    for p in propositions[1:]:
+        out *= p.activations(X)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Rule:
     """Conjunction of propositions with an additive output weight."""
@@ -199,11 +207,7 @@ class Rule:
 
     def cover(self, X) -> np.ndarray:
         """0/1 array: rows where every proposition fires."""
-        X, _ = _as_row_matrix(X)
-        out = self.propositions[0].activations(X)
-        for p in self.propositions[1:]:
-            out *= p.activations(X)
-        return out
+        return conjunction_cover(self.propositions, X)
 
     def evaluate(self, x) -> int:
         x = np.asarray(x, dtype=float)
@@ -263,9 +267,6 @@ class RuleEnsemble:
             score += rule.weight * rule.cover(Z)
         return score[0] if single else score
 
-    def score_one(self, x) -> float:
-        return float(self.decision_function(np.asarray(x, dtype=float)))
-
     def predict(self, X) -> np.ndarray:
         """Regression: the score.  Classification: step of the score at 0."""
         score = self.decision_function(X)
@@ -275,10 +276,6 @@ class RuleEnsemble:
 
     def complexity(self) -> int:
         return ensemble_complexity(self)
-
-
-def conjunction_complexity(rule: Rule) -> int:
-    return rule.complexity()
 
 
 def ensemble_complexity(ensemble: RuleEnsemble) -> int:
@@ -298,6 +295,17 @@ class FitStage:
     ensemble: RuleEnsemble
     train_risk: float
     complexity: int
+
+    @classmethod
+    def of(cls, bodies, beta, task, standardizer, train_risk: float) -> "FitStage":
+        """Stage of rules ``bodies`` weighted by ``beta[1:]`` over intercept ``beta[0]``."""
+        rules = tuple(
+            Rule(propositions=tuple(b), weight=float(w)) for b, w in zip(bodies, beta[1:])
+        )
+        ensemble = RuleEnsemble(
+            intercept=float(beta[0]), rules=rules, task=task, standardizer=standardizer
+        )
+        return cls(ensemble=ensemble, train_risk=train_risk, complexity=ensemble.complexity())
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +327,3 @@ class FitTrace:
     @property
     def final(self) -> RuleEnsemble:
         return self.stages[-1].ensemble
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.stages) - 1

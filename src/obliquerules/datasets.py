@@ -49,6 +49,42 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Stripped header and data rows, each with its line number, of a CSV file."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+            rows = []
+            for line_no, record in enumerate(reader, start=2):
+                if len(record) != len(header):
+                    raise DataError(
+                        f"{path}:{line_no}: expected {len(header)} cells, got {len(record)}"
+                    )
+                rows.append((line_no, [c.strip() for c in record]))
+        except StopIteration:
+            raise DataError(f"{path}: empty file, header row required") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    return header, rows
+
+
+def _parse_floats(path, line_no: int, cells, columns, header) -> list[float]:
+    values = []
+    for i in columns:
+        try:
+            values.append(float(cells[i]))
+        except ValueError:
+            raise DataError(
+                f"{path}:{line_no}: non-numeric value {cells[i]!r} in column {header[i]!r}"
+            ) from None
+    return values
+
+
 def load_csv(path, target_column: str, task) -> Dataset:
     """Read a headered CSV into a Dataset.
 
@@ -60,54 +96,21 @@ def load_csv(path, target_column: str, task) -> Dataset:
     """
     task = Task(task)
     path = Path(path)
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        if target_column not in header:
-            raise DataError(f"{path}: target column {target_column!r} not in header")
-        target_idx = header.index(target_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != target_idx)
+    header, records = _read_table(path)
+    if target_column not in header:
+        raise DataError(f"{path}: target column {target_column!r} not in header")
+    target_idx = header.index(target_column)
+    feature_idx = [i for i in range(len(header)) if i != target_idx]
+    feature_names = tuple(header[i] for i in feature_idx)
 
-        rows: list[list[float]] = []
-        raw_targets: list[str] = []
-        line_numbers: list[int] = []
-        skipped = 0
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(record)}"
-                )
-            cells = [c.strip() for c in record]
-            if any(c == "" for c in cells):
-                skipped += 1
-                continue
-            feats = []
-            for i, cell in enumerate(cells):
-                if i == target_idx:
-                    continue
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{line_no}: non-numeric value {cell!r} "
-                        f"in column {header[i]!r}"
-                    ) from None
-            rows.append(feats)
-            raw_targets.append(cells[target_idx])
-            line_numbers.append(line_no)
-
-    if len(rows) < 2:
+    kept = [(line_no, cells) for line_no, cells in records if "" not in cells]
+    X = np.array(
+        [_parse_floats(path, line_no, cells, feature_idx, header) for line_no, cells in kept]
+    )
+    if len(kept) < 2:
         raise DataError(f"{path}: fewer than two usable rows")
 
-    X = np.asarray(rows, dtype=float)
+    raw_targets = [cells[target_idx] for _, cells in kept]
     label_names: tuple[str, ...] = ()
     if task is Task.CLASSIFICATION:
         distinct = sorted(set(raw_targets))
@@ -120,14 +123,14 @@ def load_csv(path, target_column: str, task) -> Dataset:
         y = np.array([mapping[t] for t in raw_targets])
         label_names = tuple(distinct)
     else:
-        y = np.empty(len(raw_targets))
-        for k, cell in enumerate(raw_targets):
+        y = np.empty(len(kept))
+        for k, (line_no, cells) in enumerate(kept):
             try:
-                y[k] = float(cell)
+                y[k] = float(cells[target_idx])
             except ValueError:
                 raise DataError(
-                    f"{path}:{line_numbers[k]}: non-numeric regression "
-                    f"target {cell!r} in column {target_column!r}"
+                    f"{path}:{line_no}: non-numeric regression "
+                    f"target {cells[target_idx]!r} in column {target_column!r}"
                 ) from None
 
     return Dataset(
@@ -136,9 +139,33 @@ def load_csv(path, target_column: str, task) -> Dataset:
         X=X,
         y=y,
         task=task,
-        n_skipped_rows=skipped,
+        n_skipped_rows=len(records) - len(kept),
         label_names=label_names,
     )
+
+
+def load_feature_rows(path, feature_names) -> np.ndarray:
+    """Matrix of the ``feature_names`` columns of a CSV, in that order.
+
+    Other columns are ignored.  Every row must have all the named cells, so
+    row ``i`` of the result is data row ``i`` of the file.
+    """
+    header, records = _read_table(path)
+    index_of = {name: j for j, name in enumerate(header)}
+    missing = [n for n in feature_names if n not in index_of]
+    if missing:
+        raise DataError(f"{path}: missing feature column(s) {missing}")
+    cols = [index_of[n] for n in feature_names]
+    rows = []
+    for line_no, cells in records:
+        if any(cells[j] == "" for j in cols):
+            raise DataError(
+                f"{path}:{line_no}: missing cell; rows given to predict must be complete"
+            )
+        rows.append(_parse_floats(path, line_no, cells, cols, header))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
 
 
 def write_csv(dataset: Dataset, path, target_column: str = "target"):

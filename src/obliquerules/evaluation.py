@@ -14,9 +14,11 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +156,26 @@ def bootstrap_split(n: int, seed, cap: int = 500) -> BootstrapSplit:
 
 
 # ---------------------------------------------------------------------------
-# protocol configuration
+# learners and protocol configuration
 # ---------------------------------------------------------------------------
+
+
+class Learner(NamedTuple):
+    config: type
+    module: ModuleType  # its ``fit`` is looked up on every call
+
+
+LEARNERS = {
+    "lltboost": Learner(lltboost.LLTConfig, lltboost),
+    "tgb": Learner(tgb.TGBConfig, tgb),
+}
+
+
+def learner_config(method: str, **settings):
+    """Config of ``method`` from ``settings``; ones it has no field for are ignored."""
+    cls = LEARNERS[method].config
+    return cls(**{k: v for k, v in settings.items() if k in cls.__dataclass_fields__})
+
 
 TGB_REG_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -177,7 +197,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.repetitions < 1 or self.max_rules < 1 or self.jobs < 1:
             raise ValueError("repetitions, max_rules and jobs must be >= 1")
-        unknown = set(self.methods) - {"lltboost", "tgb"}
+        unknown = set(self.methods) - set(LEARNERS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         object.__setattr__(self, "tgb_reg_grid", tuple(float(v) for v in self.tgb_reg_grid))
@@ -209,26 +229,19 @@ def _metrics_for(task: Task) -> list[tuple[str, LossKind]]:
 
 
 def _fit_variant(method, hyper, X, y, kind, config, fit_seed):
-    if method == "lltboost":
-        cfg = lltboost.LLTConfig(
-            max_rules=config.max_rules,
-            max_propositions=config.max_propositions,
-            max_nonzeros=min(config.max_nonzeros, X.shape[1]),
-            loss=kind,
-            validation_fraction=config.validation_fraction,
-            sparsity_accept_delta=config.sparsity_accept_delta,
-            seed=fit_seed,
-        )
-        return lltboost.fit(X, y, cfg)
-    cfg = tgb.TGBConfig(
+    settings = {"reg_strength": float(hyper)} if method == "tgb" else {}
+    cfg = learner_config(
+        method,
         max_rules=config.max_rules,
         max_propositions=config.max_propositions,
+        max_nonzeros=min(config.max_nonzeros, X.shape[1]),
         loss=kind,
-        reg_strength=float(hyper),
-        normalize_objective=True,
+        validation_fraction=config.validation_fraction,
+        sparsity_accept_delta=config.sparsity_accept_delta,
         seed=fit_seed,
+        **settings,
     )
-    return tgb.fit(X, y, cfg)
+    return LEARNERS[method].module.fit(X, y, cfg)
 
 
 def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: int):
@@ -286,10 +299,6 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
         fits[(method, hyper)] = {"curves": curves, "seconds": seconds, "error": error}
 
     return {"d_idx": d_idx, "rep": rep, "redraws": split.redraws, "fits": fits}
-
-
-def _task_args(args):
-    return _run_repetition(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +422,7 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
     ]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            raw = list(pool.map(_task_args, tasks))
+            raw = list(pool.map(_run_repetition, *zip(*tasks)))
     else:
         raw = [_run_repetition(*args) for args in tasks]
     by_key = {(r["d_idx"], r["rep"]): r for r in raw}
@@ -474,19 +483,18 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
 
         targets[dataset.name] = {}
         for metric_name, _ in metrics:
+            curves_of = {
+                variant: [MethodCurve(points=u["fits"][variant]["curves"][metric_name])
+                          for u in reps]
+                for variant in variants
+            }
             # oracle baseline hyperparameter: the grid value whose mean test
             # risk over all points of all repetitions is lowest
             mean_by_reg = {}
-            curves_by_reg = {}
             for method, hyper in variants:
                 if method != "tgb":
                     continue
-                curves = [
-                    MethodCurve(points=u["fits"][(method, hyper)]["curves"][metric_name])
-                    for u in reps
-                ]
-                curves_by_reg[hyper] = curves
-                risks = [p.test_risk for c in curves for p in c.points]
+                risks = [p.test_risk for c in curves_of[(method, hyper)] for p in c.points]
                 mean_by_reg[hyper] = float(np.mean(risks)) if risks else INF
             if not mean_by_reg or min(mean_by_reg.values()) == INF:
                 notes.append(
@@ -495,7 +503,7 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
                 )
                 continue
             oracle = min(mean_by_reg, key=lambda h: (mean_by_reg[h], float(h)))
-            risk_target, complexity_target = derive_targets(curves_by_reg[oracle])
+            risk_target, complexity_target = derive_targets(curves_of[("tgb", oracle)])
             targets[dataset.name][metric_name] = {
                 "risk_target": risk_target,
                 "complexity_target": complexity_target,
@@ -505,32 +513,16 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
 
             table_variants = [v for v in variants if v[0] != "tgb"] + [("tgb", oracle)]
             for method, hyper in table_variants:
-                curves = [
-                    MethodCurve(points=u["fits"][(method, hyper)]["curves"][metric_name])
-                    for u in reps
-                ]
+                curves = curves_of[(method, hyper)]
+                key = {"dataset": dataset.name, "metric": metric_name,
+                       "method": method, "hyper": hyper}
                 mins = [min_complexity_to_risk_target(c, risk_target) for c in curves]
-                row = {
-                    "dataset": dataset.name,
-                    "metric": metric_name,
-                    "method": method,
-                    "hyper": hyper,
-                    "risk_target": risk_target,
-                }
-                row.update(_aggregate_cells(mins, config.repetitions))
-                complexity_rows.append(row)
-
+                complexity_rows.append({**key, "risk_target": risk_target,
+                                        **_aggregate_cells(mins, config.repetitions)})
                 if complexity_target != INF:
                     risks = [risk_at_complexity_target(c, complexity_target) for c in curves]
-                    row = {
-                        "dataset": dataset.name,
-                        "metric": metric_name,
-                        "method": method,
-                        "hyper": hyper,
-                        "complexity_target": complexity_target,
-                    }
-                    row.update(_aggregate_cells(risks, config.repetitions))
-                    risk_rows.append(row)
+                    risk_rows.append({**key, "complexity_target": complexity_target,
+                                      **_aggregate_cells(risks, config.repetitions)})
             if complexity_target == INF:
                 notes.append(
                     f"{dataset.name}/{metric_name}: baseline median complexity is inf; "

@@ -14,8 +14,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import FitStage, FitTrace, Rule, RuleEnsemble, SparseProposition, Standardizer
-from .losses import LossKind, fitting_task, gradient, init_intercept, loss
+from .core import FitStage, FitTrace, SparseProposition, Standardizer, conjunction_cover
+from .losses import LossKind, gradient, init_intercept, loss, training_arrays
 from .sparse_logreg import LambdaPath, WeightedBinaryProblem, corrective_refit
 
 
@@ -105,7 +105,7 @@ def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparsePropositi
                 # no path point with <= s nonzeros (features can enter in
                 # groups); a denser level may still be reachable
                 continue
-            prop = SparseProposition.from_dense(sol.weights, threshold=-sol.intercept)
+            prop = SparseProposition.from_dense(sol.weights, threshold=sol.threshold)
             risk = _weighted_sign_risk(prop, X, validation, g, sgn)
             if prev_risk is None:
                 candidates.append(prop)
@@ -191,20 +191,9 @@ def fit(X, y, cfg: LLTConfig) -> FitTrace:
     and never increases from stage to stage.
     """
     t_start = perf_counter()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("features must be a matrix with one target per row")
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("need at least two training rows")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("features and targets must be finite")
     kind = cfg.loss
-    task = fitting_task(kind)  # rejects evaluation-only losses
-    if kind is LossKind.LOGISTIC and not np.all((y == 0) | (y == 1)):
-        raise ValueError("classification targets must be in {0, 1}")
-
+    X, y, task = training_arrays(X, y, kind)
+    n = X.shape[0]
     standardizer = Standardizer.fit(X)
     Z = standardizer.transform(X)
     fit_idx, val_idx = _validation_split(
@@ -217,32 +206,22 @@ def fit(X, y, cfg: LLTConfig) -> FitTrace:
     covers: list[np.ndarray] = []  # rule covers over all rows
     bodies: list[list[SparseProposition]] = []
 
-    def stage_from(beta_vec) -> FitStage:
-        rules = tuple(
-            Rule(propositions=tuple(b), weight=float(w))
-            for b, w in zip(bodies, beta_vec[1:])
-        )
-        ensemble = RuleEnsemble(
-            intercept=float(beta_vec[0]), rules=rules, task=task, standardizer=standardizer
-        )
+    def stage() -> FitStage:
         risk = float(np.mean(loss(kind, y_fit, scores[fit_idx])))
-        return FitStage(ensemble=ensemble, train_risk=risk, complexity=ensemble.complexity())
+        return FitStage.of(bodies, beta, task, standardizer, risk)
 
-    stages = [stage_from(beta)]
+    stages = [stage()]
     for _ in range(cfg.max_rules):
         g = gradient(kind, y, scores)
         body = fit_conjunction(Z, g, cfg, fit_idx, val_idx)
         if body is None:
             break
-        cover = body[0].activations(Z)
-        for prop in body[1:]:
-            cover *= prop.activations(Z)
-        covers.append(cover)
+        covers.append(conjunction_cover(body, Z))
         bodies.append(body)
         design = np.column_stack([np.ones(fit_idx.size)] + [c[fit_idx] for c in covers])
         warm = np.append(beta, 0.0)
         beta = corrective_refit(design, y_fit, kind, warm)
         scores = beta[0] + np.column_stack(covers) @ beta[1:]
-        stages.append(stage_from(beta))
+        stages.append(stage())
 
     return FitTrace(stages=tuple(stages), wall_time_seconds=perf_counter() - t_start)

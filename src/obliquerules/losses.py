@@ -90,3 +90,19 @@ def fitting_task(kind: LossKind):
     if kind is LossKind.LOGISTIC:
         return Task.CLASSIFICATION
     raise ValueError("zero_one is an evaluation loss, not a fitting loss")
+
+
+def training_arrays(X, y, kind: LossKind):
+    """Checked float training arrays plus the task that the loss ``kind`` fits."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("features must be a matrix with one target per row")
+    if X.shape[0] < 2:
+        raise ValueError("need at least two training rows")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("features and targets must be finite")
+    task = fitting_task(kind)  # rejects evaluation-only losses
+    if LossKind(kind) is LossKind.LOGISTIC and not np.all((y == 0) | (y == 1)):
+        raise ValueError("classification targets must be in {0, 1}")
+    return X, y, task

@@ -86,17 +86,13 @@ def model_from_dict(doc: dict) -> ModelFile:
         )
     try:
         task = Task(_require(doc, "task"))
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
-    feature_names = [str(n) for n in _require(doc, "feature_names")]
-    index_of = {name: j for j, name in enumerate(feature_names)}
-    std_doc = _require(doc, "standardizer")
-    standardizer = Standardizer(
-        mean=np.asarray(_require(std_doc, "mean"), dtype=float),
-        scale=np.asarray(_require(std_doc, "scale"), dtype=float),
-    )
-
-    try:
+        feature_names = [str(n) for n in _require(doc, "feature_names")]
+        index_of = {name: j for j, name in enumerate(feature_names)}
+        std_doc = _require(doc, "standardizer")
+        standardizer = Standardizer(
+            mean=np.asarray(_require(std_doc, "mean"), dtype=float),
+            scale=np.asarray(_require(std_doc, "scale"), dtype=float),
+        )
         rules = []
         for rule_doc in _require(doc, "rules"):
             props = []
@@ -123,18 +119,21 @@ def model_from_dict(doc: dict) -> ModelFile:
             task=task,
             standardizer=standardizer,
         )
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
     stored = doc.get("complexity")
-    if stored is not None and int(stored) != ensemble.complexity():
+    if stored is not None and (type(stored) is not int or stored != ensemble.complexity()):
         raise ModelFormatError(
-            f"stored complexity {stored} disagrees with the rules "
+            f"stored complexity {stored!r} disagrees with the rules "
             f"({ensemble.complexity()})"
         )
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ModelFormatError("metadata must be a JSON object")
     return ModelFile(
         ensemble=ensemble,
         feature_names=tuple(feature_names),
-        metadata=dict(doc.get("metadata", {})),
+        metadata=dict(metadata),
     )
 
 
@@ -153,6 +152,6 @@ def load_model(path) -> ModelFile:
             doc = json.load(handle)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
     return model_from_dict(doc)

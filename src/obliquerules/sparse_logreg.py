@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .losses import LossKind, gradient as loss_gradient, loss as loss_value, softplus
+from .losses import LossKind, loss as loss_value, softplus
 
 MAX_ITER = 1000
 OBJECTIVE_RTOL = 1e-8
@@ -352,28 +352,6 @@ def fit_weighted_l1(
     )
 
 
-def _debias_on_support(problem: WeightedBinaryProblem, sol: LinearSolution) -> LinearSolution:
-    """Unregularized refit restricted to the selected support."""
-    support = np.flatnonzero(sol.weights)
-    if support.size == 0:
-        return sol
-    sub = WeightedBinaryProblem(
-        problem.features[:, support], problem.labels, problem.sample_weights
-    )
-    refit = fit_weighted_l1(sub, 0.0, init=(sol.weights[support], sol.intercept))
-    w = np.zeros(problem.d)
-    w[support] = refit.weights
-    return LinearSolution(
-        weights=w,
-        intercept=refit.intercept,
-        objective_value=objective_value(problem, sol.lam, w, refit.intercept),
-        nnz=int(np.count_nonzero(w)),
-        lam=sol.lam,
-        converged=refit.converged,
-        n_iter=refit.n_iter,
-    )
-
-
 class LambdaPath:
     """Memoized solutions of one problem along its regularization path.
 
@@ -421,6 +399,9 @@ class LambdaPath:
         return best_exact or best_fallback
 
     def for_sparsity(self, s: int, budget: int = BISECTION_STEPS) -> LinearSolution:
+        """Solution at the smallest penalty with exactly ``s`` nonzeros, found by
+        bisecting lam in log space with at most ``budget`` new solves; else the
+        densest solution with fewer.  Never more than ``s`` nonzeros."""
         if not 1 <= s <= self.problem.d:
             raise ValueError(f"sparsity level must be in [1, {self.problem.d}], got {s}")
         if self.lam_max <= 0.0:
@@ -465,25 +446,6 @@ class LambdaPath:
         if result is None:  # pragma: no cover - lambda_max entry always qualifies
             result = _null_solution(self.problem, self.lam_max)
         return result
-
-
-def fit_for_sparsity(
-    problem: WeightedBinaryProblem,
-    s: int,
-    budget: int = BISECTION_STEPS,
-    debias: bool = False,
-) -> LinearSolution:
-    """Solution at the smallest penalty whose nonzero count is exactly ``s``.
-
-    Brackets and bisects lam in log space over [1e-6 * lambda_max,
-    lambda_max] with at most ``budget`` solves.  If no evaluated penalty
-    yields exactly ``s`` nonzeros, the densest solution with at most ``s``
-    nonzeros is returned; the result never exceeds ``s`` nonzeros.
-    """
-    result = LambdaPath(problem).for_sparsity(s, budget=budget)
-    if debias:
-        result = _debias_on_support(problem, result)
-    return result
 
 
 # --------------------------------------------------------------------------

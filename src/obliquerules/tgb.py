@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FitStage, FitTrace, Rule, RuleEnsemble, SparseProposition, Standardizer
-from .losses import LossKind, fitting_task, gradient, init_intercept, loss
+from .core import FitStage, FitTrace, SparseProposition, Standardizer, conjunction_cover
+from .losses import LossKind, gradient, init_intercept, loss, training_arrays
 from .sparse_logreg import corrective_refit
 
 
@@ -34,7 +34,6 @@ class TGBConfig:
     loss: LossKind = LossKind.LOGISTIC
     reg_strength: float = 0.0
     normalize_objective: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_rules < 1 or self.max_propositions < 1:
@@ -132,20 +131,9 @@ def fit(X, y, cfg: TGBConfig) -> FitTrace:
     validation carve-out, so training risk is measured on all rows.
     """
     t_start = perf_counter()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("features must be a matrix with one target per row")
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("need at least two training rows")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("features and targets must be finite")
     kind = cfg.loss
-    task = fitting_task(kind)
-    if kind is LossKind.LOGISTIC and not np.all((y == 0) | (y == 1)):
-        raise ValueError("classification targets must be in {0, 1}")
-
+    X, y, task = training_arrays(X, y, kind)
+    n = X.shape[0]
     standardizer = Standardizer.fit(X)
     Z = standardizer.transform(X)
     beta = np.array([init_intercept(kind, y, clamp_single_class=True)])
@@ -153,32 +141,22 @@ def fit(X, y, cfg: TGBConfig) -> FitTrace:
     covers: list[np.ndarray] = []
     bodies: list[list[SparseProposition]] = []
 
-    def stage_from(beta_vec) -> FitStage:
-        rules = tuple(
-            Rule(propositions=tuple(b), weight=float(w))
-            for b, w in zip(bodies, beta_vec[1:])
-        )
-        ensemble = RuleEnsemble(
-            intercept=float(beta_vec[0]), rules=rules, task=task, standardizer=standardizer
-        )
+    def stage() -> FitStage:
         risk = float(np.mean(loss(kind, y, scores)))
-        return FitStage(ensemble=ensemble, train_risk=risk, complexity=ensemble.complexity())
+        return FitStage.of(bodies, beta, task, standardizer, risk)
 
-    stages = [stage_from(beta)]
+    stages = [stage()]
     for _ in range(cfg.max_rules):
         g = gradient(kind, y, scores)
         body = _grow_conjunction(Z, g, cfg)
         if body is None:
             break
-        cover = body[0].activations(Z)
-        for prop in body[1:]:
-            cover *= prop.activations(Z)
-        covers.append(cover)
+        covers.append(conjunction_cover(body, Z))
         bodies.append(body)
         design = np.column_stack([np.ones(n)] + covers)
         warm = np.append(beta, 0.0)
         beta = corrective_refit(design, y, kind, warm)
         scores = design @ beta
-        stages.append(stage_from(beta))
+        stages.append(stage())
 
     return FitTrace(stages=tuple(stages), wall_time_seconds=perf_counter() - t_start)

@@ -29,9 +29,9 @@ from obliquerules.lltboost import _weighted_sign_risk
 from obliquerules.losses import LossKind, gradient, loss, softplus
 from obliquerules.serialize import ModelFile, load_model, save_model
 from obliquerules.sparse_logreg import (
+    LambdaPath,
     WeightedBinaryProblem,
     corrective_refit,
-    fit_for_sparsity,
     fit_weighted_l1,
     kkt_residual,
     lambda_max,
@@ -211,7 +211,7 @@ def test_a4_sparsity_search_matches_dense_grid_transitions(verdict):
         nnz_at = np.asarray(nnz_at)
 
         for s in range(1, min(problem.d, 5) + 1):
-            sol = fit_for_sparsity(problem, s)
+            sol = LambdaPath(problem).for_sparsity(s)
             if sol.nnz > s:
                 budget_ok = False
                 detail.append(f"trial {trial}: nnz {sol.nnz} > s {s}")
@@ -327,7 +327,7 @@ def test_a6_train_risk_monotone_and_squared_refit_matches_ridge(verdict):
                 ),
                 tgb.fit(
                     X, y,
-                    TGBConfig(max_rules=5, loss=kind, reg_strength=0.1, seed=trial),
+                    TGBConfig(max_rules=5, loss=kind, reg_strength=0.1),
                 ),
             ]
             for trace in traces:
@@ -427,7 +427,7 @@ def test_a8_parallel_report_bytes_and_model_round_trip(verdict, tmp_path):
     round_trip_ok = True
     for trace in (
         lltboost.fit(train.X, train.y, lltboost.LLTConfig(max_rules=3, seed=1)),
-        tgb.fit(train.X, train.y, TGBConfig(max_rules=3, seed=1)),
+        tgb.fit(train.X, train.y, TGBConfig(max_rules=3)),
     ):
         ens = trace.stages[-1].ensemble
         path = tmp_path / "model.json"

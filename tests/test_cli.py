@@ -175,6 +175,13 @@ def test_train_usage_errors(tmp_path, clf_csv):
         ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
          "--method", "tgb", "--config", str(bad2), "--out", out]
     ) == 2
+    # config value of the wrong JSON type
+    bad3 = tmp_path / "bad3.json"
+    bad3.write_text(json.dumps({"rules": [3]}), encoding="utf-8")
+    assert main(
+        ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
+         "--method", "tgb", "--config", str(bad3), "--out", out]
+    ) == 2
     # invalid hyperparameter value
     assert main(
         ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
@@ -263,6 +270,39 @@ def test_predict_rejects_bad_model_file(tmp_path, clf_csv):
     bad = tmp_path / "model.json"
     bad.write_text("{}", encoding="utf-8")
     assert main(["predict", "--model", str(bad), "--data", str(clf_csv)]) == 3
+
+
+@pytest.mark.parametrize("command", ["predict", "print"])
+def test_malformed_model_exits_with_data_error(tmp_path, clf_csv, command, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    doc["standardizer"]["scale"][0] = 0.0
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, "--model", str(model_path)]
+    if command == "predict":
+        argv += ["--data", str(clf_csv)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", [None, "y"])
+def test_predict_rejects_incomplete_rows(tmp_path, clf_csv, target, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    lines = clf_csv.read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[0] = ""
+    lines[5] = ",".join(cells)
+    holed = tmp_path / "holed.csv"
+    holed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["predict", "--model", str(model_path), "--data", str(holed)]
+    if target:
+        argv += ["--target", target]
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be complete" in captured.err
 
 
 def test_print_command(tmp_path, capsys):

@@ -11,7 +11,6 @@ from obliquerules.core import (
     SparseProposition,
     Standardizer,
     Task,
-    conjunction_complexity,
     ensemble_complexity,
 )
 
@@ -127,15 +126,15 @@ def identity_ensemble(rules, intercept=0.0, task=Task.REGRESSION, d=3):
 
 def test_empty_ensemble_predicts_intercept():
     f = identity_ensemble((), intercept=0.25)
-    assert f.score_one([1.0, 2.0, 3.0]) == 0.25
+    assert f.decision_function([1.0, 2.0, 3.0]) == 0.25
     assert f.complexity() == 0
 
 
 def test_single_rule_score():
     rule = Rule(propositions=(make_prop((0,), (1.0,), 0.0),), weight=2.0)
     f = identity_ensemble((rule,), intercept=0.1)
-    assert f.score_one([1.0, 0.0, 0.0]) == pytest.approx(2.1)
-    assert f.score_one([-1.0, 0.0, 0.0]) == pytest.approx(0.1)
+    assert f.decision_function([1.0, 0.0, 0.0]) == pytest.approx(2.1)
+    assert f.decision_function([-1.0, 0.0, 0.0]) == pytest.approx(0.1)
 
 
 def test_classification_label_steps_at_zero():
@@ -149,8 +148,8 @@ def test_standardizer_applied_before_rules():
     std = Standardizer(mean=np.array([10.0]), scale=np.array([2.0]))
     rule = Rule(propositions=(make_prop((0,), (1.0,), 0.0),), weight=1.0)
     f = RuleEnsemble(intercept=0.0, rules=(rule,), task=Task.REGRESSION, standardizer=std)
-    assert f.score_one([12.0]) == 1.0  # (12-10)/2 = 1 >= 0
-    assert f.score_one([8.0]) == 0.0
+    assert f.decision_function([12.0]) == 1.0  # (12-10)/2 = 1 >= 0
+    assert f.decision_function([8.0]) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -178,13 +177,13 @@ def test_conjunction_complexity_counts_props_and_nonzeros():
         ),
         weight=1.0,
     )
-    assert conjunction_complexity(q) == 2 + 3
+    assert q.complexity() == 2 + 3
 
 
 def test_axis_parallel_rule_complexity_is_twice_condition_count():
     props = tuple(make_prop((j,), (1.0,), 0.0) for j in range(3))
     q = Rule(propositions=props, weight=1.0)
-    assert conjunction_complexity(q) == 2 * 3
+    assert q.complexity() == 2 * 3
 
 
 def test_ensemble_complexity_adds_rule_count():
@@ -285,7 +284,7 @@ def test_trace_stage_rule_counts_are_checked():
         stages=(FitStage(f0, 1.0, 0), FitStage(f1, 0.5, f1.complexity())),
         wall_time_seconds=0.0,
     )
-    assert trace.n_rounds == 1
+    assert len(trace.stages) - 1 == 1
     assert trace.final is f1
     with pytest.raises(ValueError):
         FitTrace(stages=(FitStage(f1, 0.5, 3),), wall_time_seconds=0.0)

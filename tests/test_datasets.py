@@ -7,6 +7,7 @@ from obliquerules.datasets import (
     DataError,
     Dataset,
     load_csv,
+    load_feature_rows,
     make_oblique,
     make_rotated_box,
     make_staircase,
@@ -51,6 +52,22 @@ def test_rows_with_missing_cells_are_skipped_and_counted(tmp_path):
     assert d.n_rows == 2
     assert d.n_skipped_rows == 3
     assert d.X.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+
+
+def test_feature_rows_follow_the_requested_column_order(tmp_path):
+    p = write(tmp_path, "a,b,note\n1,2,\n3,4,x\n")
+    assert load_feature_rows(p, ("b", "a")).tolist() == [[2.0, 1.0], [4.0, 3.0]]
+    with pytest.raises(DataError, match=r":3: missing cell"):
+        load_feature_rows(write(tmp_path, "a,b\n1,2\n,4\n", "holed.csv"), ("a", "b"))
+
+
+def test_undecodable_csv_is_a_data_error(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"a,y\n\xe9,1\n2,0\n")
+    with pytest.raises(DataError):
+        load_csv(p, "y", Task.CLASSIFICATION)
+    with pytest.raises(DataError):
+        load_feature_rows(p, ("a",))
 
 
 def test_non_numeric_feature_cell_raises_with_line_number(tmp_path):

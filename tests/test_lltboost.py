@@ -223,7 +223,6 @@ def test_train_risk_never_increases(maker, kind):
 def test_trace_structure():
     X, y = make_classification(3)
     trace = fit(X, y, LLTConfig(max_rules=4))
-    assert trace.n_rounds == len(trace.stages) - 1
     for m, st in enumerate(trace.stages):
         assert len(st.ensemble.rules) == m
     comps = [st.complexity for st in trace.stages]
@@ -283,7 +282,7 @@ def test_constant_regression_target_stops_immediately():
     X = np.random.default_rng(2).normal(size=(40, 3))
     y = np.full(40, 1.7)
     trace = fit(X, y, LLTConfig(loss=LossKind.SQUARED))
-    assert trace.n_rounds == 0
+    assert len(trace.stages) - 1 == 0
     assert trace.final.intercept == pytest.approx(1.7)
 
 

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from obliquerules import lltboost, tgb
 from obliquerules.core import Rule, RuleEnsemble, SparseProposition, Standardizer, Task
@@ -66,7 +70,7 @@ def test_round_trip_of_fitted_models(tmp_path):
     data = make_oblique(n=80, d=4, noise=0.1, seed=1)
     for tag, trace in (
         ("llt", lltboost.fit(data.X, data.y, lltboost.LLTConfig(max_rules=2, seed=0))),
-        ("tgb", tgb.fit(data.X, data.y, tgb.TGBConfig(max_rules=2, seed=0))),
+        ("tgb", tgb.fit(data.X, data.y, tgb.TGBConfig(max_rules=2))),
     ):
         ens = trace.stages[-1].ensemble
         path = tmp_path / f"{tag}.json"
@@ -136,3 +140,90 @@ def test_model_file_validates_names():
         ModelFile(ensemble=ens, feature_names=("a", "b"))
     with pytest.raises(ModelFormatError, match="unique"):
         ModelFile(ensemble=ens, feature_names=("a", "a", "b"))
+
+
+def valid_doc(d=2):
+    ens = random_ensemble(np.random.default_rng(8), d=d, n_rules=2)
+    return model_to_dict(ModelFile(ensemble=ens, feature_names=names(d)))
+
+
+def with_field(path, value):
+    doc = valid_doc()
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value", [
+    (("standardizer", "scale"), [0.0, 1.0]),
+    (("standardizer", "mean"), ["a", 0.0]),
+    (("standardizer", "mean"), [0.0, 0.0, 0.0]),
+    (("feature_names",), 3),
+    (("metadata",), [1, 2]),
+    (("complexity",), "abc"),
+    (("complexity",), 0.5),
+    (("rules", 0, "weight"), 10**400),
+], ids=["zero-scale", "text-mean", "width-mismatch", "int-names", "list-metadata",
+        "text-complexity", "fractional-complexity", "overflowing-weight"])
+def test_malformed_fields_raise_model_format_error(path, value):
+    with pytest.raises(ModelFormatError):
+        model_from_dict(with_field(path, value))
+
+
+def test_non_integer_complexity_is_rejected_even_when_it_rounds_to_the_truth():
+    doc = valid_doc()
+    doc["complexity"] = doc["complexity"] + 0.25
+    with pytest.raises(ModelFormatError, match="complexity"):
+        model_from_dict(doc)
+
+
+def test_non_utf8_model_file_is_a_format_error(tmp_path):
+    bad = tmp_path / "model.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ModelFormatError):
+        load_model(bad)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FIELD_PATHS = [
+    ("format_version",), ("task",), ("feature_names",), ("feature_names", 0),
+    ("standardizer",), ("standardizer", "mean"), ("standardizer", "scale", 1),
+    ("intercept",), ("rules",), ("rules", 0), ("rules", 0, "weight"),
+    ("rules", 0, "propositions"), ("rules", 0, "propositions", 0),
+    ("rules", 0, "propositions", 0, "weights"), ("rules", 0, "propositions", 0, "threshold"),
+    ("complexity",), ("metadata",),
+]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.booleans(), JSON_VALUES),
+                min_size=1, max_size=3))
+def test_load_model_only_raises_model_format_error(mutations):
+    doc = valid_doc()
+    for path, delete, value in mutations:
+        *parents, last = path
+        target = doc
+        try:
+            for key in parents:
+                target = target[key]
+            if delete:
+                del target[last]
+            else:
+                target[last] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed this field's parent
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_model(path)
+        except ModelFormatError:
+            pass

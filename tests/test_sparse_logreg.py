@@ -7,7 +7,6 @@ from obliquerules.sparse_logreg import (
     LinearSolution,
     WeightedBinaryProblem,
     corrective_refit,
-    fit_for_sparsity,
     fit_weighted_l1,
     kkt_residual,
     lambda_max,
@@ -151,16 +150,16 @@ def test_fit_for_sparsity_never_exceeds_requested_nonzeros():
     for s in range(15):
         prob = random_problem(s, d=6, informative=3)
         for k in (1, 2, 3, 4, 6):
-            sol = fit_for_sparsity(prob, k)
+            sol = LambdaPath(prob).for_sparsity(k)
             assert sol.nnz <= k
 
 
 def test_fit_for_sparsity_rejects_out_of_range_levels():
     prob = random_problem(0)
     with pytest.raises(ValueError):
-        fit_for_sparsity(prob, 0)
+        LambdaPath(prob).for_sparsity(0)
     with pytest.raises(ValueError):
-        fit_for_sparsity(prob, prob.d + 1)
+        LambdaPath(prob).for_sparsity(prob.d + 1)
 
 
 def test_single_informative_feature_is_selected_at_s1():
@@ -172,7 +171,7 @@ def test_single_informative_feature_is_selected_at_s1():
         if z.min() == z.max():
             continue
         prob = WeightedBinaryProblem(X, z, np.ones(80))
-        sol = fit_for_sparsity(prob, 1)
+        sol = LambdaPath(prob).for_sparsity(1)
         hits += sol.nnz == 1 and np.flatnonzero(sol.weights)[0] == 2
     assert hits >= 95
 
@@ -191,7 +190,7 @@ def test_sparsity_path_nondecreasing_and_matches_grid_scan():
         nnz_at[i] = sol.nnz
     prev_nnz = 0
     for s in (1, 2, 3):
-        sol = fit_for_sparsity(prob, s)
+        sol = LambdaPath(prob).for_sparsity(s)
         assert sol.nnz >= prev_nnz
         prev_nnz = sol.nnz
         where = np.flatnonzero(nnz_at == s)
@@ -203,20 +202,12 @@ def test_sparsity_path_nondecreasing_and_matches_grid_scan():
 def test_lambda_path_memoizes_consistently():
     prob = random_problem(11)
     path = LambdaPath(prob)
-    a = path.for_sparsity(2)
-    b = fit_for_sparsity(prob, 2)
+    path.for_sparsity(1)
+    path.for_sparsity(3)
+    a = path.for_sparsity(2)  # answered from a cache warmed by other levels
+    b = LambdaPath(prob).for_sparsity(2)
     assert a.nnz == b.nnz == 2
     assert np.array_equal(np.flatnonzero(a.weights), np.flatnonzero(b.weights))
-
-
-def test_debias_refits_on_support():
-    prob = random_problem(5)
-    plain = fit_for_sparsity(prob, 2)
-    deb = fit_for_sparsity(prob, 2, debias=True)
-    assert np.array_equal(np.flatnonzero(plain.weights), np.flatnonzero(deb.weights))
-    support = np.flatnonzero(deb.weights)
-    sub = WeightedBinaryProblem(prob.features[:, support], prob.labels, prob.sample_weights)
-    assert kkt_residual(sub, 0.0, deb.weights[support], deb.intercept) <= 1e-4
 
 
 # ---------------------------------------------------------------------------

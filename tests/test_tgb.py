@@ -188,7 +188,7 @@ def test_fit_is_deterministic():
 def test_constant_target_stops_immediately():
     X = np.random.default_rng(1).normal(size=(30, 2))
     trace = fit(X, np.full(30, 2.5), TGBConfig(loss=LossKind.SQUARED))
-    assert trace.n_rounds == 0
+    assert len(trace.stages) - 1 == 0
     assert trace.final.intercept == pytest.approx(2.5)
 
 
