@@ -8,7 +8,6 @@ from .core import (
     SparseProposition,
     Standardizer,
     Task,
-    ensemble_complexity,
 )
 from .losses import LossKind, gradient, init_intercept, loss
 
@@ -21,7 +20,6 @@ from .tgb import TGBConfig  # noqa: E402
 from .tgb import fit as fit_tgb  # noqa: E402
 from .evaluation import (  # noqa: E402
     INF,
-    CIKind,
     MethodCurve,
     ProtocolConfig,
     run_benchmark,
@@ -29,7 +27,6 @@ from .evaluation import (  # noqa: E402
 from .serialize import ModelFile, load_model, save_model  # noqa: E402
 
 __all__ = [
-    "CIKind",
     "DataError",
     "Dataset",
     "FitStage",
@@ -46,7 +43,6 @@ __all__ = [
     "Standardizer",
     "TGBConfig",
     "Task",
-    "ensemble_complexity",
     "fit_lltboost",
     "fit_tgb",
     "gradient",

@@ -90,7 +90,7 @@ def print_rules(model: ModelFile, precision: int = 2) -> str:
 
 def _parse_task(text: str) -> Task:
     try:
-        return TASK_ALIASES[text.lower()]
+        return TASK_ALIASES[str(text).lower()]
     except KeyError:
         raise UsageError(
             f"unknown task {text!r}; expected one of {sorted(TASK_ALIASES)}"
@@ -123,6 +123,7 @@ TRAIN_DEFAULTS = {
     "validation_fraction": 0.25,
     "seed": 0,
 }
+TRAIN_LOSSES = ("logistic", "squared")  # zero_one has no gradient to boost on
 
 
 def _resolve_train_settings(args) -> dict:
@@ -146,6 +147,8 @@ def _cmd_train(args) -> int:
     loss_name = settings["loss"] or (
         "logistic" if task is Task.CLASSIFICATION else "squared"
     )
+    if loss_name not in TRAIN_LOSSES:
+        raise UsageError(f"loss must be one of {list(TRAIN_LOSSES)}, got {loss_name!r}")
     try:
         cfg = learner_config(
             args.method,
@@ -157,7 +160,7 @@ def _cmd_train(args) -> int:
             reg_strength=float(settings["reg"]),
             seed=int(settings["seed"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(str(exc)) from None
 
     dataset = load_csv(args.data, args.target, task)
@@ -215,6 +218,17 @@ def _cmd_predict(args) -> int:
             )
         y = dataset.y
     scores = ens.decision_function(X)
+    if y is not None:
+        config = model.metadata.get("config", {})
+        if not isinstance(config, dict):
+            raise ModelFormatError(f"{args.model}: metadata.config must be a JSON object")
+        default = "logistic" if ens.task is Task.CLASSIFICATION else "squared"
+        try:
+            risk = float(np.mean(loss(LossKind(config.get("loss", default)), y, scores)))
+        except ValueError as exc:
+            raise ModelFormatError(
+                f"{args.model}: no usable loss in metadata.config: {exc}"
+            ) from None
 
     out_lines = [repr(float(s)) for s in scores]
     if args.out:
@@ -223,18 +237,13 @@ def _cmd_predict(args) -> int:
         for line in out_lines:
             print(line)
     if y is not None:
-        kind = LossKind(
-            model.metadata.get("config", {}).get(
-                "loss",
-                "logistic" if ens.task is Task.CLASSIFICATION else "squared",
-            )
-        )
-        risk = float(np.mean(loss(kind, y, scores)))
         print(f"risk = {risk!r}")
     return EXIT_OK
 
 
 def _cmd_print(args) -> int:
+    if not 0 <= args.precision <= 17:  # a double carries at most 17 significant digits
+        raise UsageError(f"--precision must be between 0 and 17, got {args.precision}")
     model = load_model(args.model)
     print(print_rules(model, precision=args.precision))
     return EXIT_OK
@@ -250,7 +259,7 @@ def _dataset_from_spec(spec: dict, position: int) -> Dataset:
         raise UsageError(f"datasets[{position}] must be a JSON object")
     if "synthetic" in spec:
         name = spec["synthetic"]
-        if name not in SYNTHETIC_GENERATORS:
+        if not isinstance(name, str) or name not in SYNTHETIC_GENERATORS:
             raise UsageError(
                 f"datasets[{position}]: unknown synthetic generator {name!r}; "
                 f"available: {sorted(SYNTHETIC_GENERATORS)}"
@@ -259,7 +268,7 @@ def _dataset_from_spec(spec: dict, position: int) -> Dataset:
         extra = set(spec) - {"synthetic", "n", "d", "noise", "seed"}
         if extra:
             raise UsageError(f"datasets[{position}]: unknown keys {sorted(extra)}")
-        return SYNTHETIC_GENERATORS[name](**kwargs)
+        return _synthesize(name, **kwargs)
     for key in ("path", "target", "task"):
         if key not in spec:
             raise UsageError(f"datasets[{position}]: missing key {key!r}")
@@ -298,9 +307,15 @@ def _cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
+def _synthesize(generator: str, **spec) -> Dataset:
+    try:
+        return SYNTHETIC_GENERATORS[generator](**spec)
+    except (TypeError, ValueError, DataError) as exc:
+        raise UsageError(f"synthetic {generator!r} dataset: {exc}") from None
+
+
 def _cmd_make_synthetic(args) -> int:
-    gen = SYNTHETIC_GENERATORS[args.generator]
-    dataset = gen(n=args.n, d=args.d, noise=args.noise, seed=args.seed)
+    dataset = _synthesize(args.generator, n=args.n, d=args.d, noise=args.noise, seed=args.seed)
     write_csv(dataset, args.out, target_column=args.target_column)
     print(f"{dataset.name}: {dataset.n_rows} rows, {dataset.n_features} features "
           f"-> {args.out}")
@@ -330,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", type=int)
     p.add_argument("--propositions", type=int)
     p.add_argument("--nonzeros", type=int)
-    p.add_argument("--loss", choices=("logistic", "squared"))
+    p.add_argument("--loss", choices=TRAIN_LOSSES)
     p.add_argument("--reg", type=float)
     p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
     p.add_argument("--seed", type=int)

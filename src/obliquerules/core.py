@@ -179,7 +179,7 @@ def conjunction_cover(propositions, X) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Rule:
     """Conjunction of propositions with an additive output weight."""
 
@@ -197,14 +197,6 @@ class Rule:
         object.__setattr__(self, "propositions", props)
         object.__setattr__(self, "weight", float(self.weight))
 
-    def __eq__(self, other):
-        if not isinstance(other, Rule):
-            return NotImplemented
-        return self.weight == other.weight and self.propositions == other.propositions
-
-    def __hash__(self):
-        return hash((self.propositions, self.weight))
-
     def cover(self, X) -> np.ndarray:
         """0/1 array: rows where every proposition fires."""
         return conjunction_cover(self.propositions, X)
@@ -218,7 +210,7 @@ class Rule:
         return len(self.propositions) + sum(p.nnz for p in self.propositions)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RuleEnsemble:
     """Additive model ``score(x) = intercept + sum_i weight_i * rule_i(x~)``.
 
@@ -242,19 +234,6 @@ class RuleEnsemble:
         object.__setattr__(self, "intercept", float(self.intercept))
         object.__setattr__(self, "task", Task(self.task))
 
-    def __eq__(self, other):
-        if not isinstance(other, RuleEnsemble):
-            return NotImplemented
-        return (
-            self.intercept == other.intercept
-            and self.task is other.task
-            and self.rules == other.rules
-            and self.standardizer == other.standardizer
-        )
-
-    def __hash__(self):
-        return hash((self.intercept, self.rules, self.task, self.standardizer))
-
     @property
     def n_rules(self) -> int:
         return len(self.rules)
@@ -275,12 +254,8 @@ class RuleEnsemble:
         return score
 
     def complexity(self) -> int:
-        return ensemble_complexity(self)
-
-
-def ensemble_complexity(ensemble: RuleEnsemble) -> int:
-    """Rule count plus per-rule complexities; 0 for the intercept-only model."""
-    return ensemble.n_rules + sum(r.complexity() for r in ensemble.rules)
+        """Rule count plus per-rule complexities; 0 for the intercept-only model."""
+        return self.n_rules + sum(r.complexity() for r in self.rules)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from types import ModuleType
 from typing import NamedTuple
@@ -35,20 +34,6 @@ INF = float("inf")
 # ---------------------------------------------------------------------------
 
 
-class CIKind(str, Enum):
-    RANKS_4_7 = "ranks_4_7"
-    RANKS_3_8 = "ranks_3_8"
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    median: float
-    ci_low: float
-    ci_high: float
-    ci_kind: CIKind
-    n_reps: int
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     complexity: int
@@ -61,27 +46,6 @@ class CurvePoint:
 @dataclass(frozen=True)
 class MethodCurve:
     points: tuple[CurvePoint, ...]
-
-
-def median_with_ci(values, ci_kind) -> AggregateRow:
-    """Median of exactly 10 values with a rank-based confidence interval.
-
-    The median is the midpoint of the 5th and 6th order statistics (infinite
-    if either is), the interval the (4th, 7th) or (3rd, 8th) order statistics
-    depending on ``ci_kind``.  The rank choices are specific to samples of
-    size 10, so any other length is rejected.
-    """
-    ci_kind = CIKind(ci_kind)
-    vals = sorted(float(v) for v in values)
-    if len(vals) != 10:
-        raise ValueError("rank-based intervals are defined for exactly 10 values")
-    median = (vals[4] + vals[5]) / 2.0
-    if ci_kind is CIKind.RANKS_4_7:
-        lo, hi = vals[3], vals[6]
-    else:
-        lo, hi = vals[2], vals[7]
-    return AggregateRow(median=median, ci_low=lo, ci_high=hi,
-                        ci_kind=ci_kind, n_reps=10)
 
 
 def _median(values) -> float:
@@ -195,12 +159,23 @@ class ProtocolConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.repetitions < 1 or self.max_rules < 1 or self.jobs < 1:
-            raise ValueError("repetitions, max_rules and jobs must be >= 1")
+        lowest = {"repetitions": 1, "max_rules": 1, "max_propositions": 1, "max_nonzeros": 1,
+                  "bootstrap_cap": 2, "master_seed": 0, "jobs": 1}
+        for name, low in lowest.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ValueError("validation_fraction must lie strictly between 0 and 1")
+        if not self.sparsity_accept_delta >= 0.0:
+            raise ValueError("sparsity_accept_delta must be nonnegative")
         unknown = set(self.methods) - set(LEARNERS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        object.__setattr__(self, "tgb_reg_grid", tuple(float(v) for v in self.tgb_reg_grid))
+        grid = tuple(float(v) for v in self.tgb_reg_grid)
+        if not all(0.0 <= v < INF for v in grid):
+            raise ValueError(f"tgb_reg_grid values must be finite and nonnegative, got {grid}")
+        object.__setattr__(self, "tgb_reg_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
@@ -390,15 +365,20 @@ class BenchmarkReport:
 
 
 def _aggregate_cells(values, repetitions):
-    cells = {"median": _median(values)}
+    """Median, rank intervals, infinity count and size of one table cell.
+
+    The median is the midpoint of the central order statistics (infinite if
+    either is).  The intervals are the (4th, 7th) and (3rd, 8th) order
+    statistics; those ranks are specific to samples of size 10, so with any
+    other repetition count the interval cells are left blank.
+    """
+    vals = sorted(float(v) for v in values)
+    cells = {"median": _median(vals)}
     if repetitions == 10:
-        for kind, tag in ((CIKind.RANKS_4_7, "ci47"), (CIKind.RANKS_3_8, "ci38")):
-            agg = median_with_ci(values, kind)
-            cells[f"{tag}_low"] = agg.ci_low
-            cells[f"{tag}_high"] = agg.ci_high
+        cells.update(ci47_low=vals[3], ci47_high=vals[6], ci38_low=vals[2], ci38_high=vals[7])
     else:
         cells.update(ci47_low="", ci47_high="", ci38_low="", ci38_high="")
-    cells["n_inf"] = sum(1 for v in values if float(v) == INF)
+    cells["n_inf"] = vals.count(INF)
     cells["n_reps"] = len(values)
     return cells
 

@@ -28,6 +28,9 @@ LAMBDA_FLOOR_RATIO = 1e-6
 BISECTION_STEPS = 40
 BISECTION_RTOL = 1e-3
 BRACKET_DESCENT = 4.0
+POLISH_STEPS = 15
+REFIT_RIDGE = 1e-8
+REFIT_MAX_ITER = 100
 
 
 @dataclass(eq=False)
@@ -82,11 +85,10 @@ class WeightedBinaryProblem:
 
 @dataclass(frozen=True, eq=False)
 class LinearSolution:
-    """Solver output: dense weights, intercept, and the achieved objective."""
+    """Solver output: dense weights, intercept, support size and convergence."""
 
     weights: np.ndarray
     intercept: float
-    objective_value: float
     nnz: int
     lam: float
     converged: bool
@@ -119,7 +121,7 @@ def _soft_threshold(v, tau):
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def _newton_polish(X, z, omega, lam, w, b, F, max_steps=15):
+def _newton_polish(X, z, omega, lam, w, b, F):
     """Second-order descent restricted to the current support.
 
     On the active orthant the objective is smooth (the penalty contributes a
@@ -130,7 +132,7 @@ def _newton_polish(X, z, omega, lam, w, b, F, max_steps=15):
     w = w.copy()
     b = float(b)
     ones = np.ones(X.shape[0])
-    for _ in range(max_steps):
+    for _ in range(POLISH_STEPS):
         support = np.flatnonzero(w)
         if support.size > 100:
             break
@@ -211,7 +213,6 @@ def _null_solution(problem: WeightedBinaryProblem, lam: float) -> LinearSolution
     return LinearSolution(
         weights=w,
         intercept=b,
-        objective_value=objective_value(problem, lam, w, b),
         nnz=0,
         lam=lam,
         converged=True,
@@ -223,9 +224,6 @@ def fit_weighted_l1(
     problem: WeightedBinaryProblem,
     lam: float,
     init: tuple[np.ndarray, float] | None = None,
-    max_iter: int = MAX_ITER,
-    objective_rtol: float = OBJECTIVE_RTOL,
-    kkt_tol: float = KKT_TOL,
     on_iteration=None,
 ) -> LinearSolution:
     """Solve the penalized problem at one lam; optionally warm-started.
@@ -233,7 +231,7 @@ def fit_weighted_l1(
     The objective is nonincreasing across iterations: accelerated steps are
     only kept when they do not increase it, otherwise momentum restarts with a
     plain proximal step.  Convergence requires both a relative objective
-    change below ``objective_rtol`` and a KKT residual below ``kkt_tol``.
+    change below ``OBJECTIVE_RTOL`` and a KKT residual below ``KKT_TOL``.
     """
     if lam < 0:
         raise ValueError("penalty must be nonnegative")
@@ -279,7 +277,7 @@ def fit_weighted_l1(
                 return w_new, b_new, f_new, eta
             eta *= 0.5
 
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         gw, gb = _smooth_grad(X, z, omega, w_y, b_y)
         f_y = _smooth_value(X, z, omega, w_y, b_y)
         w_c, b_c, f_c, eta = prox_from(w_y, b_y, gw, gb, f_y, eta)
@@ -310,19 +308,19 @@ def fit_weighted_l1(
             on_iteration(F_x)
         eta = min(eta * 1.25, 16.0 / L)
 
-        if rel < objective_rtol or k % 30 == 0:
+        if rel < OBJECTIVE_RTOL or k % 30 == 0:
             # polish the active support with damped Newton steps, then test
             # first-order optimality; restart momentum either way
             w, b, F_x = _newton_polish(X, z, omega, lam, w, b, F_x)
             w_y, b_y = w, b
             t_momentum = 1.0
-            if kkt_residual(problem, lam, w, b) <= kkt_tol:
+            if kkt_residual(problem, lam, w, b) <= KKT_TOL:
                 converged = True
                 break
-            if rel < objective_rtol:
+            if rel < OBJECTIVE_RTOL:
                 # count consecutive near-flat rounds; float-level positive
                 # progress must not reset the counter or a plateau grinds on
-                # polishing every iteration until max_iter
+                # polishing every iteration until MAX_ITER
                 stall += 1
                 if stall >= 50:
                     break
@@ -333,7 +331,7 @@ def fit_weighted_l1(
 
     w = np.where(np.abs(w) < ZERO_SNAP, 0.0, w)
     if not converged:
-        converged = kkt_residual(problem, lam, w, b) <= kkt_tol
+        converged = kkt_residual(problem, lam, w, b) <= KKT_TOL
         if not converged:
             warnings.warn(
                 f"L1 solver stopped after {k} iterations without meeting the "
@@ -344,7 +342,6 @@ def fit_weighted_l1(
     return LinearSolution(
         weights=w,
         intercept=float(b),
-        objective_value=objective_value(problem, lam, w, b),
         nnz=int(np.count_nonzero(w)),
         lam=float(lam),
         converged=converged,
@@ -398,10 +395,10 @@ class LambdaPath:
                 best_fallback = sol
         return best_exact or best_fallback
 
-    def for_sparsity(self, s: int, budget: int = BISECTION_STEPS) -> LinearSolution:
+    def for_sparsity(self, s: int) -> LinearSolution:
         """Solution at the smallest penalty with exactly ``s`` nonzeros, found by
-        bisecting lam in log space with at most ``budget`` new solves; else the
-        densest solution with fewer.  Never more than ``s`` nonzeros."""
+        bisecting lam in log space with at most ``BISECTION_STEPS`` new solves;
+        else the densest solution with fewer.  Never more than ``s`` nonzeros."""
         if not 1 <= s <= self.problem.d:
             raise ValueError(f"sparsity level must be in [1, {self.problem.d}], got {s}")
         if self.lam_max <= 0.0:
@@ -423,7 +420,7 @@ class LambdaPath:
                 break
         if lo is None:
             cur = hi if hi is not None else self.lam_max
-            while cur > self.lam_floor and solves < budget:
+            while cur > self.lam_floor and solves < BISECTION_STEPS:
                 cur = max(cur / BRACKET_DESCENT, self.lam_floor)
                 sol = self.solve(cur)
                 solves += 1
@@ -434,7 +431,7 @@ class LambdaPath:
                 if cur <= self.lam_floor:
                     break
         if lo is not None:
-            while hi / lo > 1.0 + BISECTION_RTOL and solves < budget:
+            while hi / lo > 1.0 + BISECTION_RTOL and solves < BISECTION_STEPS:
                 mid = float(np.sqrt(lo * hi))
                 sol = self.solve(mid)
                 solves += 1
@@ -453,9 +450,9 @@ class LambdaPath:
 # --------------------------------------------------------------------------
 
 
-def _refit_objective(design, y, kind, beta, ridge):
+def _refit_objective(design, y, kind, beta):
     raw = float(np.sum(loss_value(kind, y, design @ beta)))
-    return raw + ridge * float(beta[1:] @ beta[1:]), raw
+    return raw + REFIT_RIDGE * float(beta[1:] @ beta[1:]), raw
 
 
 def corrective_refit(
@@ -463,12 +460,10 @@ def corrective_refit(
     y: np.ndarray,
     kind: LossKind,
     warm_start: np.ndarray,
-    ridge: float = 1e-8,
-    max_iter: int = 100,
 ) -> np.ndarray:
     """Jointly refit all ensemble weights over a [1 | rule covers] design.
 
-    Minimizes ``sum_i loss(y_i, design_i . beta) + ridge * ||beta_1..m||^2``
+    Minimizes ``sum_i loss(y_i, design_i . beta) + REFIT_RIDGE * ||beta_1..m||^2``
     (intercept unpenalized).  Guaranteed not to increase the unpenalized
     training loss relative to the warm start.
     """
@@ -484,7 +479,7 @@ def corrective_refit(
     if not np.allclose(design[:, 0], 1.0):
         raise ValueError("the first design column must be the all-ones intercept")
 
-    pen = np.full(m1, 2.0 * ridge)
+    pen = np.full(m1, 2.0 * REFIT_RIDGE)
     pen[0] = 0.0
 
     if kind is LossKind.SQUARED:
@@ -492,8 +487,8 @@ def corrective_refit(
         beta = np.linalg.solve(A, design.T @ y)
     elif kind is LossKind.LOGISTIC:
         beta = beta0.copy()
-        obj, _ = _refit_objective(design, y, kind, beta, ridge)
-        for _ in range(max_iter):
+        obj, _ = _refit_objective(design, y, kind, beta)
+        for _ in range(REFIT_MAX_ITER):
             s = design @ beta
             mu = expit(s)
             grad = design.T @ (mu - y) + pen * beta
@@ -509,7 +504,7 @@ def corrective_refit(
             improved = False
             for _ in range(60):
                 cand = beta - t * step
-                obj_cand, _ = _refit_objective(design, y, kind, cand, ridge)
+                obj_cand, _ = _refit_objective(design, y, kind, cand)
                 if obj_cand < obj:
                     beta, obj = cand, obj_cand
                     improved = True
@@ -521,8 +516,8 @@ def corrective_refit(
         raise ValueError("corrective refits require a differentiable loss")
 
     # never hand back a warmer start than we were given
-    _, raw_new = _refit_objective(design, y, kind, beta, ridge)
-    _, raw_warm = _refit_objective(design, y, kind, beta0, ridge)
+    _, raw_new = _refit_objective(design, y, kind, beta)
+    _, raw_warm = _refit_objective(design, y, kind, beta0)
     if not raw_new <= raw_warm + 1e-12:
         return beta0.copy()
     return beta

@@ -24,16 +24,13 @@ class TGBConfig:
     """Settings for the axis-parallel booster.
 
     ``reg_strength`` enters the proposition score as
-    ``|<g, q>| / sqrt(reg_strength + <q, q>)`` when ``normalize_objective``
-    is on; with normalization off the score is the plain gradient sum
-    ``|<g, q>|`` and ``reg_strength`` is ignored.
+    ``|<g, q>| / sqrt(reg_strength + <q, q>)``.
     """
 
     max_rules: int = 10
     max_propositions: int = 5
     loss: LossKind = LossKind.LOGISTIC
     reg_strength: float = 0.0
-    normalize_objective: bool = True
 
     def __post_init__(self):
         if self.max_rules < 1 or self.max_propositions < 1:
@@ -55,8 +52,7 @@ class AxisCandidate(NamedTuple):
         return SparseProposition((self.feature,), (-1.0,), -self.threshold)
 
 
-def best_axis_proposition(active, X, g, reg_strength: float = 0.0,
-                          normalize: bool = True) -> AxisCandidate | None:
+def best_axis_proposition(active, X, g, reg_strength: float = 0.0) -> AxisCandidate | None:
     """Exhaustive scan over single-feature threshold conditions.
 
     Candidate thresholds are the midpoints between consecutive distinct
@@ -81,13 +77,9 @@ def best_axis_proposition(active, X, g, reg_strength: float = 0.0,
         mids = 0.5 * (sv[edges] + sv[edges + 1])
         le_sum = cum[edges]
         ge_sum = total - le_sum
-        if normalize:
-            le_count = edges + 1.0
-            score_le = np.abs(le_sum) / np.sqrt(reg_strength + le_count)
-            score_ge = np.abs(ge_sum) / np.sqrt(reg_strength + (n_act - le_count))
-        else:
-            score_le = np.abs(le_sum)
-            score_ge = np.abs(ge_sum)
+        le_count = edges + 1.0
+        score_le = np.abs(le_sum) / np.sqrt(reg_strength + le_count)
+        score_ge = np.abs(ge_sum) / np.sqrt(reg_strength + (n_act - le_count))
         # interleave so that, within this feature, candidates are ordered by
         # ascending threshold with >= ahead of <= at the same threshold
         flat = np.empty(2 * edges.size)
@@ -107,9 +99,7 @@ def _grow_conjunction(Z, g, cfg: TGBConfig) -> list[SparseProposition] | None:
     body: list[SparseProposition] = []
     current = 0.0
     for _ in range(cfg.max_propositions):
-        cand = best_axis_proposition(
-            active, Z, g, cfg.reg_strength, cfg.normalize_objective
-        )
+        cand = best_axis_proposition(active, Z, g, cfg.reg_strength)
         if cand is None or cand.score <= current:
             break
         prop = cand.to_proposition()

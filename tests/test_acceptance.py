@@ -16,11 +16,10 @@ from obliquerules.core import SparseProposition
 from obliquerules.datasets import make_oblique
 from obliquerules.evaluation import (
     INF,
-    CIKind,
     CurvePoint,
     MethodCurve,
     ProtocolConfig,
-    median_with_ci,
+    _aggregate_cells,
     min_complexity_to_risk_target,
     risk_at_complexity_target,
     run_benchmark,
@@ -35,6 +34,7 @@ from obliquerules.sparse_logreg import (
     fit_weighted_l1,
     kkt_residual,
     lambda_max,
+    objective_value,
 )
 from obliquerules.tgb import TGBConfig, best_axis_proposition
 
@@ -167,7 +167,8 @@ def test_a3_solver_kkt_oracle_and_null_threshold(verdict):
         lam = float(rng.uniform(0.2, 0.6)) * lambda_max(problem)
         sol = fit_weighted_l1(problem, lam)
         oracle = _refined_grid_minimum(problem, lam)
-        worst_gap = max(worst_gap, abs(sol.objective_value - oracle))
+        value = objective_value(problem, lam, sol.weights, sol.intercept)
+        worst_gap = max(worst_gap, abs(value - oracle))
 
     null_ok = True
     for _ in range(20):
@@ -238,7 +239,7 @@ def test_a4_sparsity_search_matches_dense_grid_transitions(verdict):
 # ---------------------------------------------------------------------------
 
 
-def _brute_force_axis(X, g, reg, normalize):
+def _brute_force_axis(X, g, reg):
     """Enumerate every (feature, midpoint, direction) in documented tie order."""
     best = None
     for j in range(X.shape[1]):
@@ -248,10 +249,7 @@ def _brute_force_axis(X, g, reg, normalize):
             for direction in (">=", "<="):
                 cover = X[:, j] >= t if direction == ">=" else X[:, j] <= t
                 total = abs(float(g[cover].sum()))
-                if normalize:
-                    score = total / np.sqrt(reg + float(cover.sum()))
-                else:
-                    score = total
+                score = total / np.sqrt(reg + float(cover.sum()))
                 if best is None or score > best[3]:
                     best = (j, direction, float(t), score, frozenset(np.flatnonzero(cover)))
     return best
@@ -267,9 +265,9 @@ def test_a5_axis_threshold_search_equals_exhaustive_enumeration(verdict):
         X = np.round(rng.normal(size=(n, d)), 2)  # induce duplicate values
         # integer gradients make every partial sum exact, so scores must agree bitwise
         g = rng.integers(-5, 6, size=n).astype(float)
-        reg, normalize = [(0.0, False), (0.0, True), (1.0, True)][trial % 3]
-        cand = best_axis_proposition(np.arange(n), X, g, reg_strength=reg, normalize=normalize)
-        brute = _brute_force_axis(X, g, reg, normalize)
+        reg = (0.0, 1.0, 100.0)[trial % 3]
+        cand = best_axis_proposition(np.arange(n), X, g, reg_strength=reg)
+        brute = _brute_force_axis(X, g, reg)
         if brute is None:
             ok = cand is None
         else:
@@ -381,15 +379,13 @@ def test_a7_protocol_arithmetic_hand_examples(verdict):
         risk_at_complexity_target(c, 2) == INF,
         risk_at_complexity_target(c, 9) == 0.1,
     ]
-    vals = list(range(1, 11))
-    a47 = median_with_ci(vals, CIKind.RANKS_4_7)
-    a38 = median_with_ci(vals, CIKind.RANKS_3_8)
+    cells = _aggregate_cells(list(range(1, 11)), 10)
     checks += [
-        a47.median == 5.5,
-        (a47.ci_low, a47.ci_high) == (4.0, 7.0),
-        (a38.ci_low, a38.ci_high) == (3.0, 8.0),
-        median_with_ci([1.0] * 5 + [INF] * 5, CIKind.RANKS_4_7).median == INF,
-        median_with_ci([INF] * 10, CIKind.RANKS_3_8).ci_low == INF,
+        cells["median"] == 5.5,
+        (cells["ci47_low"], cells["ci47_high"]) == (4.0, 7.0),
+        (cells["ci38_low"], cells["ci38_high"]) == (3.0, 8.0),
+        _aggregate_cells([1.0] * 5 + [INF] * 5, 10)["median"] == INF,
+        _aggregate_cells([INF] * 10, 10)["ci38_low"] == INF,
     ]
     verdict(
         "A7 protocol arithmetic reproduces all hand examples exactly, "

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from obliquerules.cli import main, print_rules
+from obliquerules.cli import TRAIN_DEFAULTS, main, print_rules
 from obliquerules.core import Rule, RuleEnsemble, SparseProposition, Standardizer, Task
 from obliquerules.datasets import load_csv, make_oblique, write_csv
 from obliquerules.serialize import ModelFile, load_model, save_model
@@ -211,6 +213,50 @@ def test_train_fit_failure_exit_code(tmp_path):
     assert code == 4
 
 
+def test_train_non_fitting_loss_in_config_is_usage_error(tmp_path, clf_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loss": "zero_one"}), encoding="utf-8")
+    code = main(
+        ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
+         "--method", "tgb", "--config", str(cfg), "--out", str(tmp_path / "m.json")]
+    )
+    assert code == 2
+    assert "zero_one" in capsys.readouterr().err
+
+
+config_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.sampled_from(["logistic", "squared", "zero_one", "hinge"]),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+config_docs = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(TRAIN_DEFAULTS) + ["mystery"]), config_values,
+                    max_size=4),
+    config_values,
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=config_docs, method=st.sampled_from(["tgb", "lltboost"]))
+@example(doc={"propositions": float("inf")}, method="tgb")  # int(inf) overflows
+@example(doc={"loss": "zero_one", "reg": float("nan")}, method="lltboost")
+def test_train_config_fuzz_never_escapes_main(tmp_path, clf_csv, doc, method):
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")  # NaN/Infinity allowed
+    code = main(
+        ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
+         "--method", method, "--rules", "1", "--config", str(cfg),
+         "--out", str(tmp_path / "m.json")]
+    )
+    assert code in {0, 2, 3, 4}
+
+
 # ---------------------------------------------------------------------------
 # predict / print commands
 # ---------------------------------------------------------------------------
@@ -305,6 +351,28 @@ def test_predict_rejects_incomplete_rows(tmp_path, clf_csv, target, capsys):
     assert "must be complete" in captured.err
 
 
+@pytest.mark.parametrize("config", [[1, 2], {"loss": "hinge"}])
+def test_predict_target_rejects_unusable_metadata_config(tmp_path, clf_csv, config, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    doc["metadata"]["config"] = config
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model_path), "--data", str(clf_csv),
+                 "--target", "y"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "metadata.config" in captured.err and "Traceback" not in captured.err
+
+
+def test_print_rejects_negative_precision(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    save_model(empty_model(0.25), path)
+    assert main(["print", "--model", str(path), "--precision", "-1"]) == 2
+    assert "--precision" in capsys.readouterr().err
+
+
 def test_print_command(tmp_path, capsys):
     path = tmp_path / "m.json"
     save_model(empty_model(0.25), path)
@@ -362,6 +430,31 @@ def test_benchmark_command_writes_report(tmp_path, capsys):
     }
     doc = json.loads((out_dir / "report.json").read_text())
     assert {d["name"] for d in doc["datasets"]} == {"oblique", "fromfile"}
+
+
+@pytest.mark.parametrize("flags", [["--d", "1"], ["--n", "-5"]])
+def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
+    argv = ["make-synthetic", "--generator", "oblique", "--out", str(tmp_path / "a.csv")]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields", [
+    {"datasets": [{"synthetic": "oblique", "d": 1}]},
+    {"datasets": [{"synthetic": "oblique", "n": "x"}]},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "repetitions": 1.5},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "master_seed": -1},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "bootstrap_cap": -1},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "max_nonzeros": 0},
+])
+def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
+    cfg_path = tmp_path / "protocol.json"
+    cfg_path.write_text(json.dumps(fields), encoding="utf-8")
+    assert main(["benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_benchmark_config_errors(tmp_path):

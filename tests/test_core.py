@@ -11,7 +11,6 @@ from obliquerules.core import (
     SparseProposition,
     Standardizer,
     Task,
-    ensemble_complexity,
 )
 
 seed = 42
@@ -194,7 +193,7 @@ def test_ensemble_complexity_adds_rule_count():
     )
     f = identity_ensemble((q1, q2), d=4)
     # 2 rules + (1 prop + 2 nnz) + (2 props + 2 nnz)
-    assert ensemble_complexity(f) == 2 + 3 + 4
+    assert f.complexity() == 2 + 3 + 4
 
 
 @settings(max_examples=25, deadline=None)
@@ -213,7 +212,7 @@ def test_axis_parallel_ensembles_collapse_to_classic_count(s):
         )
         rules.append(Rule(propositions=props, weight=1.0))
     f = identity_ensemble(tuple(rules), d=6)
-    assert ensemble_complexity(f) == len(rules) + 2 * total_props
+    assert f.complexity() == len(rules) + 2 * total_props
 
 
 # ---------------------------------------------------------------------------

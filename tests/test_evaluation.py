@@ -11,14 +11,12 @@ from obliquerules.datasets import Dataset, make_oblique
 from obliquerules.core import Task
 from obliquerules.evaluation import (
     INF,
-    AggregateRow,
-    CIKind,
+    _aggregate_cells,
     CurvePoint,
     MethodCurve,
     ProtocolConfig,
     bootstrap_split,
     derive_targets,
-    median_with_ci,
     min_complexity_to_risk_target,
     risk_at_complexity_target,
     run_benchmark,
@@ -110,39 +108,50 @@ def test_risk_at_complexity_selected_point_monotone(pairs, t1, t2):
 
 
 def test_median_with_ci_hand_examples():
-    vals = list(range(1, 11))
-    agg = median_with_ci(vals, CIKind.RANKS_4_7)
-    assert agg == AggregateRow(5.5, 4.0, 7.0, CIKind.RANKS_4_7, 10)
-    agg = median_with_ci(vals, CIKind.RANKS_3_8)
-    assert (agg.ci_low, agg.ci_high) == (3.0, 8.0)
+    cells = _aggregate_cells(list(range(1, 11)), 10)
+    assert cells == {
+        "median": 5.5,
+        "ci47_low": 4.0,
+        "ci47_high": 7.0,
+        "ci38_low": 3.0,
+        "ci38_high": 8.0,
+        "n_inf": 0,
+        "n_reps": 10,
+    }
+    assert list(cells) == ["median", "ci47_low", "ci47_high", "ci38_low", "ci38_high",
+                           "n_inf", "n_reps"]  # the CSV column order
 
 
 def test_median_infinite_when_sixth_order_stat_infinite():
     vals = [1.0] * 5 + [INF] * 5
-    assert median_with_ci(vals, CIKind.RANKS_4_7).median == INF
+    cells = _aggregate_cells(vals, 10)
+    assert cells["median"] == INF and cells["n_inf"] == 5
+    assert cells["ci38_low"] == 1.0 and cells["ci47_high"] == INF
+    assert _aggregate_cells([INF] * 10, 10)["ci38_low"] == INF
     vals = [1.0] * 6 + [INF] * 4  # sixth value finite -> finite midpoint
-    assert math.isfinite(median_with_ci(vals, CIKind.RANKS_4_7).median)
+    assert math.isfinite(_aggregate_cells(vals, 10)["median"])
 
 
 def test_median_with_ci_requires_exactly_ten():
-    for k in (0, 5, 9, 11):
-        with pytest.raises(ValueError):
-            median_with_ci([1.0] * k, CIKind.RANKS_4_7)
+    # the rank pairs are specific to 10 repetitions: blank interval cells otherwise
+    for k in (1, 5, 9, 11):
+        cells = _aggregate_cells([float(v) for v in range(k)], k)
+        assert cells["median"] == (k - 1) / 2.0 and cells["n_reps"] == k
+        for tag in ("ci47_low", "ci47_high", "ci38_low", "ci38_high"):
+            assert cells[tag] == ""
 
 
 def test_median_order_does_not_matter():
     vals = [7, 1, 9, 3, 10, 2, 8, 5, 4, 6]
-    assert median_with_ci(vals, CIKind.RANKS_3_8) == median_with_ci(
-        sorted(vals), CIKind.RANKS_3_8
-    )
+    assert _aggregate_cells(vals, 10) == _aggregate_cells(sorted(vals), 10)
 
 
 @given(vals=st.lists(finite_or_inf, min_size=10, max_size=10))
 @settings(max_examples=200)
 def test_ci_brackets_median_for_both_kinds(vals):
-    for kind in CIKind:
-        agg = median_with_ci(vals, kind)
-        assert agg.ci_low <= agg.median <= agg.ci_high
+    cells = _aggregate_cells(vals, 10)
+    assert cells["ci38_low"] <= cells["ci47_low"] <= cells["median"]
+    assert cells["median"] <= cells["ci47_high"] <= cells["ci38_high"]
 
 
 def test_derive_targets_single_repetition():
@@ -328,6 +337,27 @@ def test_config_validation():
         ProtocolConfig(methods=("lltboost", "mystery"))
     with pytest.raises(ValueError):
         ProtocolConfig(jobs=0)
+
+
+@pytest.mark.parametrize("field", [
+    {"repetitions": 1.5},
+    {"repetitions": True},
+    {"max_propositions": 0},
+    {"max_nonzeros": 0},
+    {"bootstrap_cap": -1},
+    {"master_seed": -1},
+    {"master_seed": 2.0},
+    {"jobs": "2"},
+    {"validation_fraction": 0.0},
+    {"validation_fraction": 1.0},
+    {"validation_fraction": float("nan")},
+    {"sparsity_accept_delta": -0.01},
+    {"tgb_reg_grid": (0.1, -1.0)},
+    {"tgb_reg_grid": (INF,)},
+])
+def test_config_rejects_non_integer_counts_and_out_of_range_fields(field):
+    with pytest.raises(ValueError):
+        ProtocolConfig(**field)
 
 
 def test_config_defaults_match_protocol_constants():

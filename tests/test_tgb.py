@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from obliquerules.core import ensemble_complexity
 from obliquerules.losses import LossKind, loss
 from obliquerules.tgb import AxisCandidate, TGBConfig, best_axis_proposition, fit
 
@@ -15,18 +14,21 @@ from obliquerules.tgb import AxisCandidate, TGBConfig, best_axis_proposition, fi
 # ---------------------------------------------------------------------------
 
 
-def test_hand_example_plain_mode():
-    # candidates: x>=1.5 -> |1+1-1... cover {2,3} sums to 0; x>=2.5 -> 1;
-    # x<=1.5 -> 1; x<=2.5 -> 2, the winner
+def test_hand_example():
+    # scores |sum g| / sqrt(count) at reg 0: x>=1.5 covers {2,3}, sum 0 -> 0;
+    # x>=2.5 -> 1/1; x<=1.5 -> 1/1; x<=2.5 -> 2/sqrt(2), the winner
     X = np.array([[1.0], [2.0], [3.0]])
     g = np.array([1.0, 1.0, -1.0])
-    cand = best_axis_proposition(np.arange(3), X, g, normalize=False)
-    assert cand == AxisCandidate(0, "<=", 2.5, 2.0)
+    cand = best_axis_proposition(np.arange(3), X, g)
+    assert cand == AxisCandidate(0, "<=", 2.5, 2.0 / math.sqrt(2.0))
+    # at reg 2: x>=2.5 and x<=1.5 -> 1/sqrt(3); x<=2.5 -> 2/sqrt(4) = 1 still wins
+    cand = best_axis_proposition(np.arange(3), X, g, 2.0)
+    assert cand == AxisCandidate(0, "<=", 2.5, 1.0)
 
 
 def test_zero_gradient_scores_zero():
     X = np.array([[1.0], [2.0]])
-    cand = best_axis_proposition(np.arange(2), X, np.zeros(2), normalize=False)
+    cand = best_axis_proposition(np.arange(2), X, np.zeros(2))
     assert cand is not None
     assert cand.score == 0.0
 
@@ -45,7 +47,7 @@ def test_direction_to_proposition_semantics():
     assert np.array_equal(le.activations(X), [1.0, 1.0, 0.0])
 
 
-def brute_force_scan(active, X, g, lam, normalize):
+def brute_force_scan(active, X, g, lam):
     """Reference implementation: enumerate every (feature, threshold, direction)."""
     best = None
     for j in range(X.shape[1]):
@@ -58,17 +60,14 @@ def brute_force_scan(active, X, g, lam, normalize):
                 else:
                     mask = X[active, j] <= mid
                 total = float(g[active][mask].sum())
-                if normalize:
-                    score = abs(total) / math.sqrt(lam + float(mask.sum()))
-                else:
-                    score = abs(total)
+                score = abs(total) / math.sqrt(lam + float(mask.sum()))
                 if best is None or score > best.score:
                     best = AxisCandidate(j, direction, float(mid), score)
     return best
 
 
-@pytest.mark.parametrize("lam,normalize", [(0.0, False), (0.0, True), (1.0, True)])
-def test_scan_matches_brute_force(lam, normalize):
+@pytest.mark.parametrize("lam", [0.0, 1.0, 100.0])
+def test_scan_matches_brute_force(lam):
     # integer gradients keep every partial sum exactly representable, so the
     # scores must match to the last bit
     for seed in range(50):
@@ -78,8 +77,8 @@ def test_scan_matches_brute_force(lam, normalize):
         X = np.round(rng.normal(size=(n, d)), 2)
         g = rng.integers(-5, 6, size=n).astype(float)
         active = np.arange(n)
-        fast = best_axis_proposition(active, X, g, lam, normalize)
-        slow = brute_force_scan(active, X, g, lam, normalize)
+        fast = best_axis_proposition(active, X, g, lam)
+        slow = brute_force_scan(active, X, g, lam)
         assert fast == slow
         if fast is not None:
             p_fast, p_slow = fast.to_proposition(), slow.to_proposition()
@@ -91,22 +90,22 @@ def test_scan_respects_active_subset():
     X = rng.normal(size=(30, 2))
     g = rng.integers(-3, 4, size=30).astype(float)
     active = np.arange(0, 30, 2)
-    fast = best_axis_proposition(active, X, g, normalize=False)
-    slow = brute_force_scan(active, X, g, 0.0, False)
+    fast = best_axis_proposition(active, X, g)
+    slow = brute_force_scan(active, X, g, 0.0)
     assert fast == slow
 
 
-def test_plain_mode_invariant_under_monotone_transforms():
+def test_scan_invariant_under_monotone_transforms():
     # a strictly increasing per-feature map preserves value order, hence all
-    # candidate covers; the selected cover set must not change
+    # candidate covers and their counts; the selected cover set must not change
     rng = np.random.default_rng(17)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(25, 3))
         g = rng.integers(-4, 5, size=25).astype(float)
         X2 = np.column_stack([np.exp(X[:, 0]), X[:, 1] ** 3 + 2 * X[:, 1], 5 * X[:, 2] - 1])
-        a = best_axis_proposition(np.arange(25), X, g, normalize=False)
-        b = best_axis_proposition(np.arange(25), X2, g, normalize=False)
+        a = best_axis_proposition(np.arange(25), X, g)
+        b = best_axis_proposition(np.arange(25), X2, g)
         assert (a is None) == (b is None)
         if a is not None:
             assert a.feature == b.feature and a.direction == b.direction
@@ -118,16 +117,12 @@ def test_plain_mode_invariant_under_monotone_transforms():
 
 def test_normalization_prefers_broader_covers():
     # one row carries gradient 5, twelve rows carry 0.5 each (sum 6): the
-    # plain objective takes the broad group, the coverage-normalized score
-    # at reg 0 takes the single big-gradient row
+    # coverage-normalized score at reg 0 takes the single big-gradient row
     x = np.arange(13.0).reshape(-1, 1)
     g = np.full(13, 0.5)
     g[0] = -5.0
-    plain = best_axis_proposition(np.arange(13), x, g, normalize=False)
-    norm = best_axis_proposition(np.arange(13), x, g, 0.0, normalize=True)
-    cover_plain = plain.to_proposition().activations(x).sum()
-    cover_norm = norm.to_proposition().activations(x).sum()
-    assert cover_plain == 12 and cover_norm == 1
+    norm = best_axis_proposition(np.arange(13), x, g, 0.0)
+    assert norm.to_proposition().activations(x).sum() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +151,7 @@ def test_all_propositions_single_feature_and_classic_complexity():
     for rule in final.rules:
         assert all(p.nnz == 1 for p in rule.propositions)
     classic = final.n_rules + sum(2 * len(r.propositions) for r in final.rules)
-    assert ensemble_complexity(final) == classic
+    assert final.complexity() == classic
 
 
 @pytest.mark.parametrize("kind", [LossKind.SQUARED, LossKind.LOGISTIC])
