@@ -8,7 +8,9 @@ Each tree is imported in its own fresh interpreter, which writes:
   lltboost and tgb fits on make_oblique, make_rotated_box and make_staircase
   (n=300, d=6, seeds 0 and 1) under logistic and squared loss;
 - report.json and the three result CSVs of a small run_benchmark run;
-- model_lltboost.json and model_tgb.json written by ``obliquerules train``.
+- model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
+  model_lltboost_config.json and model_tgb_config.json written by ``train
+  --config`` with every settings key given in the file.
 
 Then every file is compared byte for byte.  For a JSON file that differs, the
 paths of the differing values are listed.
@@ -32,7 +34,10 @@ import tempfile
 from pathlib import Path
 
 FILES = ("fits.json", "report.json", "complexity_table.csv", "risk_table.csv",
-         "curves.csv", "model_lltboost.json", "model_tgb.json")
+         "curves.csv", "model_lltboost.json", "model_tgb.json",
+         "model_lltboost_config.json", "model_tgb_config.json")
+TRAIN_CONFIG = {"rules": 3, "propositions": 2, "nonzeros": 2, "reg": 1,
+                "validation_fraction": 0.3, "seed": 4}
 
 
 def _stage_doc(stage) -> dict:
@@ -78,14 +83,19 @@ def write_outputs(out: Path) -> None:
 
     csv_path = out / "train.csv"
     write_csv(make_rotated_box(n=200, d=4, seed=5), csv_path)
+    config_path = out / "train_config.json"
+    config_path.write_text(json.dumps(TRAIN_CONFIG))
     for method in ("lltboost", "tgb"):
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli.main(["train", "--data", str(csv_path), "--target", "target",
-                             "--task", "clf", "--method", method, "--rules", "4",
-                             "--out", str(out / f"model_{method}.json")])
-        if code != 0:
-            raise SystemExit(f"train --method {method} exited {code}: {err.getvalue()}")
+        for suffix, flags in (("", ["--rules", "4"]), ("_config", ["--config", str(config_path)])):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(["train", "--data", str(csv_path), "--target", "target",
+                                 "--task", "clf", "--method", method, *flags,
+                                 "--out", str(out / f"model_{method}{suffix}.json")])
+            if code != 0:
+                raise SystemExit(f"train --method {method} {' '.join(flags)} exited {code}: "
+                                 f"{err.getvalue()}")
     csv_path.unlink()
+    config_path.unlink()
 
 
 def _json_diffs(a, b, path="") -> list[str]:

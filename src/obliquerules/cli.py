@@ -24,7 +24,7 @@ from .datasets import (
     write_csv,
 )
 from .evaluation import LEARNERS, ProtocolConfig, learner_config, run_benchmark
-from .losses import LossKind, loss
+from .losses import FIT_LOSS, LossKind, loss
 from .serialize import ModelFile, ModelFormatError, load_model, save_model
 
 EXIT_OK = 0
@@ -114,54 +114,43 @@ def _read_json(path, what: str) -> dict:
 # train
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "rules": 10,
-    "propositions": 5,
-    "nonzeros": 5,
-    "loss": None,  # resolved from the task
-    "reg": 0.0,
-    "validation_fraction": 0.25,
-    "seed": 0,
+# train --config key (and flag) -> learner config field; the config classes
+# hold the defaults and check the values
+TRAIN_FIELDS = {
+    "rules": "max_rules",
+    "propositions": "max_propositions",
+    "nonzeros": "max_nonzeros",
+    "reg": "reg_strength",
+    "validation_fraction": "validation_fraction",
+    "seed": "seed",
 }
-TRAIN_LOSSES = ("logistic", "squared")  # zero_one has no gradient to boost on
 
 
-def _resolve_train_settings(args) -> dict:
-    settings = dict(TRAIN_DEFAULTS)
+def _train_config(args, task: Task):
+    """Checked config of ``args.method`` and the seed given (default 0).
+
+    Every learner's config is built, so that a key only another method reads is checked too.
+    """
+    settings = {}
     if args.config:
-        doc = _read_json(args.config, "config")
-        unknown = set(doc) - set(TRAIN_DEFAULTS)
+        settings = _read_json(args.config, "config")
+        unknown = set(settings) - set(TRAIN_FIELDS)
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        settings.update(doc)
-    for key in TRAIN_DEFAULTS:  # explicit flags override file values
-        flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = flag
-    return settings
+    for key in TRAIN_FIELDS:  # explicit flags override file values
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    fields = {TRAIN_FIELDS[key]: value for key, value in settings.items()}
+    try:
+        configs = {m: learner_config(m, loss=FIT_LOSS[task], **fields) for m in LEARNERS}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(str(exc)) from None
+    return configs[args.method], configs["lltboost"].seed
 
 
 def _cmd_train(args) -> int:
     task = _parse_task(args.task)
-    settings = _resolve_train_settings(args)
-    loss_name = settings["loss"] or (
-        "logistic" if task is Task.CLASSIFICATION else "squared"
-    )
-    if loss_name not in TRAIN_LOSSES:
-        raise UsageError(f"loss must be one of {list(TRAIN_LOSSES)}, got {loss_name!r}")
-    try:
-        cfg = learner_config(
-            args.method,
-            max_rules=int(settings["rules"]),
-            max_propositions=int(settings["propositions"]),
-            max_nonzeros=int(settings["nonzeros"]),
-            loss=LossKind(loss_name),
-            validation_fraction=float(settings["validation_fraction"]),
-            reg_strength=float(settings["reg"]),
-            seed=int(settings["seed"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(str(exc)) from None
+    cfg, seed = _train_config(args, task)
 
     dataset = load_csv(args.data, args.target, task)
     if dataset.n_skipped_rows:
@@ -183,7 +172,7 @@ def _cmd_train(args) -> int:
         feature_names=dataset.feature_names,
         metadata={
             "method": args.method,
-            "seed": int(settings["seed"]),
+            "seed": seed,
             "config": config_doc,
             "library_version": __version__,
             "final_train_risk": final.train_risk,
@@ -218,18 +207,6 @@ def _cmd_predict(args) -> int:
             )
         y = dataset.y
     scores = ens.decision_function(X)
-    if y is not None:
-        config = model.metadata.get("config", {})
-        if not isinstance(config, dict):
-            raise ModelFormatError(f"{args.model}: metadata.config must be a JSON object")
-        default = "logistic" if ens.task is Task.CLASSIFICATION else "squared"
-        try:
-            risk = float(np.mean(loss(LossKind(config.get("loss", default)), y, scores)))
-        except ValueError as exc:
-            raise ModelFormatError(
-                f"{args.model}: no usable loss in metadata.config: {exc}"
-            ) from None
-
     out_lines = [repr(float(s)) for s in scores]
     if args.out:
         Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
@@ -237,7 +214,7 @@ def _cmd_predict(args) -> int:
         for line in out_lines:
             print(line)
     if y is not None:
-        print(f"risk = {risk!r}")
+        print(f"risk = {float(np.mean(loss(FIT_LOSS[ens.task], y, scores)))!r}")
     return EXIT_OK
 
 
@@ -345,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", type=int)
     p.add_argument("--propositions", type=int)
     p.add_argument("--nonzeros", type=int)
-    p.add_argument("--loss", choices=TRAIN_LOSSES)
     p.add_argument("--reg", type=float)
     p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
     p.add_argument("--seed", type=int)

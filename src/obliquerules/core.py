@@ -19,6 +19,15 @@ class Task(str, Enum):
     CLASSIFICATION = "classification"
 
 
+def check_integer_fields(obj, lowest: dict) -> None:
+    """Raise ``ValueError`` unless each field of ``obj`` named in ``lowest`` is a
+    non-bool integer at least its bound."""
+    for name, low in lowest.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _as_row_matrix(x) -> tuple[np.ndarray, bool]:
     """Coerce a single vector or a matrix to 2-d, remembering which it was."""
     arr = np.asarray(x, dtype=float)
@@ -58,10 +67,6 @@ class Standardizer:
         # zero-variance columns: center only, keep unit scale
         scale = np.where(scale > 0, scale, 1.0)
         return cls(mean, scale)
-
-    @classmethod
-    def identity(cls, n_features: int) -> "Standardizer":
-        return cls(np.zeros(n_features), np.ones(n_features))
 
     def __eq__(self, other):
         if not isinstance(other, Standardizer):

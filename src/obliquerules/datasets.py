@@ -197,22 +197,26 @@ def _finish_classification(name, X, clean_labels, noise, rng) -> Dataset:
                    task=Task.CLASSIFICATION, label_names=("0", "1"))
 
 
-def make_oblique(n: int = 1000, d: int = 6, noise: float = 0.05, seed: int = 0) -> Dataset:
-    """Half-space target y = 1{x1 + x2 >= 0}; remaining features are noise."""
+def _normal_features(n: int, d: int, noise: float, seed: int):
+    """Generator seeded with ``seed`` and the n x d standard normal features it drew."""
     if d < 2:
         raise ValueError("need at least 2 features")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise is a flip probability in [0, 1], got {noise!r}")
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
+    return rng, rng.normal(size=(n, d))
+
+
+def make_oblique(n: int = 1000, d: int = 6, noise: float = 0.05, seed: int = 0) -> Dataset:
+    """Half-space target y = 1{x1 + x2 >= 0}; remaining features are noise."""
+    rng, X = _normal_features(n, d, noise, seed)
     labels = X[:, 0] + X[:, 1] >= 0
     return _finish_classification("oblique", X, labels, noise, rng)
 
 
 def make_rotated_box(n: int = 1000, d: int = 6, noise: float = 0.05, seed: int = 0) -> Dataset:
     """Diamond target: y = 1 inside {|x1 + x2| <= 1 and |x1 - x2| <= 1}."""
-    if d < 2:
-        raise ValueError("need at least 2 features")
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
+    rng, X = _normal_features(n, d, noise, seed)
     labels = (np.abs(X[:, 0] + X[:, 1]) <= 1.0) & (np.abs(X[:, 0] - X[:, 1]) <= 1.0)
     return _finish_classification("rotated_box", X, labels, noise, rng)
 
@@ -220,10 +224,7 @@ def make_rotated_box(n: int = 1000, d: int = 6, noise: float = 0.05, seed: int =
 def make_staircase(n: int = 1000, d: int = 6, noise: float = 0.05, seed: int = 0) -> Dataset:
     """Axis-parallel-friendly target: y = 1{x2 >= s(x1)} with a 3-level staircase
     s(x1) = 1 for x1 < -0.5, 0 for -0.5 <= x1 < 0.5, -1 for x1 >= 0.5."""
-    if d < 2:
-        raise ValueError("need at least 2 features")
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
+    rng, X = _normal_features(n, d, noise, seed)
     step = np.where(X[:, 0] < -0.5, 1.0, np.where(X[:, 0] < 0.5, 0.0, -1.0))
     labels = X[:, 1] >= step
     return _finish_classification("staircase", X, labels, noise, rng)

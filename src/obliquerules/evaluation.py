@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lltboost, tgb
-from .core import Standardizer, Task
+from .core import Standardizer, Task, check_integer_fields
 from .datasets import Dataset
-from .losses import LossKind, loss
+from .losses import FIT_LOSS, LossKind, loss
 
 INF = float("inf")
 
@@ -141,6 +141,9 @@ def learner_config(method: str, **settings):
     return cls(**{k: v for k, v in settings.items() if k in cls.__dataclass_fields__})
 
 
+# the ProtocolConfig fields every fitted learner receives; LLTConfig checks them
+LEARNER_FIELDS = ("max_rules", "max_propositions", "max_nonzeros", "validation_fraction",
+                  "sparsity_accept_delta")
 TGB_REG_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
@@ -159,22 +162,13 @@ class ProtocolConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        lowest = {"repetitions": 1, "max_rules": 1, "max_propositions": 1, "max_nonzeros": 1,
-                  "bootstrap_cap": 2, "master_seed": 0, "jobs": 1}
-        for name, low in lowest.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie strictly between 0 and 1")
-        if not self.sparsity_accept_delta >= 0.0:
-            raise ValueError("sparsity_accept_delta must be nonnegative")
+        check_integer_fields(
+            self, {"repetitions": 1, "bootstrap_cap": 2, "master_seed": 0, "jobs": 1})
+        lltboost.LLTConfig(**{name: getattr(self, name) for name in LEARNER_FIELDS})
         unknown = set(self.methods) - set(LEARNERS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        grid = tuple(float(v) for v in self.tgb_reg_grid)
-        if not all(0.0 <= v < INF for v in grid):
-            raise ValueError(f"tgb_reg_grid values must be finite and nonnegative, got {grid}")
+        grid = tuple(tgb.TGBConfig(reg_strength=v).reg_strength for v in self.tgb_reg_grid)
         object.__setattr__(self, "tgb_reg_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -204,18 +198,10 @@ def _metrics_for(task: Task) -> list[tuple[str, LossKind]]:
 
 
 def _fit_variant(method, hyper, X, y, kind, config, fit_seed):
-    settings = {"reg_strength": float(hyper)} if method == "tgb" else {}
-    cfg = learner_config(
-        method,
-        max_rules=config.max_rules,
-        max_propositions=config.max_propositions,
-        max_nonzeros=min(config.max_nonzeros, X.shape[1]),
-        loss=kind,
-        validation_fraction=config.validation_fraction,
-        sparsity_accept_delta=config.sparsity_accept_delta,
-        seed=fit_seed,
-        **settings,
-    )
+    settings = {name: getattr(config, name) for name in LEARNER_FIELDS}
+    if method == "tgb":
+        settings["reg_strength"] = float(hyper)
+    cfg = learner_config(method, loss=kind, seed=fit_seed, **settings)
     return LEARNERS[method].module.fit(X, y, cfg)
 
 
@@ -238,7 +224,7 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
         y_train = (y_train - y_mean) / y_std
         y_test = (y_test - y_mean) / y_std
 
-    fit_kind = LossKind.LOGISTIC if dataset.task is Task.CLASSIFICATION else LossKind.SQUARED
+    fit_kind = FIT_LOSS[dataset.task]
     metrics = _metrics_for(dataset.task)
 
     fits = {}
@@ -318,8 +304,6 @@ class BenchmarkReport:
         from dataclasses import asdict
 
         cfg = asdict(self.config)
-        cfg["tgb_reg_grid"] = list(self.config.tgb_reg_grid)
-        cfg["methods"] = list(self.config.methods)
         # execution infrastructure, not protocol: a parallel run must emit
         # the same bytes as a serial one
         del cfg["jobs"]

@@ -14,9 +14,12 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import FitStage, FitTrace, SparseProposition, Standardizer, conjunction_cover
+from .core import (FitStage, FitTrace, SparseProposition, Standardizer, check_integer_fields,
+                   conjunction_cover)
 from .losses import LossKind, gradient, init_intercept, loss, training_arrays
 from .sparse_logreg import LambdaPath, WeightedBinaryProblem, corrective_refit
+
+OBJECTIVE_TOLERANCE = 1e-9  # gradient-sum gains at or below this count as none
 
 
 @dataclass(frozen=True)
@@ -29,16 +32,16 @@ class LLTConfig:
     loss: LossKind = LossKind.LOGISTIC
     validation_fraction: float = 0.25
     sparsity_accept_delta: float = 0.01
-    objective_tolerance: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_rules < 1 or self.max_propositions < 1 or self.max_nonzeros < 1:
-            raise ValueError("rule, proposition and nonzero budgets must be >= 1")
+        check_integer_fields(
+            self, {"max_rules": 1, "max_propositions": 1, "max_nonzeros": 1, "seed": 0}
+        )
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie strictly between 0 and 1")
-        if self.sparsity_accept_delta < 0 or self.objective_tolerance < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not self.sparsity_accept_delta >= 0.0:
+            raise ValueError("sparsity_accept_delta must be nonnegative")
         object.__setattr__(self, "loss", LossKind(self.loss))
 
 
@@ -127,7 +130,7 @@ def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparsePropositi
         better = obj > best_obj or (obj == best_obj and best is not None and prop.nnz < best.nnz)
         if better:
             best, best_obj, best_cover = prop, obj, int(q.sum())
-    if best is None or best_obj <= cfg.objective_tolerance or best_cover == 0:
+    if best is None or best_obj <= OBJECTIVE_TOLERANCE or best_cover == 0:
         return None
     return best
 
@@ -145,7 +148,7 @@ def fit_conjunction(X, g, cfg: LLTConfig, active, validation) -> list[SparseProp
         keep = prop.activations(X[active]) >= 0.5
         new_active = active[keep]
         new_objective = gradient_sum_objective(g[new_active], np.ones(new_active.size))
-        if new_objective <= current_objective + cfg.objective_tolerance:
+        if new_objective <= current_objective + OBJECTIVE_TOLERANCE:
             break
         body.append(prop)
         active = new_active
@@ -201,7 +204,7 @@ def fit(X, y, cfg: LLTConfig) -> FitTrace:
     )
     y_fit = y[fit_idx]
 
-    beta = np.array([init_intercept(kind, y_fit, clamp_single_class=True)])
+    beta = np.array([init_intercept(kind, y_fit)])
     scores = np.full(n, beta[0])
     covers: list[np.ndarray] = []  # rule covers over all rows
     bodies: list[list[SparseProposition]] = []

@@ -12,11 +12,17 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
+from .core import Task
+
 
 class LossKind(str, Enum):
     SQUARED = "squared"
     LOGISTIC = "logistic"
     ZERO_ONE = "zero_one"
+
+
+# the loss every learner fits for each task
+FIT_LOSS = {Task.CLASSIFICATION: LossKind.LOGISTIC, Task.REGRESSION: LossKind.SQUARED}
 
 
 def _check_binary(y: np.ndarray):
@@ -56,11 +62,12 @@ def gradient(kind: LossKind, y, score) -> np.ndarray:
     raise ValueError("zero_one loss has no usable gradient")
 
 
-def init_intercept(kind: LossKind, y, clamp_single_class: bool = False) -> float:
+def init_intercept(kind: LossKind, y) -> float:
     """Score constant minimizing the total loss: mean target or log-odds.
 
-    With ``clamp_single_class`` the logistic case clamps the positive rate
-    into [1/(2n), 1 - 1/(2n)] so single-class samples stay finite.
+    The logistic case clamps the positive rate into [1/(2n), 1 - 1/(2n)], so
+    a single-class sample gets a finite intercept; a two-class rate already
+    lies inside that range.
     """
     kind = LossKind(kind)
     y = np.asarray(y, dtype=float)
@@ -70,30 +77,15 @@ def init_intercept(kind: LossKind, y, clamp_single_class: bool = False) -> float
         return float(np.mean(y))
     if kind is LossKind.LOGISTIC:
         _check_binary(y)
-        p = float(np.mean(y))
-        if clamp_single_class:
-            lo = 1.0 / (2 * y.size)
-            p = min(max(p, lo), 1.0 - lo)
-        elif p <= 0.0 or p >= 1.0:
-            raise ValueError("logistic intercept undefined for single-class targets")
+        lo = 1.0 / (2 * y.size)
+        p = min(max(float(np.mean(y)), lo), 1.0 - lo)
         return float(np.log(p / (1.0 - p)))
     raise ValueError("zero_one loss cannot initialize an intercept")
 
 
-def fitting_task(kind: LossKind):
-    """Task implied by a fitting loss (zero_one is evaluation-only)."""
-    from .core import Task
-
-    kind = LossKind(kind)
-    if kind is LossKind.SQUARED:
-        return Task.REGRESSION
-    if kind is LossKind.LOGISTIC:
-        return Task.CLASSIFICATION
-    raise ValueError("zero_one is an evaluation loss, not a fitting loss")
-
-
 def training_arrays(X, y, kind: LossKind):
     """Checked float training arrays plus the task that the loss ``kind`` fits."""
+    kind = LossKind(kind)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -102,7 +94,9 @@ def training_arrays(X, y, kind: LossKind):
         raise ValueError("need at least two training rows")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("features and targets must be finite")
-    task = fitting_task(kind)  # rejects evaluation-only losses
-    if LossKind(kind) is LossKind.LOGISTIC and not np.all((y == 0) | (y == 1)):
+    task = {fit: task for task, fit in FIT_LOSS.items()}.get(kind)
+    if task is None:
+        raise ValueError(f"{kind.value} is an evaluation loss, not a fitting loss")
+    if kind is LossKind.LOGISTIC and not np.all((y == 0) | (y == 1)):
         raise ValueError("classification targets must be in {0, 1}")
     return X, y, task

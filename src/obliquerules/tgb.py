@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FitStage, FitTrace, SparseProposition, Standardizer, conjunction_cover
+from .core import (FitStage, FitTrace, SparseProposition, Standardizer, check_integer_fields,
+                   conjunction_cover)
 from .losses import LossKind, gradient, init_intercept, loss, training_arrays
 from .sparse_logreg import corrective_refit
 
@@ -33,10 +34,11 @@ class TGBConfig:
     reg_strength: float = 0.0
 
     def __post_init__(self):
-        if self.max_rules < 1 or self.max_propositions < 1:
-            raise ValueError("rule and proposition budgets must be >= 1")
-        if self.reg_strength < 0:
-            raise ValueError("reg_strength must be nonnegative")
+        check_integer_fields(self, {"max_rules": 1, "max_propositions": 1})
+        reg = self.reg_strength
+        if isinstance(reg, bool) or not 0.0 <= reg < np.inf:  # TypeError for a non-number
+            raise ValueError(f"reg_strength must be a finite number >= 0, got {reg!r}")
+        object.__setattr__(self, "reg_strength", float(reg))
         object.__setattr__(self, "loss", LossKind(self.loss))
 
 
@@ -126,7 +128,7 @@ def fit(X, y, cfg: TGBConfig) -> FitTrace:
     n = X.shape[0]
     standardizer = Standardizer.fit(X)
     Z = standardizer.transform(X)
-    beta = np.array([init_intercept(kind, y, clamp_single_class=True)])
+    beta = np.array([init_intercept(kind, y)])
     scores = np.full(n, beta[0])
     covers: list[np.ndarray] = []
     bodies: list[list[SparseProposition]] = []

@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from obliquerules.cli import TRAIN_DEFAULTS, main, print_rules
+from obliquerules.cli import TRAIN_FIELDS, main, print_rules
 from obliquerules.core import Rule, RuleEnsemble, SparseProposition, Standardizer, Task
 from obliquerules.datasets import load_csv, make_oblique, write_csv
 from obliquerules.serialize import ModelFile, load_model, save_model
@@ -24,7 +25,7 @@ def empty_model(intercept, d=2):
         intercept=intercept,
         rules=(),
         task=Task.CLASSIFICATION,
-        standardizer=Standardizer.identity(d),
+        standardizer=Standardizer(np.zeros(d), np.ones(d)),
     )
     return ModelFile(ensemble=ens, feature_names=tuple(f"x{i+1}" for i in range(d)))
 
@@ -53,7 +54,7 @@ def test_print_rules_weighted_condition_format():
             ),
         ),
         task=Task.CLASSIFICATION,
-        standardizer=Standardizer.identity(4),
+        standardizer=Standardizer(np.zeros(4), np.ones(4)),
     )
     model = ModelFile(ensemble=ens, feature_names=("x1", "x2", "x3", "x4"))
     lines = print_rules(model, precision=2).splitlines()
@@ -75,7 +76,7 @@ def test_print_rules_joins_conjunctions_and_negative_lead():
             ),
         ),
         task=Task.REGRESSION,
-        standardizer=Standardizer.identity(2),
+        standardizer=Standardizer(np.zeros(2), np.ones(2)),
     )
     model = ModelFile(ensemble=ens, feature_names=("a", "b"))
     line = print_rules(model).splitlines()[1]
@@ -103,7 +104,7 @@ def test_printed_complexity_matches_ensemble_complexity():
             intercept=0.0,
             rules=tuple(rules),
             task=Task.CLASSIFICATION,
-            standardizer=Standardizer.identity(d),
+            standardizer=Standardizer(np.zeros(d), np.ones(d)),
         )
         model = ModelFile(
             ensemble=ens, feature_names=tuple(f"f{i}" for i in range(d))
@@ -189,6 +190,11 @@ def test_train_usage_errors(tmp_path, clf_csv):
         ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
          "--method", "tgb", "--rules", "0", "--out", out]
     ) == 2
+    # the task picks the loss; there is no --loss flag
+    assert main(
+        ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
+         "--method", "tgb", "--loss", "squared", "--out", out]
+    ) == 2
 
 
 def test_train_data_error_exit_code(tmp_path):
@@ -202,18 +208,19 @@ def test_train_data_error_exit_code(tmp_path):
 
 
 def test_train_fit_failure_exit_code(tmp_path):
-    # logistic loss on a continuous regression target cannot be fitted
-    rows = ["a,y"] + [f"{i},{i * 0.37}" for i in range(12)]
+    # a non-finite regression target parses but cannot be fitted
+    rows = ["a,y"] + [f"{i},{i * 0.37}" for i in range(11)] + ["11,inf"]
     data = tmp_path / "reg.csv"
     data.write_text("\n".join(rows) + "\n", encoding="utf-8")
     code = main(
         ["train", "--data", str(data), "--target", "y", "--task", "reg",
-         "--method", "tgb", "--loss", "logistic", "--out", str(tmp_path / "m.json")]
+         "--method", "tgb", "--out", str(tmp_path / "m.json")]
     )
     assert code == 4
 
 
 def test_train_non_fitting_loss_in_config_is_usage_error(tmp_path, clf_csv, capsys):
+    # the task picks the loss, so a config file has no loss key to set
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"loss": "zero_one"}), encoding="utf-8")
     code = main(
@@ -221,7 +228,40 @@ def test_train_non_fitting_loss_in_config_is_usage_error(tmp_path, clf_csv, caps
          "--method", "tgb", "--config", str(cfg), "--out", str(tmp_path / "m.json")]
     )
     assert code == 2
-    assert "zero_one" in capsys.readouterr().err
+    assert "unknown config keys ['loss']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["tgb", "lltboost"])
+@pytest.mark.parametrize("doc", [{"rules": 1.9}, {"seed": -1}, {"reg": float("nan")},
+                                 {"nonzeros": True}])
+def test_train_rejects_unchecked_config_values(tmp_path, clf_csv, doc, method, capsys):
+    # every key is checked, also one that the chosen method does not read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = main(
+        ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
+         "--method", method, "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["tgb", "lltboost"])
+@pytest.mark.parametrize("task, loss", [("clf", "logistic"), ("reg", "squared")])
+def test_train_task_picks_the_loss(tmp_path, clf_csv, method, task, loss):
+    out = tmp_path / "m.json"
+    code = main(
+        ["train", "--data", str(clf_csv), "--target", "y", "--task", task,
+         "--method", method, "--rules", "1", "--out", str(out)]
+    )
+    assert code == 0
+    model = load_model(out)
+    expected = Task.CLASSIFICATION if task == "clf" else Task.REGRESSION
+    assert model.ensemble.task is expected
+    assert model.metadata["config"]["loss"] == loss
 
 
 config_values = st.one_of(
@@ -235,10 +275,19 @@ config_values = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
 )
 config_docs = st.one_of(
-    st.dictionaries(st.sampled_from(sorted(TRAIN_DEFAULTS) + ["mystery"]), config_values,
-                    max_size=4),
+    st.dictionaries(st.sampled_from(sorted(TRAIN_FIELDS) + ["loss", "mystery"]),
+                    config_values, max_size=4),
     config_values,
 )
+
+
+def _is_checked(key, value) -> bool:
+    """Whether a ``train --config`` value is one the learner configs accept."""
+    if key == "reg":
+        return type(value) in (int, float) and 0 <= value < math.inf
+    if key == "validation_fraction":
+        return type(value) in (int, float) and 0 < value < 1
+    return type(value) is int and value >= (0 if key == "seed" else 1)
 
 
 @settings(max_examples=40, deadline=None,
@@ -246,15 +295,32 @@ config_docs = st.one_of(
 @given(doc=config_docs, method=st.sampled_from(["tgb", "lltboost"]))
 @example(doc={"propositions": float("inf")}, method="tgb")  # int(inf) overflows
 @example(doc={"loss": "zero_one", "reg": float("nan")}, method="lltboost")
+@example(doc={"propositions": 1.9}, method="tgb")
+@example(doc={"seed": -1}, method="tgb")
+@example(doc={"seed": -1}, method="lltboost")
+@example(doc={"reg": float("nan")}, method="tgb")
+@example(doc={"reg": float("nan")}, method="lltboost")
 def test_train_config_fuzz_never_escapes_main(tmp_path, clf_csv, doc, method):
     cfg = tmp_path / "fuzz.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")  # NaN/Infinity allowed
+    out = tmp_path / "m.json"
+    out.unlink(missing_ok=True)
     code = main(
         ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
-         "--method", method, "--rules", "1", "--config", str(cfg),
-         "--out", str(tmp_path / "m.json")]
+         "--method", method, "--rules", "1", "--config", str(cfg), "--out", str(out)]
     )
     assert code in {0, 2, 3, 4}
+    if code == 0:
+        # every key but the one --rules overrides was checked and is stored as given
+        metadata = load_model(out).metadata
+        for key, value in doc.items():
+            if key == "rules":
+                continue
+            assert _is_checked(key, value), (key, value)
+            field = TRAIN_FIELDS[key]
+            if field in metadata["config"]:
+                assert metadata["config"][field] == value
+        assert metadata["seed"] == doc.get("seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +417,19 @@ def test_predict_rejects_incomplete_rows(tmp_path, clf_csv, target, capsys):
     assert "must be complete" in captured.err
 
 
-@pytest.mark.parametrize("config", [[1, 2], {"loss": "hinge"}])
-def test_predict_target_rejects_unusable_metadata_config(tmp_path, clf_csv, config, capsys):
+@pytest.mark.parametrize("config", [[1, 2], {"loss": "squared"}])
+def test_predict_target_ignores_metadata_config(tmp_path, clf_csv, config, capsys):
+    # the model's task picks the loss of the reported risk
     model_path = trained_model(tmp_path, clf_csv)
+    argv = ["predict", "--model", str(model_path), "--data", str(clf_csv), "--target", "y"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
     doc = json.loads(model_path.read_text(encoding="utf-8"))
     doc["metadata"]["config"] = config
     model_path.write_text(json.dumps(doc), encoding="utf-8")
-    capsys.readouterr()
-    code = main(["predict", "--model", str(model_path), "--data", str(clf_csv),
-                 "--target", "y"])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "metadata.config" in captured.err and "Traceback" not in captured.err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_print_rejects_negative_precision(tmp_path, capsys):
@@ -432,7 +498,8 @@ def test_benchmark_command_writes_report(tmp_path, capsys):
     assert {d["name"] for d in doc["datasets"]} == {"oblique", "fromfile"}
 
 
-@pytest.mark.parametrize("flags", [["--d", "1"], ["--n", "-5"]])
+@pytest.mark.parametrize("flags", [["--d", "1"], ["--n", "-5"], ["--noise", "2"],
+                                   ["--noise", "-0.1"], ["--noise", "nan"]])
 def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     argv = ["make-synthetic", "--generator", "oblique", "--out", str(tmp_path / "a.csv")]
     assert main(argv + flags) == 2

@@ -119,7 +119,7 @@ def identity_ensemble(rules, intercept=0.0, task=Task.REGRESSION, d=3):
         intercept=intercept,
         rules=tuple(rules),
         task=task,
-        standardizer=Standardizer.identity(d),
+        standardizer=Standardizer(np.zeros(d), np.ones(d)),
     )
 
 
@@ -262,10 +262,10 @@ def test_value_equality_and_hashing():
     assert ra == rb and hash(ra) == hash(rb)
     assert ra != Rule(propositions=(a,), weight=2.5)
     sa = Standardizer(np.zeros(3), np.ones(3))
-    assert sa == Standardizer.identity(3)
+    assert sa == Standardizer(np.zeros(3), np.ones(3))
     assert sa != Standardizer(np.ones(3), np.ones(3))
     ea = RuleEnsemble(0.5, (ra,), Task.REGRESSION, sa)
-    eb = RuleEnsemble(0.5, (rb,), Task.REGRESSION, Standardizer.identity(3))
+    eb = RuleEnsemble(0.5, (rb,), Task.REGRESSION, Standardizer(np.zeros(3), np.ones(3)))
     assert ea == eb and hash(ea) == hash(eb)
     assert ea != RuleEnsemble(0.5, (ra,), Task.CLASSIFICATION, sa)
 

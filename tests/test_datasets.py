@@ -165,6 +165,14 @@ def test_generators_shape_determinism_and_labels(name):
     assert not np.array_equal(a.X, c.X)
 
 
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_GENERATORS))
+@pytest.mark.parametrize("spec", [{"noise": 2.0}, {"noise": -0.1}, {"noise": float("nan")},
+                                  {"d": 1}])
+def test_generators_reject_bad_noise_and_width(name, spec):
+    with pytest.raises(ValueError, match="noise" if "noise" in spec else "features"):
+        SYNTHETIC_GENERATORS[name](**{"n": 20, "d": 3, **spec})
+
+
 def test_oblique_labels_match_halfspace_without_noise():
     d = make_oblique(n=200, d=5, noise=0.0, seed=2)
     expect = (d.X[:, 0] + d.X[:, 1] >= 0).astype(float)

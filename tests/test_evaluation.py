@@ -354,6 +354,9 @@ def test_config_validation():
     {"sparsity_accept_delta": -0.01},
     {"tgb_reg_grid": (0.1, -1.0)},
     {"tgb_reg_grid": (INF,)},
+    {"max_rules": True},
+    {"sparsity_accept_delta": float("nan")},
+    {"tgb_reg_grid": (float("nan"),)},
 ])
 def test_config_rejects_non_integer_counts_and_out_of_range_fields(field):
     with pytest.raises(ValueError):

@@ -319,3 +319,12 @@ def test_config_validation():
         LLTConfig(validation_fraction=1.0)
     with pytest.raises(ValueError):
         LLTConfig(sparsity_accept_delta=-0.1)
+    with pytest.raises(ValueError, match="seed"):
+        LLTConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field", ["max_rules", "max_propositions", "max_nonzeros", "seed"])
+@pytest.mark.parametrize("value", [1.5, True, 2.0, "2"])
+def test_config_rejects_non_integer_counts_and_seed(field, value):
+    with pytest.raises(ValueError, match=field):
+        LLTConfig(**{field: value})

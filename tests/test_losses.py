@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from obliquerules.losses import LossKind, gradient, init_intercept, loss
+from obliquerules.core import Task
+from obliquerules.losses import FIT_LOSS, LossKind, gradient, init_intercept, loss, training_arrays
 
 seed = 42
 
@@ -83,11 +84,19 @@ def test_init_intercept_minimizes_total_loss():
             assert np.sum(loss(kind, y, np.full_like(y, b + eps))) >= base
 
 
-def test_init_intercept_single_class_raises_unless_clamped():
+def test_init_intercept_clamps_single_class():
     y = np.ones(8)
-    with pytest.raises(ValueError):
-        init_intercept(LossKind.LOGISTIC, y)
-    b = init_intercept(LossKind.LOGISTIC, y, clamp_single_class=True)
+    b = init_intercept(LossKind.LOGISTIC, y)
     assert b == pytest.approx(np.log(15.0))  # p clamped to 15/16
+    assert init_intercept(LossKind.LOGISTIC, np.zeros(8)) == pytest.approx(-np.log(15.0))
     with pytest.raises(ValueError):
         init_intercept(LossKind.ZERO_ONE, y)
+
+
+def test_fit_loss_maps_each_task_and_training_arrays_inverts_it():
+    assert FIT_LOSS == {Task.CLASSIFICATION: LossKind.LOGISTIC, Task.REGRESSION: LossKind.SQUARED}
+    X, y = np.zeros((4, 2)), np.array([0.0, 1.0, 1.0, 0.0])
+    for task, kind in FIT_LOSS.items():
+        assert training_arrays(X, y, kind)[2] is task
+    with pytest.raises(ValueError, match="evaluation loss"):
+        training_arrays(X, y, LossKind.ZERO_ONE)

@@ -192,5 +192,25 @@ def test_config_validation():
         TGBConfig(max_rules=0)
     with pytest.raises(ValueError):
         TGBConfig(reg_strength=-1.0)
+    with pytest.raises(TypeError):
+        TGBConfig(reg_strength="1")
     with pytest.raises(ValueError):
         fit(np.zeros((4, 2)), np.zeros(4), TGBConfig(loss=LossKind.ZERO_ONE))
+
+
+@pytest.mark.parametrize("field", ["max_rules", "max_propositions"])
+@pytest.mark.parametrize("value", [1.5, True, 2.0])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        TGBConfig(**{field: value})
+
+
+@pytest.mark.parametrize("reg", [math.nan, math.inf, -math.inf, -1, True])
+def test_config_rejects_non_finite_or_negative_reg_strength(reg):
+    with pytest.raises(ValueError, match="reg_strength"):
+        TGBConfig(reg_strength=reg)
+
+
+def test_config_stores_reg_strength_as_float():
+    reg = TGBConfig(reg_strength=1).reg_strength
+    assert reg == 1.0 and type(reg) is float
