@@ -13,7 +13,8 @@ Each tree is imported in its own fresh interpreter, which writes:
   --config`` with every settings key given in the file.
 
 Then every file is compared byte for byte.  For a JSON file that differs, the
-paths of the differing values are listed.
+paths of the differing values are listed, followed by the largest relative
+difference |a - b| / max(|a|, |b|) among the differing numbers and its path.
 
 Usage:
     python3 scripts/compare_outputs.py BEFORE_SRC AFTER_SRC
@@ -28,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -98,23 +100,49 @@ def write_outputs(out: Path) -> None:
     config_path.unlink()
 
 
-def _json_diffs(a, b, path="") -> list[str]:
-    """Paths at which two decoded JSON documents differ."""
+def _json_diffs(a, b, path="") -> list[tuple[str, object, object]]:
+    """(path, before, after) of each value at which two decoded JSON documents
+    differ; a missing key reads as ``'<absent>'``."""
     if isinstance(a, dict) and isinstance(b, dict):
         out = []
         for key in sorted(set(a) | set(b)):
             if key in a and key in b:
                 out += _json_diffs(a[key], b[key], f"{path}.{key}")
             else:
-                out.append(f"{path}.{key}: {a.get(key, '<absent>')!r} -> "
-                           f"{b.get(key, '<absent>')!r}")
+                out.append((f"{path}.{key}", a.get(key, "<absent>"), b.get(key, "<absent>")))
         return out
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         out = []
         for i, (x, y) in enumerate(zip(a, b)):
             out += _json_diffs(x, y, f"{path}[{i}]")
         return out
-    return [] if a == b else [f"{path or '.'}: {a!r} -> {b!r}"]
+    return [] if a == b else [(path or ".", a, b)]
+
+
+def _number(value) -> float | None:
+    """A finite JSON number, or a string holding one (fits.json stores reprs)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        x = float(value)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _largest_relative_difference(diffs) -> str:
+    """|a - b| / max(|a|, |b|), maximized over the differing number pairs."""
+    best = None
+    for path, a, b in diffs:
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            continue
+        rel = abs(x - y) / max(abs(x), abs(y))
+        if best is None or rel > best[0]:
+            best = (rel, path)
+    if best is None:
+        return "largest relative difference: no differing numbers"
+    return f"largest relative difference: {best[0]:.3g} at {best[1]}"
 
 
 def main(argv=None) -> int:
@@ -144,8 +172,10 @@ def main(argv=None) -> int:
             same = False
             print(f"DIFFERS    {digest}  {name}")
             if name.endswith(".json"):
-                for line in _json_diffs(json.loads(a), json.loads(b)):
-                    print(f"    {line}")
+                diffs = _json_diffs(json.loads(a), json.loads(b))
+                for path, x, y in diffs:
+                    print(f"    {path}: {x!r} -> {y!r}")
+                print(f"    {_largest_relative_difference(diffs)}")
     return 0 if same else 1
 
 

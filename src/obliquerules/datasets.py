@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,8 @@ class Dataset:
             raise DataError("features must be n x d with one target per row")
         if X.shape[0] < 2:
             raise DataError("dataset has fewer than two usable rows")
+        if X.shape[1] < 1:
+            raise DataError("dataset has no feature columns")
         if len(self.feature_names) != X.shape[1]:
             raise DataError("one feature name required per column")
         object.__setattr__(self, "X", X)
@@ -52,7 +55,9 @@ class Dataset:
 def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Stripped header and data rows, each with its line number, of a CSV file."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops a byte-order mark, which would otherwise stay in
+        # the first header name
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -147,8 +152,8 @@ def load_csv(path, target_column: str, task) -> Dataset:
 def load_feature_rows(path, feature_names) -> np.ndarray:
     """Matrix of the ``feature_names`` columns of a CSV, in that order.
 
-    Other columns are ignored.  Every row must have all the named cells, so
-    row ``i`` of the result is data row ``i`` of the file.
+    Other columns are ignored.  Every row must have all the named cells, each
+    a finite number, so row ``i`` of the result is data row ``i`` of the file.
     """
     header, records = _read_table(path)
     index_of = {name: j for j, name in enumerate(header)}
@@ -162,7 +167,14 @@ def load_feature_rows(path, feature_names) -> np.ndarray:
             raise DataError(
                 f"{path}:{line_no}: missing cell; rows given to predict must be complete"
             )
-        rows.append(_parse_floats(path, line_no, cells, cols, header))
+        values = _parse_floats(path, line_no, cells, cols, header)
+        for j, v in zip(cols, values):
+            if not math.isfinite(v):
+                raise DataError(
+                    f"{path}:{line_no}: non-finite value {cells[j]!r} in column "
+                    f"{header[j]!r}; rows given to predict must be finite"
+                )
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

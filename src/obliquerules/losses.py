@@ -92,6 +92,8 @@ def training_arrays(X, y, kind: LossKind):
         raise ValueError("features must be a matrix with one target per row")
     if X.shape[0] < 2:
         raise ValueError("need at least two training rows")
+    if X.shape[1] < 1:
+        raise ValueError("need at least one feature column")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("features and targets must be finite")
     task = {fit: task for task, fit in FIT_LOSS.items()}.get(kind)

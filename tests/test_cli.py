@@ -207,6 +207,20 @@ def test_train_data_error_exit_code(tmp_path):
     assert code == 3  # three distinct labels
 
 
+@pytest.mark.parametrize("method", ["tgb", "lltboost"])
+def test_train_target_only_csv_is_a_data_error(tmp_path, method, capsys):
+    data = tmp_path / "target_only.csv"
+    data.write_text("y\n" + "no\nyes\n" * 10, encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = main(
+        ["train", "--data", str(data), "--target", "y", "--task", "clf",
+         "--method", method, "--out", str(out)]
+    )
+    assert code == 3
+    assert "no feature columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_fit_failure_exit_code(tmp_path):
     # a non-finite regression target parses but cannot be fitted
     rows = ["a,y"] + [f"{i},{i * 0.37}" for i in range(11)] + ["11,inf"]
@@ -415,6 +429,43 @@ def test_predict_rejects_incomplete_rows(tmp_path, clf_csv, target, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be complete" in captured.err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("target", [None, "y"])
+def test_predict_rejects_non_finite_feature_cells(tmp_path, clf_csv, cell, target, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    lines = clf_csv.read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[1] = cell
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "non_finite.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["predict", "--model", str(model_path), "--data", str(bad)]
+    if target:
+        argv += ["--target", target]
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f":6: non-finite value '{cell}' in column 'x2'" in captured.err
+
+
+@pytest.mark.parametrize("train_on_bom", [True, False])
+def test_byte_order_mark_keeps_feature_names(tmp_path, clf_csv, train_on_bom, capsys):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark; a model
+    # trained with or without one scores either file the same
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + clf_csv.read_bytes())
+    model_path = trained_model(tmp_path, bom_csv if train_on_bom else clf_csv)
+    assert load_model(model_path).feature_names == ("x1", "x2", "x3")
+    outputs = []
+    for data in (clf_csv, bom_csv):
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--target", "y"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("config", [[1, 2], {"loss": "squared"}])

@@ -61,6 +61,31 @@ def test_feature_rows_follow_the_requested_column_order(tmp_path):
         load_feature_rows(write(tmp_path, "a,b\n1,2\n,4\n", "holed.csv"), ("a", "b"))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_feature_rows_reject_non_finite_cells_with_line_number(tmp_path, cell):
+    p = write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+    with pytest.raises(DataError, match=rf":3: non-finite value '{cell}' in column 'b'"):
+        load_feature_rows(p, ("a", "b"))
+    # a non-finite cell in an ignored column does not matter
+    assert load_feature_rows(p, ("a",)).tolist() == [[1.0], [3.0]]
+
+
+def test_byte_order_mark_does_not_rename_the_first_column(tmp_path):
+    text = "a,b,y\n1,2,no\n3,4,yes\n"
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    data = load_csv(p, "y", Task.CLASSIFICATION)
+    assert data.feature_names == ("a", "b")
+    assert data.X.tolist() == load_csv(write(tmp_path, text), "y", Task.CLASSIFICATION).X.tolist()
+    assert load_feature_rows(p, ("a",)).tolist() == [[1.0], [3.0]]
+
+
+def test_target_only_csv_is_a_data_error(tmp_path):
+    p = write(tmp_path, "y\nno\nyes\nno\n")
+    with pytest.raises(DataError, match="no feature columns"):
+        load_csv(p, "y", Task.CLASSIFICATION)
+
+
 def test_undecodable_csv_is_a_data_error(tmp_path):
     p = tmp_path / "latin1.csv"
     p.write_bytes(b"a,y\n\xe9,1\n2,0\n")
@@ -216,5 +241,13 @@ def test_dataset_validates_shapes():
             feature_names=("a", "b"),
             X=np.zeros((3, 2)),
             y=np.zeros(4),
+            task=Task.REGRESSION,
+        )
+    with pytest.raises(DataError, match="no feature columns"):
+        Dataset(
+            name="bad",
+            feature_names=(),
+            X=np.zeros((3, 0)),
+            y=np.zeros(3),
             task=Task.REGRESSION,
         )

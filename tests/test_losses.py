@@ -100,3 +100,8 @@ def test_fit_loss_maps_each_task_and_training_arrays_inverts_it():
         assert training_arrays(X, y, kind)[2] is task
     with pytest.raises(ValueError, match="evaluation loss"):
         training_arrays(X, y, LossKind.ZERO_ONE)
+
+
+def test_training_arrays_rejects_a_matrix_without_columns():
+    with pytest.raises(ValueError, match="at least one feature column"):
+        training_arrays(np.zeros((4, 0)), np.array([0.0, 1.0, 1.0, 0.0]), LossKind.LOGISTIC)

@@ -1,11 +1,11 @@
 import importlib.util
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_oblique_benchmark.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("run_oblique_benchmark", SCRIPT)
+def load_script(name="run_oblique_benchmark"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -18,3 +18,16 @@ def test_quick_benchmark_run_labels_the_interval_by_its_coverage(tmp_path, capsy
     assert "(4th, 7th) order-statistic interval, 65.6% coverage" in out
     assert "90%" not in out
     assert (tmp_path / "report.json").is_file()
+
+
+def test_compare_outputs_reports_the_largest_relative_difference():
+    compare = load_script("compare_outputs")
+    before = {"w": ["1.0", "-2.0"], "t": 4.0, "name": "a", "gone": 1}
+    after = {"w": ["1.0", "-2.000002"], "t": 4.0000004, "name": "b"}
+    diffs = compare._json_diffs(before, after)
+    assert diffs == [(".gone", 1, "<absent>"), (".name", "a", "b"), (".t", 4.0, 4.0000004),
+                     (".w[1]", "-2.0", "-2.000002")]
+    assert compare._largest_relative_difference(diffs) == (
+        "largest relative difference: 1e-06 at .w[1]")
+    assert compare._largest_relative_difference(diffs[:2]) == (
+        "largest relative difference: no differing numbers")

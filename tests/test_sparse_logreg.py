@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from obliquerules import sparse_logreg
 from obliquerules.losses import LossKind, loss
 from obliquerules.sparse_logreg import (
+    KKT_TOL,
     LambdaPath,
     LinearSolution,
     WeightedBinaryProblem,
@@ -120,6 +122,72 @@ def test_degenerate_labels_return_clamped_null_model():
     sol = fit_weighted_l1(prob, 0.5)
     assert sol.nnz == 0
     assert sol.intercept == pytest.approx(np.log(19.0))  # p clamped to 19/20
+
+
+def _polish(prob, lam, w, b, F):
+    return sparse_logreg._newton_polish(
+        prob.features, prob.labels, prob.sample_weights, lam, w, b, F
+    )
+
+
+def test_polish_of_a_solved_point_evaluates_no_line_search_step(monkeypatch):
+    # the decrement stop ends the polish before the 30-halving line search,
+    # which could only fail or accept a noise-level step here
+    evaluations = []
+    real = sparse_logreg._smooth_value
+    monkeypatch.setattr(
+        sparse_logreg, "_smooth_value", lambda *a: evaluations.append(1) or real(*a)
+    )
+    for s in range(8):
+        prob = random_problem(s)
+        for frac in (0.5, 0.1, 0.01):
+            sol = fit_weighted_l1(prob, frac * lambda_max(prob))
+            F = objective_value(prob, sol.lam, sol.weights, sol.intercept)
+            evaluations.clear()
+            w, b, F_out = _polish(prob, sol.lam, sol.weights, sol.intercept, F)
+            assert evaluations == [], f"seed {s}, lam fraction {frac}"
+            assert np.array_equal(w, sol.weights) and b == sol.intercept and F_out == F
+
+
+def test_polish_still_steps_from_an_unsolved_point():
+    for s in range(8):
+        prob = random_problem(s)
+        lam = 0.1 * lambda_max(prob)
+        sol = fit_weighted_l1(prob, lam)
+        w0, b0 = 1.5 * sol.weights, sol.intercept + 0.3
+        F = objective_value(prob, lam, w0, b0)
+        w, b, F_out = _polish(prob, lam, w0, b0, F)
+        assert F_out < F
+        assert np.array_equal(np.sign(w), np.sign(sol.weights))
+        assert kkt_residual(prob, lam, w, b) <= KKT_TOL
+
+
+def degenerate_problem(design, n=200):
+    """A weighted problem whose columns are duplicated, collinear or constant,
+    so the support Hessian is singular except for the polish ridge."""
+    rng = np.random.default_rng(5)
+    x1, x2, x3 = rng.normal(size=(3, n))
+    X = {
+        "duplicated": np.column_stack([x1, x1, x2, x2, x3]),
+        "collinear": np.column_stack([x1, 2.0 * x1, x1 + x2, x2, x3]),
+        "constant": np.column_stack([x1, np.ones(n), x2, np.zeros(n), x3]),
+    }[design]
+    z = (x1 + 0.5 * x2 + 0.7 * rng.normal(size=n) > 0).astype(float)
+    return WeightedBinaryProblem(X, z, rng.exponential(size=n))
+
+
+@pytest.mark.parametrize("design", ["duplicated", "collinear", "constant"])
+def test_degenerate_columns_keep_kkt_and_sparsity(design):
+    prob = degenerate_problem(design)
+    for frac in (0.9, 0.5, 0.1, 0.01, 1e-3):
+        sol = fit_weighted_l1(prob, frac * lambda_max(prob))
+        assert sol.converged
+        assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL
+    path = LambdaPath(prob)
+    for s in range(1, prob.d + 1):
+        sol = path.for_sparsity(s)
+        assert sol.nnz <= s
+        assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL
 
 
 # frozen oracle: dense grid over (w1, w2, b) in [-3, 3]^3 with step 0.01 on the
