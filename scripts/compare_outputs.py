@@ -13,8 +13,10 @@ Each tree is imported in its own fresh interpreter, which writes:
   --config`` with every settings key given in the file.
 
 Then every file is compared byte for byte.  For a JSON file that differs, the
-paths of the differing values are listed, followed by the largest relative
-difference |a - b| / max(|a|, |b|) among the differing numbers and its path.
+paths of the differing values are listed, then the count of differing values
+per path with its list indices stripped (for example ``.curves[].complexity:
+4``), then the largest relative difference |a - b| / max(|a|, |b|) among the
+differing numbers and its path.
 
 Usage:
     python3 scripts/compare_outputs.py BEFORE_SRC AFTER_SRC
@@ -25,11 +27,13 @@ when every file is identical, 1 otherwise.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -145,6 +149,12 @@ def _largest_relative_difference(diffs) -> str:
     return f"largest relative difference: {best[0]:.3g} at {best[1]}"
 
 
+def _counts_by_path(diffs) -> list[str]:
+    """``'<path without list indices>: <count>'`` per group of differing values."""
+    counts = collections.Counter(re.sub(r"\[\d+\]", "[]", path) for path, _, _ in diffs)
+    return [f"{path}: {count}" for path, count in sorted(counts.items())]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--write":  # child: one tree, one output dir
@@ -175,6 +185,8 @@ def main(argv=None) -> int:
                 diffs = _json_diffs(json.loads(a), json.loads(b))
                 for path, x, y in diffs:
                     print(f"    {path}: {x!r} -> {y!r}")
+                for line in _counts_by_path(diffs):
+                    print(f"    {line}")
                 print(f"    {_largest_relative_difference(diffs)}")
     return 0 if same else 1
 

@@ -21,6 +21,7 @@ from .datasets import (
     Dataset,
     load_csv,
     load_feature_rows,
+    load_targets,
     write_csv,
 )
 from .evaluation import LEARNERS, ProtocolConfig, learner_config, run_benchmark
@@ -193,19 +194,23 @@ def _cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _model_labels(model: ModelFile) -> tuple[str, ...]:
+    """The two raw labels ``train`` stored behind a classifier's 0/1, else ()."""
+    labels = model.metadata.get("label_names")
+    if (model.ensemble.task is Task.CLASSIFICATION and isinstance(labels, list)
+            and len(labels) == 2 and all(isinstance(x, str) for x in labels)
+            and labels[0] != labels[1]):
+        return tuple(labels)
+    return ()
+
+
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ens = model.ensemble
     X = load_feature_rows(args.data, model.feature_names)
     y = None
     if args.target:
-        dataset = load_csv(args.data, args.target, ens.task)
-        if dataset.n_skipped_rows:
-            raise DataError(
-                f"{args.data}: {dataset.n_skipped_rows} row(s) with missing cells; "
-                "rows given to predict must be complete"
-            )
-        y = dataset.y
+        y = load_targets(args.data, args.target, ens.task, _model_labels(model))
     scores = ens.decision_function(X)
     out_lines = [repr(float(s)) for s in scores]
     if args.out:

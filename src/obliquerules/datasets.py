@@ -90,6 +90,39 @@ def _parse_floats(path, line_no: int, cells, columns, header) -> list[float]:
     return values
 
 
+def _target_values(path, rows, j, column: str, task: Task, label_names=()):
+    """Column ``j`` of ``rows`` as targets, and the labels behind 0/1.
+
+    Classification labels map to 0/1 through ``label_names`` when it is given,
+    else through the two distinct labels found, in sorted order.
+    """
+    if task is Task.REGRESSION:
+        y = np.empty(len(rows))
+        for k, (line_no, cells) in enumerate(rows):
+            try:
+                y[k] = float(cells[j])
+            except ValueError:
+                raise DataError(
+                    f"{path}:{line_no}: non-numeric regression "
+                    f"target {cells[j]!r} in column {column!r}"
+                ) from None
+        return y, ()
+    names = tuple(label_names) or tuple(sorted({cells[j] for _, cells in rows}))
+    if len(names) != 2:
+        raise DataError(
+            f"{path}: classification target needs exactly 2 distinct labels, "
+            f"found {len(names)}"
+        )
+    mapping = {names[0]: 0.0, names[1]: 1.0}
+    for line_no, cells in rows:
+        if cells[j] not in mapping:
+            raise DataError(
+                f"{path}:{line_no}: label {cells[j]!r} in column {column!r} "
+                f"is not one of {list(names)}"
+            )
+    return np.array([mapping[cells[j]] for _, cells in rows]), names
+
+
 def load_csv(path, target_column: str, task) -> Dataset:
     """Read a headered CSV into a Dataset.
 
@@ -115,29 +148,7 @@ def load_csv(path, target_column: str, task) -> Dataset:
     if len(kept) < 2:
         raise DataError(f"{path}: fewer than two usable rows")
 
-    raw_targets = [cells[target_idx] for _, cells in kept]
-    label_names: tuple[str, ...] = ()
-    if task is Task.CLASSIFICATION:
-        distinct = sorted(set(raw_targets))
-        if len(distinct) != 2:
-            raise DataError(
-                f"{path}: classification target needs exactly 2 distinct labels, "
-                f"found {len(distinct)}"
-            )
-        mapping = {distinct[0]: 0.0, distinct[1]: 1.0}
-        y = np.array([mapping[t] for t in raw_targets])
-        label_names = tuple(distinct)
-    else:
-        y = np.empty(len(kept))
-        for k, (line_no, cells) in enumerate(kept):
-            try:
-                y[k] = float(cells[target_idx])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{line_no}: non-numeric regression "
-                    f"target {cells[target_idx]!r} in column {target_column!r}"
-                ) from None
-
+    y, label_names = _target_values(path, kept, target_idx, target_column, task)
     return Dataset(
         name=path.stem,
         feature_names=feature_names,
@@ -178,6 +189,33 @@ def load_feature_rows(path, feature_names) -> np.ndarray:
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
+
+
+def load_targets(path, target_column: str, task, label_names=()) -> np.ndarray:
+    """Target of every data row of a CSV, for scoring a model against it.
+
+    Every target cell must be filled.  Regression targets must be finite
+    numbers.  Classification labels map to 0/1 through ``label_names`` (the
+    model's two labels) when it is given, else as in ``load_csv``.
+    """
+    task = Task(task)
+    header, records = _read_table(path)
+    if target_column not in header:
+        raise DataError(f"{path}: target column {target_column!r} not in header")
+    j = header.index(target_column)
+    for line_no, cells in records:
+        if cells[j] == "":
+            raise DataError(
+                f"{path}:{line_no}: missing cell; rows given to predict must be complete"
+            )
+    y, _ = _target_values(path, records, j, target_column, task, label_names)
+    for (line_no, cells), value in zip(records, y):
+        if not math.isfinite(value):
+            raise DataError(
+                f"{path}:{line_no}: non-finite target {cells[j]!r} in column "
+                f"{target_column!r}; rows given to predict must be finite"
+            )
+    return y
 
 
 def write_csv(dataset: Dataset, path, target_column: str = "target"):

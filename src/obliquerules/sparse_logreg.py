@@ -4,19 +4,17 @@ The solver minimizes
 
     F(w, b) = sum_i omega_i * (softplus(x_i.w + b) - z_i * (x_i.w + b)) + lam * ||w||_1
 
-by monotone accelerated proximal gradient steps (soft-thresholding on w, the
-intercept b unpenalized) with backtracking line search.  When progress
-flattens, a damped Newton polish on the current support sharpens the iterate;
-it stops as soon as the Newton decrement g.H^-1.g falls to float noise
-relative to F, so an already-converged iterate costs no line search.
+(the intercept b unpenalized) by orthant-wise Newton steps (Andrew & Gao,
+"Scalable training of L1-regularized log-linear models", ICML 2007): each step
+fixes the sign of every weight allowed to move, so that F is smooth on that
+orthant, and solves the reweighted least-squares system of its Newton step.
 Sparsity levels are selected by bisecting lam for the smallest value whose
 solution has a requested number of nonzeros.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -24,15 +22,12 @@ from scipy.special import expit
 from .losses import LossKind, loss as loss_value, softplus
 
 MAX_ITER = 1000
-OBJECTIVE_RTOL = 1e-8
 KKT_TOL = 1e-5
-ZERO_SNAP = 1e-12
+HALVINGS = 50
 LAMBDA_FLOOR_RATIO = 1e-6
 BISECTION_STEPS = 40
 BISECTION_RTOL = 1e-3
 BRACKET_DESCENT = 4.0
-POLISH_STEPS = 15
-POLISH_DECREMENT_RTOL = 1e-14
 REFIT_RIDGE = 1e-8
 REFIT_MAX_ITER = 100
 
@@ -44,7 +39,6 @@ class WeightedBinaryProblem:
     features: np.ndarray
     labels: np.ndarray
     sample_weights: np.ndarray
-    _lipschitz: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
@@ -76,16 +70,6 @@ class WeightedBinaryProblem:
     def weighted_label_mean(self) -> float:
         return float(self.sample_weights @ self.labels) / self.n
 
-    def lipschitz(self) -> float:
-        """Upper bound on the smooth-part curvature: 0.25 * ||sqrt(w) [X 1]||_2^2."""
-        if self._lipschitz is None:
-            A = np.sqrt(self.sample_weights)[:, None] * np.column_stack(
-                [self.features, np.ones(self.n)]
-            )
-            s = np.linalg.norm(A, 2)
-            self._lipschitz = max(0.25 * s * s, 1e-12)
-        return self._lipschitz
-
 
 @dataclass(frozen=True, eq=False)
 class LinearSolution:
@@ -110,83 +94,39 @@ def _clamped_logit(p: float, n: int) -> float:
     return float(np.log(p / (1.0 - p)))
 
 
-def _smooth_value(X, z, omega, w, b) -> float:
-    s = X @ w + b
-    return float(omega @ (softplus(s) - z * s))
-
-
 def _smooth_grad(X, z, omega, w, b):
+    """Scores s, probabilities expit(s) and the smooth part's gradient in w and b."""
     s = X @ w + b
-    r = omega * (expit(s) - z)
-    return X.T @ r, float(r.sum())
+    mu = expit(s)
+    r = omega * (mu - z)
+    return s, mu, X.T @ r, float(r.sum())
 
 
-def _soft_threshold(v, tau):
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+def _kkt(w, gw, gb, lam) -> float:
+    """Largest first-order violation at w, given the smooth gradient (gw, gb)."""
+    viol = np.where(w != 0, np.abs(gw + lam * np.sign(w)), np.abs(gw) - lam)
+    return max(abs(gb), float(viol.max(initial=0.0)))
 
 
-def _newton_polish(X, z, omega, lam, w, b, F):
-    """Second-order descent restricted to the current support.
+def _smooth_change(z, omega, s, mu, delta) -> float:
+    """Change of the smooth part when the scores move from s to s + delta.
 
-    On the active orthant the objective is smooth (the penalty contributes a
-    fixed linear term), so damped Newton steps converge fast once the support
-    has settled.  Steps are only taken when they strictly decrease the full
-    objective, so monotonicity is preserved.
-
-    The polish stops when the Newton decrement g.H^-1.g is at most
-    ``POLISH_DECREMENT_RTOL * max(1, |F|)``: the predicted decrease, half the
-    decrement, is then within a few dozen ulps of F, so the halving line
-    search could only fail after 30 objective evaluations or accept a
-    noise-level step.
+    Summed row by row, as near the solution a step's decrease falls below the
+    rounding of F.  For |delta| <= 1, log1p(mu * expm1(delta)) with mu =
+    expit(s) gives softplus(s + delta) - softplus(s) to its own rounding.
     """
-    w = w.copy()
-    b = float(b)
-    ones = np.ones(X.shape[0])
-    for _ in range(POLISH_STEPS):
-        support = np.flatnonzero(w)
-        if support.size > 100:
-            break
-        s = X @ w + b
-        mu = expit(s)
-        r = omega * (mu - z)
-        Xs = X[:, support]
-        g = np.concatenate([Xs.T @ r + lam * np.sign(w[support]), [r.sum()]])
-        if float(np.max(np.abs(g))) < 1e-13:
-            break
-        wdiag = omega * mu * (1.0 - mu)
-        A = np.column_stack([Xs, ones])
-        H = A.T @ (wdiag[:, None] * A)
-        H[np.diag_indices_from(H)] += 1e-10
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:  # pragma: no cover
-            break
-        if float(g @ step) <= POLISH_DECREMENT_RTOL * max(1.0, abs(F)):
-            break
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            w_new = w.copy()
-            w_new[support] = w[support] - t * step[:-1]
-            b_new = b - t * step[-1]
-            F_new = _smooth_value(X, z, omega, w_new, b_new) + lam * float(
-                np.abs(w_new).sum()
-            )
-            if F_new < F:
-                w, b, F = w_new, b_new, F_new
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return w, b, F
+    if np.max(np.abs(delta)) <= 1.0:
+        rows = np.log1p(mu * np.expm1(delta))
+    else:
+        rows = softplus(s + delta) - softplus(s)
+    return float(omega @ (rows - z * delta))
 
 
 def objective_value(problem: WeightedBinaryProblem, lam: float, w, b: float) -> float:
     w = np.asarray(w, dtype=float)
-    return _smooth_value(
-        problem.features, problem.labels, problem.sample_weights, w, b
-    ) + lam * float(np.abs(w).sum())
+    s = problem.features @ w + b
+    smooth = float(problem.sample_weights @ (softplus(s) - problem.labels * s))
+    return smooth + lam * float(np.abs(w).sum())
 
 
 def kkt_residual(problem: WeightedBinaryProblem, lam: float, w, b: float) -> float:
@@ -196,14 +136,8 @@ def kkt_residual(problem: WeightedBinaryProblem, lam: float, w, b: float) -> flo
     d_j + lam * sign(w_j) = 0; the intercept gradient must vanish.
     """
     w = np.asarray(w, dtype=float)
-    gw, gb = _smooth_grad(problem.features, problem.labels, problem.sample_weights, w, b)
-    res = abs(gb)
-    zero = w == 0
-    if np.any(zero):
-        res = max(res, float(np.max(np.maximum(np.abs(gw[zero]) - lam, 0.0))))
-    if np.any(~zero):
-        res = max(res, float(np.max(np.abs(gw[~zero] + lam * np.sign(w[~zero])))))
-    return res
+    *_, gw, gb = _smooth_grad(problem.features, problem.labels, problem.sample_weights, w, b)
+    return _kkt(w, gw, gb, lam)
 
 
 def lambda_max(problem: WeightedBinaryProblem) -> float:
@@ -238,134 +172,75 @@ def fit_weighted_l1(
     init: tuple[np.ndarray, float] | None = None,
     on_iteration=None,
 ) -> LinearSolution:
-    """Solve the penalized problem at one lam; optionally warm-started.
+    """Solve the penalized problem at one lam by orthant-wise Newton steps.
 
-    The objective is nonincreasing across iterations: accelerated steps are
-    only kept when they do not increase it, otherwise momentum restarts with a
-    plain proximal step.  Convergence requires both a relative objective
-    change below ``OBJECTIVE_RTOL`` and a KKT residual below ``KKT_TOL``.
+    Starts from ``init`` (weights, intercept), else from the null model.  While
+    the KKT residual exceeds ``KKT_TOL``, the working set W is the support plus
+    every zero weight whose gradient exceeds lam.  A support weight keeps its
+    sign and an entering weight takes the sign against its gradient; on that
+    orthant the penalty is linear, and the step solves the (|W| + 1)-square
+    Newton system of the smooth piece.  The step is halved until F decreases,
+    and a weight whose sign would flip is set to zero.
+
+    ``on_iteration`` receives F after each step; it never increases.  ``n_iter``
+    counts the steps: a start that meets ``KKT_TOL`` returns as it is with
+    ``n_iter == 0``.  The solve stops unconverged after ``MAX_ITER`` steps, or
+    when ``HALVINGS`` halvings find no decrease that ``_smooth_change`` resolves.
     """
     if lam < 0:
         raise ValueError("penalty must be nonnegative")
-    X, z, omega = problem.features, problem.labels, problem.sample_weights
-    n, d = problem.n, problem.d
-
     p_hat = problem.weighted_label_mean()
     if p_hat <= 0.0 or p_hat >= 1.0:
         # single effective class: no finite minimizer; return the clamped
         # null-model log-odds, which every caller treats as "cover one side"
         return _null_solution(problem, lam)
 
+    X, z, omega = problem.features, problem.labels, problem.sample_weights
+    w, b = np.zeros(problem.d), float(np.log(p_hat / (1.0 - p_hat)))
     if init is not None:
-        w = np.array(init[0], dtype=float, copy=True)
-        b = float(init[1])
-        if w.shape != (d,):
+        w, b = np.array(init[0], dtype=float), float(init[1])  # a copy: w is updated in place
+        if w.shape != (problem.d,):
             raise ValueError("warm start has wrong width")
-    else:
-        w = np.zeros(d)
-        b = float(np.log(p_hat / (1.0 - p_hat)))
 
-    L = problem.lipschitz()
-    eta = 4.0 / L
-    f_x = _smooth_value(X, z, omega, w, b)
-    F_x = f_x + lam * float(np.abs(w).sum())
-    w_prev, b_prev = w, b
-    w_y, b_y = w, b
-    t_momentum = 1.0
-    converged = False
-    stall = 0
-    k = 0
-
-    def prox_from(wv, bv, gw, gb, fv, eta):
-        # backtracking: shrink eta until the quadratic majorization holds
-        while True:
-            w_new = _soft_threshold(wv - eta * gw, eta * lam)
-            b_new = bv - eta * gb
-            dw = w_new - wv
-            db = b_new - bv
-            quad = fv + gw @ dw + gb * db + (dw @ dw + db * db) / (2.0 * eta)
-            f_new = _smooth_value(X, z, omega, w_new, b_new)
-            if f_new <= quad + 1e-12 * max(1.0, abs(quad)) or eta <= 1.0 / (4.0 * L):
-                return w_new, b_new, f_new, eta
-            eta *= 0.5
-
-    for k in range(1, MAX_ITER + 1):
-        gw, gb = _smooth_grad(X, z, omega, w_y, b_y)
-        f_y = _smooth_value(X, z, omega, w_y, b_y)
-        w_c, b_c, f_c, eta = prox_from(w_y, b_y, gw, gb, f_y, eta)
-        F_c = f_c + lam * float(np.abs(w_c).sum())
-
-        if F_c <= F_x:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            coef = (t_momentum - 1.0) / t_new
-            w_prev, b_prev, w, b = w, b, w_c, b_c
-            w_y = w + coef * (w - w_prev)
-            b_y = b + coef * (b - b_prev)
-            t_momentum = t_new
-            F_new = F_c
-        else:
-            # momentum overshoot: restart and take a guaranteed-descent step
-            gw, gb = _smooth_grad(X, z, omega, w, b)
-            f_v = _smooth_value(X, z, omega, w, b)
-            w_c, b_c, f_c, eta = prox_from(w, b, gw, gb, f_v, eta)
-            w_prev, b_prev = w, b
-            w, b = w_c, b_c
-            w_y, b_y = w, b
-            t_momentum = 1.0
-            F_new = f_c + lam * float(np.abs(w_c).sum())
-
-        rel = (F_x - F_new) / max(1.0, abs(F_x))
-        F_x = min(F_x, F_new)
-        if on_iteration is not None:
-            on_iteration(F_x)
-        eta = min(eta * 1.25, 16.0 / L)
-
-        if rel < OBJECTIVE_RTOL or k % 30 == 0:
-            # polish the active support with damped Newton steps, then test
-            # first-order optimality; restart momentum either way
-            w, b, F_x = _newton_polish(X, z, omega, lam, w, b, F_x)
-            w_y, b_y = w, b
-            t_momentum = 1.0
-            if kkt_residual(problem, lam, w, b) <= KKT_TOL:
-                converged = True
+    F = objective_value(problem, lam, w, b)
+    for k in range(MAX_ITER + 1):
+        s, mu, gw, gb = _smooth_grad(X, z, omega, w, b)
+        converged = _kkt(w, gw, gb, lam) <= KKT_TOL
+        if converged or k == MAX_ITER:
+            break
+        W = np.flatnonzero((w != 0) | (np.abs(gw) > lam))
+        sign = np.where(w[W] != 0, np.sign(w[W]), -np.sign(gw[W]))
+        A = np.column_stack([X[:, W], np.ones(problem.n)])
+        H = A.T @ ((omega * mu * (1.0 - mu))[:, None] * A)
+        # a ridge for duplicated or constant columns, kept above H's rounding
+        H[np.diag_indices_from(H)] += max(1e-10, 1e-14 * H.diagonal().max())
+        step = np.linalg.solve(H, np.append(gw[W] + lam * sign, gb))
+        t = 1.0
+        for _ in range(HALVINGS):
+            w_W = w[W] - t * step[:-1]
+            w_W[sign * w_W < 0] = 0.0
+            change = lam * float(np.sum(np.abs(w_W) - np.abs(w[W]))) + _smooth_change(
+                z, omega, s, mu, A @ np.append(w_W - w[W], -t * step[-1]))
+            if change < 0:
                 break
-            if rel < OBJECTIVE_RTOL:
-                # count consecutive near-flat rounds; float-level positive
-                # progress must not reset the counter or a plateau grinds on
-                # polishing every iteration until MAX_ITER
-                stall += 1
-                if stall >= 50:
-                    break
-            else:
-                stall = 0
+            t *= 0.5
         else:
-            stall = 0
+            break  # no resolvable decrease is left
+        w[W] = w_W
+        b -= t * step[-1]
+        F += change
+        if on_iteration is not None:
+            on_iteration(F)
 
-    w = np.where(np.abs(w) < ZERO_SNAP, 0.0, w)
-    if not converged:
-        converged = kkt_residual(problem, lam, w, b) <= KKT_TOL
-        if not converged:
-            warnings.warn(
-                f"L1 solver stopped after {k} iterations without meeting the "
-                f"KKT tolerance at lam={lam:.3g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return LinearSolution(
-        weights=w,
-        intercept=float(b),
-        nnz=int(np.count_nonzero(w)),
-        lam=float(lam),
-        converged=converged,
-        n_iter=k,
-    )
+    return LinearSolution(weights=w, intercept=float(b), nnz=int(np.count_nonzero(w)),
+                          lam=float(lam), converged=converged, n_iter=k)
 
 
 class LambdaPath:
     """Memoized solutions of one problem along its regularization path.
 
-    Warm-starts every solve from the nearest already-solved penalty, which
-    makes repeated sparsity queries against the same problem cheap.
+    Warm-starts every Newton solve from the nearest already-solved penalty, so
+    repeated sparsity queries against the same problem take few Newton steps.
     """
 
     def __init__(self, problem: WeightedBinaryProblem):
@@ -382,12 +257,7 @@ class LambdaPath:
                 log_lam = np.log(max(lam, 1e-300))
                 near = min(self._cache, key=lambda L: abs(np.log(L) - log_lam))
                 warm = (self._cache[near].weights, self._cache[near].intercept)
-            with warnings.catch_warnings():
-                # path queries only need the support pattern; plateauing
-                # without full first-order accuracy at floor-level penalties
-                # is expected and not worth a warning per solve
-                warnings.simplefilter("ignore", RuntimeWarning)
-                sol = fit_weighted_l1(self.problem, lam, init=warm)
+            sol = fit_weighted_l1(self.problem, lam, init=warm)
             self._cache[lam] = sol
         return sol
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from obliquerules.cli import TRAIN_FIELDS, main, print_rules
 from obliquerules.core import Rule, RuleEnsemble, SparseProposition, Standardizer, Task
 from obliquerules.datasets import load_csv, make_oblique, write_csv
+from obliquerules.losses import LossKind, loss
 from obliquerules.serialize import ModelFile, load_model, save_model
 
 
@@ -481,6 +482,145 @@ def test_predict_target_ignores_metadata_config(tmp_path, clf_csv, config, capsy
     model_path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def _rewrite_target(src, dst, target_of):
+    """Copy CSV ``src`` to ``dst``, the last cell of data line i replaced by
+    ``target_of(i, cell)``; a ``None`` drops the line."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    out = [lines[0]]
+    for i, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        cells[-1] = target_of(i, cells[-1])
+        if cells[-1] is not None:
+            out.append(",".join(cells))
+    dst.write_text("\n".join(out) + "\n", encoding="utf-8")
+    return dst
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_predict_rejects_a_non_finite_regression_target(tmp_path, clf_csv, cell, capsys):
+    reg_csv = _rewrite_target(clf_csv, tmp_path / "reg.csv", lambda i, t: f"{0.37 * i}")
+    model = tmp_path / "reg.json"
+    assert main(["train", "--data", str(reg_csv), "--target", "y", "--task", "reg",
+                 "--method", "tgb", "--rules", "1", "--out", str(model)]) == 0
+    bad = _rewrite_target(reg_csv, tmp_path / "bad.csv", lambda i, t: cell if i == 4 else t)
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model), "--data", str(bad), "--target", "y"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f":4: non-finite target '{cell}' in column 'y'" in captured.err
+
+
+def test_predict_target_reads_labels_through_the_model(tmp_path, clf_csv, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    assert load_model(model_path).metadata["label_names"] == ["0", "1"]
+    positives = _rewrite_target(clf_csv, tmp_path / "pos.csv",
+                                lambda i, t: t if t == "1" else None)
+    argv = ["predict", "--model", str(model_path), "--data", str(positives), "--target", "y"]
+    capsys.readouterr()
+    assert main(argv) == 0  # one class is enough once the model names both
+    out = capsys.readouterr().out.splitlines()
+    data = load_csv(clf_csv, "y", Task.CLASSIFICATION)
+    scores = load_model(model_path).ensemble.decision_function(data.X[data.y == 1])
+    expected = float(np.mean(loss(LossKind.LOGISTIC, np.ones(scores.size), scores)))
+    assert out[-1] == f"risk = {expected!r}"
+
+    stranger = _rewrite_target(clf_csv, tmp_path / "odd.csv", lambda i, t: "2" if i == 7 else t)
+    argv[4] = str(stranger)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ":7: label '2' in column 'y' is not one of ['0', '1']" in captured.err
+
+    # a model without label_names reads the target as train does
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    del doc["metadata"]["label_names"]
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv[4] = str(positives)
+    assert main(argv) == 3
+    assert "exactly 2 distinct labels, found 1" in capsys.readouterr().err
+
+
+def test_predict_target_maps_word_labels_in_the_model_order(tmp_path, clf_csv, capsys):
+    words = _rewrite_target(clf_csv, tmp_path / "words.csv",
+                            lambda i, t: {"0": "no", "1": "yes"}[t])
+    model_path = tmp_path / "words.json"
+    assert main(["train", "--data", str(words), "--target", "y", "--task", "clf",
+                 "--method", "tgb", "--rules", "2", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(words),
+                 "--target", "y"]) == 0
+    risk = float(capsys.readouterr().out.splitlines()[-1].removeprefix("risk = "))
+    assert abs(risk - load_model(model_path).metadata["final_train_risk"]) <= 1e-12
+
+
+CSV_FAULTS = ["ragged", "empty", "text", "nan", "inf", "1e400", "bom", "undecodable",
+              "no_target"]
+
+
+def _malformed_csv(base, faults) -> bytes:
+    """``base`` CSV text with each (fault, data row, column) applied."""
+    rows = [line.split(",") for line in base.splitlines()]
+    prefix, raw_rows = b"", {}
+    for fault, row, col in faults:
+        row = 1 + row % (len(rows) - 1)
+        col %= len(rows[0])
+        if fault == "ragged":
+            rows[row] = rows[row][:-1] if col % 2 else rows[row] + ["1"]
+        elif fault in ("empty", "text", "nan", "inf", "1e400"):
+            rows[row][col % len(rows[row])] = {"empty": "", "text": "abc"}.get(fault, fault)
+        elif fault == "bom":
+            prefix = b"\xef\xbb\xbf"
+        elif fault == "undecodable":
+            raw_rows[row] = b"\xff\xfe"
+        else:  # no_target
+            rows[0] = [c if c != "y" else "label" for c in rows[0]]
+    lines = [raw_rows.get(i, b"") + ",".join(r).encode() for i, r in enumerate(rows)]
+    return prefix + b"\n".join(lines) + b"\n"
+
+
+def _assert_one_error_line(code, err):
+    assert code in {0, 2, 3, 4}
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0), err
+    assert "Traceback" not in err
+
+
+@pytest.fixture()
+def fuzz_models(tmp_path, clf_csv):
+    """A tgb model per task, trained on the clean files, and the regression file's text."""
+    reg_csv = _rewrite_target(clf_csv, tmp_path / "reg.csv", lambda i, t: f"{0.37 * i}")
+    models = {}
+    for task, data in (("clf", clf_csv), ("reg", reg_csv)):
+        models[task] = tmp_path / f"{task}.json"
+        assert main(["train", "--data", str(data), "--target", "y", "--task", task,
+                     "--method", "tgb", "--rules", "1", "--out", str(models[task])]) == 0
+    return models, reg_csv.read_text(encoding="utf-8")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(faults=st.lists(st.tuples(st.sampled_from(CSV_FAULTS), st.integers(0, 59),
+                                 st.integers(0, 3)), min_size=1, max_size=3),
+       task=st.sampled_from(["clf", "reg"]), method=st.sampled_from(["tgb", "lltboost"]))
+@example(faults=[("nan", 2, 3)], task="reg", method="tgb")  # a nan regression target
+def test_malformed_csv_fuzz_never_escapes_main(tmp_path, clf_csv, fuzz_models, capsys,
+                                               faults, task, method):
+    models, reg_text = fuzz_models
+    base = clf_csv.read_text(encoding="utf-8") if task == "clf" else reg_text
+    data = tmp_path / "fuzz.csv"
+    data.write_bytes(_malformed_csv(base, faults))
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--target", "y", "--task", task,
+                 "--method", method, "--rules", "1", "--out", str(tmp_path / "fuzz.json")])
+    _assert_one_error_line(code, capsys.readouterr().err)
+    for target in ([], ["--target", "y"]):
+        code = main(["predict", "--model", str(models[task]), "--data", str(data), *target])
+        _assert_one_error_line(code, capsys.readouterr().err)
+    if faults == [("nan", 2, 3)]:
+        assert code == 3
 
 
 def test_print_rejects_negative_precision(tmp_path, capsys):

@@ -8,6 +8,7 @@ from obliquerules.datasets import (
     Dataset,
     load_csv,
     load_feature_rows,
+    load_targets,
     make_oblique,
     make_rotated_box,
     make_staircase,
@@ -138,6 +139,25 @@ def test_classification_needs_exactly_two_labels(tmp_path):
     p2 = write(tmp_path, "a,y\n1,same\n2,same\n", name="one.csv")
     with pytest.raises(DataError, match="exactly 2"):
         load_csv(p2, "y", Task.CLASSIFICATION)
+
+
+def test_targets_map_through_the_given_labels(tmp_path):
+    p = write(tmp_path, "a,y\n1,yes\n2,yes\n3,no\n")
+    assert load_targets(p, "y", Task.CLASSIFICATION, ("no", "yes")).tolist() == [1, 1, 0]
+    assert load_targets(p, "y", Task.CLASSIFICATION).tolist() == [1, 1, 0]
+    with pytest.raises(DataError, match=r"data.csv:4: label 'no' in column 'y' is not one of"):
+        load_targets(p, "y", Task.CLASSIFICATION, ("maybe", "yes"))
+    one = write(tmp_path, "a,y\n1,yes\n2,yes\n", name="one.csv")
+    assert load_targets(one, "y", Task.CLASSIFICATION, ("no", "yes")).tolist() == [1, 1]
+    with pytest.raises(DataError, match="exactly 2"):
+        load_targets(one, "y", Task.CLASSIFICATION)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e400", ""])
+def test_targets_reject_a_missing_or_non_finite_regression_cell(tmp_path, cell):
+    p = write(tmp_path, f"a,y\n1,0.5\n2,{cell}\n")
+    with pytest.raises(DataError, match="data.csv:3: .*rows given to predict must be"):
+        load_targets(p, "y", Task.REGRESSION)
 
 
 def test_round_trip_preserves_arrays(tmp_path):

@@ -4,7 +4,7 @@ duplicated columns, and a rare positive class."""
 import numpy as np
 import pytest
 
-from obliquerules import lltboost, tgb
+from obliquerules import lltboost, sparse_logreg, tgb
 from obliquerules.losses import LossKind
 
 LEARNERS = {
@@ -56,3 +56,22 @@ def test_a_matrix_without_columns_is_rejected(learner):
     fit, config = LEARNERS[learner]
     with pytest.raises(ValueError, match="at least one feature column"):
         fit(np.zeros((10, 0)), np.tile([0.0, 1.0], 5), config(LossKind.LOGISTIC))
+
+
+def test_every_l1_solve_of_a_rare_class_fit_converges(monkeypatch):
+    # separable data: the train risk is near zero after one rule, which leaves
+    # nearly flat weighted problems for the later propositions
+    kkt = []
+    real = sparse_logreg.fit_weighted_l1
+
+    def checked(problem, lam, *args, **kwargs):
+        sol = real(problem, lam, *args, **kwargs)
+        assert sol.converged
+        kkt.append(sparse_logreg.kkt_residual(problem, lam, sol.weights, sol.intercept))
+        return sol
+
+    monkeypatch.setattr(sparse_logreg, "fit_weighted_l1", checked)
+    fit, config = LEARNERS["lltboost"]
+    fit(*degenerate_data("three_positives", LossKind.LOGISTIC), config(LossKind.LOGISTIC))
+    assert len(kkt) > 100
+    assert max(kkt) <= sparse_logreg.KKT_TOL

@@ -31,3 +31,15 @@ def test_compare_outputs_reports_the_largest_relative_difference():
         "largest relative difference: 1e-06 at .w[1]")
     assert compare._largest_relative_difference(diffs[:2]) == (
         "largest relative difference: no differing numbers")
+
+
+def test_compare_outputs_counts_differing_values_by_path():
+    compare = load_script("compare_outputs")
+    before = {"curves": [{"complexity": 4, "risk": 0.5}, {"complexity": 6, "risk": 0.4}],
+              "rules": [{"w": [1.0, 2.0]}, {"w": [3.0]}], "seed": 1}
+    after = {"curves": [{"complexity": 3, "risk": 0.5}, {"complexity": 5, "risk": 0.4}],
+             "rules": [{"w": [1.5, 2.0]}, {"w": [3.5]}], "seed": 2}
+    diffs = compare._json_diffs(before, after)
+    assert compare._counts_by_path(diffs) == [
+        ".curves[].complexity: 2", ".rules[].w[]: 2", ".seed: 1"]
+    assert compare._counts_by_path([]) == []

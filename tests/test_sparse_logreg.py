@@ -124,47 +124,31 @@ def test_degenerate_labels_return_clamped_null_model():
     assert sol.intercept == pytest.approx(np.log(19.0))  # p clamped to 19/20
 
 
-def _polish(prob, lam, w, b, F):
-    return sparse_logreg._newton_polish(
-        prob.features, prob.labels, prob.sample_weights, lam, w, b, F
-    )
-
-
-def test_polish_of_a_solved_point_evaluates_no_line_search_step(monkeypatch):
-    # the decrement stop ends the polish before the 30-halving line search,
-    # which could only fail or accept a noise-level step here
-    evaluations = []
-    real = sparse_logreg._smooth_value
-    monkeypatch.setattr(
-        sparse_logreg, "_smooth_value", lambda *a: evaluations.append(1) or real(*a)
-    )
+def test_warm_start_at_a_solution_takes_no_step():
     for s in range(8):
         prob = random_problem(s)
         for frac in (0.5, 0.1, 0.01):
             sol = fit_weighted_l1(prob, frac * lambda_max(prob))
-            F = objective_value(prob, sol.lam, sol.weights, sol.intercept)
-            evaluations.clear()
-            w, b, F_out = _polish(prob, sol.lam, sol.weights, sol.intercept, F)
-            assert evaluations == [], f"seed {s}, lam fraction {frac}"
-            assert np.array_equal(w, sol.weights) and b == sol.intercept and F_out == F
+            again = fit_weighted_l1(prob, sol.lam, init=(sol.weights, sol.intercept))
+            assert again.converged and again.n_iter == 0, f"seed {s}, lam fraction {frac}"
+            assert np.array_equal(again.weights, sol.weights)
+            assert again.intercept == sol.intercept
 
 
-def test_polish_still_steps_from_an_unsolved_point():
+def test_solve_from_a_perturbed_start_recovers_the_signs():
     for s in range(8):
         prob = random_problem(s)
         lam = 0.1 * lambda_max(prob)
         sol = fit_weighted_l1(prob, lam)
-        w0, b0 = 1.5 * sol.weights, sol.intercept + 0.3
-        F = objective_value(prob, lam, w0, b0)
-        w, b, F_out = _polish(prob, lam, w0, b0, F)
-        assert F_out < F
-        assert np.array_equal(np.sign(w), np.sign(sol.weights))
-        assert kkt_residual(prob, lam, w, b) <= KKT_TOL
+        again = fit_weighted_l1(prob, lam, init=(1.5 * sol.weights, sol.intercept + 0.3))
+        assert again.converged and again.n_iter > 0
+        assert np.array_equal(np.sign(again.weights), np.sign(sol.weights))
+        assert kkt_residual(prob, lam, again.weights, again.intercept) <= KKT_TOL
 
 
 def degenerate_problem(design, n=200):
     """A weighted problem whose columns are duplicated, collinear or constant,
-    so the support Hessian is singular except for the polish ridge."""
+    so the Newton system is singular except for its ridge."""
     rng = np.random.default_rng(5)
     x1, x2, x3 = rng.normal(size=(3, n))
     X = {
@@ -188,6 +172,40 @@ def test_degenerate_columns_keep_kkt_and_sparsity(design):
         sol = path.for_sparsity(s)
         assert sol.nnz <= s
         assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL
+
+
+def test_duplicated_columns_on_a_large_scale_keep_the_newton_system_solvable():
+    # a column of scale 1e3 puts H's diagonal near 1e8, where an absolute
+    # 1e-10 ridge is lost in rounding and duplicated columns make H singular
+    rng = np.random.default_rng(0)
+    x = 1e3 * rng.normal(size=1000)
+    z = (x + 300 * rng.normal(size=1000) > 0).astype(float)
+    prob = WeightedBinaryProblem(np.column_stack([x, x, rng.normal(size=1000)]), z, np.ones(1000))
+    for frac in (0.5, 1e-3, 1e-5):
+        sol = fit_weighted_l1(prob, frac * lambda_max(prob))
+        assert sol.converged
+        assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL
+
+
+def test_smooth_change_matches_the_objective_difference():
+    prob = random_problem(4, n=200)
+    X, z, omega = prob.features, prob.labels, prob.sample_weights
+    rng = np.random.default_rng(9)
+    w, b = rng.normal(size=prob.d), 0.3
+    s = X @ w + b
+    mu = 1.0 / (1.0 + np.exp(-s))
+    for scale in (1e-12, 1e-6, 0.1, 3.0):  # both branches: max |delta| <= 1 and > 1
+        dw = scale * rng.normal(size=prob.d)
+        change = sparse_logreg._smooth_change(z, omega, s, mu, X @ dw)
+        exact = objective_value(prob, 0.0, w + dw, b) - objective_value(prob, 0.0, w, b)
+        # the objective difference carries the rounding of F (~1e-13 here)
+        assert abs(change - exact) <= 1e-12 + 1e-10 * abs(exact), scale
+    # a move far below the rounding of F: compare with its second-order expansion
+    dw = 1e-9 * rng.normal(size=prob.d)
+    delta = X @ dw
+    taylor = omega @ ((mu - z) * delta + mu * (1 - mu) * delta**2 / 2)
+    change = sparse_logreg._smooth_change(z, omega, s, mu, delta)
+    assert abs(change - taylor) <= 1e-6 * abs(taylor)
 
 
 # frozen oracle: dense grid over (w1, w2, b) in [-3, 3]^3 with step 0.01 on the
