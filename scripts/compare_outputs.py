@@ -16,7 +16,9 @@ Then every file is compared byte for byte.  For a JSON file that differs, the
 paths of the differing values are listed, then the count of differing values
 per path with its list indices stripped (for example ``.curves[].complexity:
 4``), then the largest relative difference |a - b| / max(|a|, |b|) among the
-differing numbers and its path.
+differing numbers and its path.  For fits.json it also counts the fits whose
+final stage differs, and in how many of those the final complexity rose or fell
+and the final train risk fell or rose.
 
 Usage:
     python3 scripts/compare_outputs.py BEFORE_SRC AFTER_SRC
@@ -155,6 +157,21 @@ def _counts_by_path(diffs) -> list[str]:
     return [f"{path}: {count}" for path, count in sorted(counts.items())]
 
 
+def _final_stage_changes(before: dict, after: dict) -> str:
+    """For two fits.json documents: in how many fits the final stage differs,
+    and how its complexity and train risk moved in those."""
+    finals = [(before[key][-1], after[key][-1]) for key in sorted(set(before) & set(after))]
+    changed = [(a, b) for a, b in finals if a != b]
+    moves = collections.Counter()
+    for a, b in changed:
+        for field in ("complexity", "train_risk"):
+            x, y = float(a[field]), float(b[field])
+            moves[field, "rose" if y > x else "fell" if y < x else "held"] += 1
+    return (f"final stage differs in {len(changed)} of {len(finals)} fits: complexity rose "
+            f"{moves['complexity', 'rose']}, fell {moves['complexity', 'fell']}; train risk "
+            f"fell {moves['train_risk', 'fell']}, rose {moves['train_risk', 'rose']}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--write":  # child: one tree, one output dir
@@ -188,6 +205,8 @@ def main(argv=None) -> int:
                 for line in _counts_by_path(diffs):
                     print(f"    {line}")
                 print(f"    {_largest_relative_difference(diffs)}")
+                if name == "fits.json":
+                    print(f"    {_final_stage_changes(json.loads(a), json.loads(b))}")
     return 0 if same else 1
 
 

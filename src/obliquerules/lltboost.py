@@ -54,14 +54,6 @@ def gradient_sum_objective(g, q) -> float:
     return float(abs(g @ q))
 
 
-def _cover_all_proposition(X_active: np.ndarray) -> SparseProposition:
-    # all active gradients share one sign: any condition covering every
-    # active row attains the maximal objective; use the first feature
-    return SparseProposition(
-        indices=(0,), weights=(1.0,), threshold=float(X_active[:, 0].min())
-    )
-
-
 def _weighted_sign_risk(prop: SparseProposition, X, rows, g, sgn) -> float:
     """|g|-weighted 0/1 risk of the proposition predicting gradient signs."""
     if rows.size == 0:
@@ -80,6 +72,9 @@ def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparsePropositi
     it improves the validation sign risk by more than the configured relative
     margin.  The winner maximizes |<g, q>| over the active rows; ties prefer
     fewer nonzeros, then the positive direction, then lower sparsity level.
+
+    One L1 path serves both directions: relabeled 1 - z on the same weights |g|,
+    the problem's solutions are (-w, -b), so ``from_dense(-w, threshold=-t)``.
     """
     active = np.asarray(active, dtype=int)
     validation = np.asarray(validation, dtype=int)
@@ -89,37 +84,34 @@ def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparsePropositi
     Xa = X[active]
     s_cap = min(cfg.max_nonzeros, X.shape[1])
 
-    candidates: list[SparseProposition] = []
-    for sgn in (1.0, -1.0):
-        labels = (sgn * ga >= 0).astype(float)
-        weights = np.abs(ga)
-        p_hat = float(weights @ labels) / float(weights.sum())
-        if p_hat <= 0.0:
-            continue  # covering nothing is optimal for this direction
-        if p_hat >= 1.0:
-            candidates.append(_cover_all_proposition(Xa))
-            continue
-        problem = WeightedBinaryProblem(Xa, labels, weights)
-        path = LambdaPath(problem)
-        prev_risk = None
-        for s in range(1, s_cap + 1):
-            sol = path.for_sparsity(s)
-            if sol.nnz == 0:
-                # no path point with <= s nonzeros (features can enter in
-                # groups); a denser level may still be reachable
-                continue
-            prop = SparseProposition.from_dense(sol.weights, threshold=sol.threshold)
-            risk = _weighted_sign_risk(prop, X, validation, g, sgn)
-            if prev_risk is None:
-                candidates.append(prop)
-            else:
-                if prev_risk <= 0.0:
-                    break
-                if (prev_risk - risk) / prev_risk > cfg.sparsity_accept_delta:
+    if np.all(ga >= 0) or np.all(ga <= 0):
+        # all active gradients share one sign: a condition on the first feature
+        # that covers every active row attains the maximal objective
+        candidates = [SparseProposition(indices=(0,), weights=(1.0,),
+                                        threshold=float(Xa[:, 0].min()))]
+    else:
+        candidates = []
+        path = LambdaPath(WeightedBinaryProblem(Xa, (ga >= 0).astype(float), np.abs(ga)))
+        for sgn in (1.0, -1.0):
+            prev_risk = None
+            for s in range(1, s_cap + 1):
+                sol = path.for_sparsity(s)
+                if sol.nnz == 0:
+                    # no path point with <= s nonzeros (features can enter in
+                    # groups); a denser level may still be reachable
+                    continue
+                prop = SparseProposition.from_dense(sgn * sol.weights, sgn * sol.threshold)
+                risk = _weighted_sign_risk(prop, X, validation, g, sgn)
+                if prev_risk is None:
                     candidates.append(prop)
                 else:
-                    break
-            prev_risk = risk
+                    if prev_risk <= 0.0:
+                        break
+                    if (prev_risk - risk) / prev_risk > cfg.sparsity_accept_delta:
+                        candidates.append(prop)
+                    else:
+                        break
+                prev_risk = risk
 
     best = None
     best_obj = -1.0

@@ -10,7 +10,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Task
 
@@ -28,6 +27,12 @@ FIT_LOSS = {Task.CLASSIFICATION: LossKind.LOGISTIC, Task.REGRESSION: LossKind.SQ
 def _check_binary(y: np.ndarray):
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("classification losses require labels in {0, 1}")
+
+
+def logistic(s):
+    """1 / (1 + exp(-s)); for s < -709 exp(-s) overflows to inf and the result is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-s))
 
 
 def softplus(s):
@@ -58,7 +63,7 @@ def gradient(kind: LossKind, y, score) -> np.ndarray:
         return score - y
     if kind is LossKind.LOGISTIC:
         _check_binary(y)
-        return expit(score) - y
+        return logistic(score) - y
     raise ValueError("zero_one loss has no usable gradient")
 
 

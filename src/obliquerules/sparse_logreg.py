@@ -8,8 +8,7 @@ The solver minimizes
 "Scalable training of L1-regularized log-linear models", ICML 2007): each step
 fixes the sign of every weight allowed to move, so that F is smooth on that
 orthant, and solves the reweighted least-squares system of its Newton step.
-Sparsity levels are selected by bisecting lam for the smallest value whose
-solution has a requested number of nonzeros.
+Sparsity levels are read off the regularization path, walked knot to knot.
 """
 
 from __future__ import annotations
@@ -17,17 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .losses import LossKind, loss as loss_value, softplus
+from .losses import LossKind, logistic, loss as loss_value, softplus
 
 MAX_ITER = 1000
 KKT_TOL = 1e-5
 HALVINGS = 50
 LAMBDA_FLOOR_RATIO = 1e-6
-BISECTION_STEPS = 40
-BISECTION_RTOL = 1e-3
-BRACKET_DESCENT = 4.0
 REFIT_RIDGE = 1e-8
 REFIT_MAX_ITER = 100
 
@@ -88,18 +83,21 @@ class LinearSolution:
         return -self.intercept
 
 
-def _clamped_logit(p: float, n: int) -> float:
-    lo = 1.0 / (2 * n)
-    p = min(max(p, lo), 1.0 - lo)
-    return float(np.log(p / (1.0 - p)))
-
-
 def _smooth_grad(X, z, omega, w, b):
-    """Scores s, probabilities expit(s) and the smooth part's gradient in w and b."""
+    """Scores s, probabilities logistic(s) and the smooth part's gradient in w and b."""
     s = X @ w + b
-    mu = expit(s)
+    mu = logistic(s)
     r = omega * (mu - z)
     return s, mu, X.T @ r, float(r.sum())
+
+
+def _hessian(X, D, W):
+    """Design [X_W | 1] and the smooth part's Hessian in (w_W, b) for curvatures D."""
+    A = np.column_stack([X[:, W], np.ones(X.shape[0])])
+    H = A.T @ (D[:, None] * A)
+    # a ridge for duplicated or constant columns, kept above H's rounding
+    H[np.diag_indices_from(H)] += max(1e-10, 1e-14 * H.diagonal().max())
+    return A, H
 
 
 def _kkt(w, gw, gb, lam) -> float:
@@ -113,7 +111,7 @@ def _smooth_change(z, omega, s, mu, delta) -> float:
 
     Summed row by row, as near the solution a step's decrease falls below the
     rounding of F.  For |delta| <= 1, log1p(mu * expm1(delta)) with mu =
-    expit(s) gives softplus(s + delta) - softplus(s) to its own rounding.
+    logistic(s) gives softplus(s + delta) - softplus(s) to its own rounding.
     """
     if np.max(np.abs(delta)) <= 1.0:
         rows = np.log1p(mu * np.expm1(delta))
@@ -150,20 +148,13 @@ def lambda_max(problem: WeightedBinaryProblem) -> float:
 
 
 def _null_solution(problem: WeightedBinaryProblem, lam: float) -> LinearSolution:
-    w = np.zeros(problem.d)
-    p_hat = problem.weighted_label_mean()
-    if 0.0 < p_hat < 1.0:
-        b = float(np.log(p_hat / (1.0 - p_hat)))
-    else:
-        b = _clamped_logit(p_hat, problem.n)
-    return LinearSolution(
-        weights=w,
-        intercept=b,
-        nnz=0,
-        lam=lam,
-        converged=True,
-        n_iter=0,
-    )
+    """w = 0 and the weighted log-odds; a single effective class gets its rate
+    clamped into [1/(2n), 1 - 1/(2n)] first."""
+    p = problem.weighted_label_mean()
+    if not 0.0 < p < 1.0:
+        p = min(max(p, 1.0 / (2 * problem.n)), 1.0 - 1.0 / (2 * problem.n))
+    return LinearSolution(weights=np.zeros(problem.d), intercept=float(np.log(p / (1.0 - p))),
+                          nnz=0, lam=lam, converged=True, n_iter=0)
 
 
 def fit_weighted_l1(
@@ -175,15 +166,16 @@ def fit_weighted_l1(
     """Solve the penalized problem at one lam by orthant-wise Newton steps.
 
     Starts from ``init`` (weights, intercept), else from the null model.  While
-    the KKT residual exceeds ``KKT_TOL``, the working set W is the support plus
-    every zero weight whose gradient exceeds lam.  A support weight keeps its
+    the KKT residual exceeds ``KKT_TOL`` times min(1, lambda_max), the problem's
+    gradient scale, the working set W is the support plus every zero weight
+    whose gradient exceeds lam.  A support weight keeps its
     sign and an entering weight takes the sign against its gradient; on that
     orthant the penalty is linear, and the step solves the (|W| + 1)-square
     Newton system of the smooth piece.  The step is halved until F decreases,
     and a weight whose sign would flip is set to zero.
 
     ``on_iteration`` receives F after each step; it never increases.  ``n_iter``
-    counts the steps: a start that meets ``KKT_TOL`` returns as it is with
+    counts the steps: a start that meets the tolerance returns as it is with
     ``n_iter == 0``.  The solve stops unconverged after ``MAX_ITER`` steps, or
     when ``HALVINGS`` halvings find no decrease that ``_smooth_change`` resolves.
     """
@@ -202,18 +194,16 @@ def fit_weighted_l1(
         if w.shape != (problem.d,):
             raise ValueError("warm start has wrong width")
 
+    tol = KKT_TOL * min(1.0, lambda_max(problem))  # lambda_max is the gradient scale
     F = objective_value(problem, lam, w, b)
     for k in range(MAX_ITER + 1):
         s, mu, gw, gb = _smooth_grad(X, z, omega, w, b)
-        converged = _kkt(w, gw, gb, lam) <= KKT_TOL
+        converged = _kkt(w, gw, gb, lam) <= tol
         if converged or k == MAX_ITER:
             break
         W = np.flatnonzero((w != 0) | (np.abs(gw) > lam))
         sign = np.where(w[W] != 0, np.sign(w[W]), -np.sign(gw[W]))
-        A = np.column_stack([X[:, W], np.ones(problem.n)])
-        H = A.T @ ((omega * mu * (1.0 - mu))[:, None] * A)
-        # a ridge for duplicated or constant columns, kept above H's rounding
-        H[np.diag_indices_from(H)] += max(1e-10, 1e-14 * H.diagonal().max())
+        A, H = _hessian(X, omega * mu * (1.0 - mu), W)
         step = np.linalg.solve(H, np.append(gw[W] + lam * sign, gb))
         t = 1.0
         for _ in range(HALVINGS):
@@ -237,94 +227,103 @@ def fit_weighted_l1(
 
 
 class LambdaPath:
-    """Memoized solutions of one problem along its regularization path.
-
-    Warm-starts every Newton solve from the nearest already-solved penalty, so
-    repeated sparsity queries against the same problem take few Newton steps.
-    """
+    """The regularization path of one problem, walked down from lambda_max one
+    knot at a time (Park & Hastie, JRSS-B 69(4), 2007); ``_cache`` maps each lam
+    walked to its solution.  Between knots the support A and its signs are
+    fixed, and d(w_A, b)/dlam = -H_A^-1 (sign_A, 0), H_A the smooth part's
+    Hessian.  On that tangent the walk predicts the next event (an inactive
+    |d_j f| meets lam, or an active weight reaches 0), solves the event's knot
+    by Newton steps in (w_A, b, lam) and corrects it with ``solve``."""
 
     def __init__(self, problem: WeightedBinaryProblem):
         self.problem = problem
         self.lam_max = lambda_max(problem)
         self.lam_floor = LAMBDA_FLOOR_RATIO * self.lam_max
-        self._cache: dict[float, LinearSolution] = {}
+        self.tol = KKT_TOL * min(1.0, self.lam_max)  # as in fit_weighted_l1
+        self._last = _null_solution(problem, self.lam_max)  # optimal for lam >= lambda_max
+        self._cache: dict[float, LinearSolution] = {self.lam_max: self._last}
+        self._start: tuple[np.ndarray, float] | None = None  # the walk's prediction
 
     def solve(self, lam: float) -> LinearSolution:
-        sol = self._cache.get(lam)
-        if sol is None:
-            warm = None
-            if self._cache:
-                log_lam = np.log(max(lam, 1e-300))
-                near = min(self._cache, key=lambda L: abs(np.log(L) - log_lam))
-                warm = (self._cache[near].weights, self._cache[near].intercept)
-            sol = fit_weighted_l1(self.problem, lam, init=warm)
-            self._cache[lam] = sol
-        return sol
-
-    def _best_for(self, s: int) -> LinearSolution | None:
-        """Smallest-penalty solution with exactly s nonzeros, else the densest
-        cached solution with at most s (preferring smaller penalties)."""
-        best_exact: LinearSolution | None = None
-        best_fallback: LinearSolution | None = None
-        for sol in self._cache.values():
-            if sol.nnz == s and (best_exact is None or sol.lam < best_exact.lam):
-                best_exact = sol
-            if sol.nnz <= s and (
-                best_fallback is None
-                or sol.nnz > best_fallback.nnz
-                or (sol.nnz == best_fallback.nnz and sol.lam < best_fallback.lam)
-            ):
-                best_fallback = sol
-        return best_exact or best_fallback
+        """``fit_weighted_l1`` at ``lam``, warm-started from the walk's prediction."""
+        if lam not in self._cache:
+            self._cache[lam] = fit_weighted_l1(self.problem, lam, init=self._start)
+        return self._cache[lam]
 
     def for_sparsity(self, s: int) -> LinearSolution:
-        """Solution at the smallest penalty with exactly ``s`` nonzeros, found by
-        bisecting lam in log space with at most ``BISECTION_STEPS`` new solves;
-        else the densest solution with fewer.  Never more than ``s`` nonzeros."""
+        """Knot solution at the smallest lam with exactly ``s`` nonzeros, on the
+        path walked until it first holds more; else the densest solution with
+        fewer.  Never more than ``s`` nonzeros."""
         if not 1 <= s <= self.problem.d:
             raise ValueError(f"sparsity level must be in [1, {self.problem.d}], got {s}")
-        if self.lam_max <= 0.0:
-            return _null_solution(self.problem, 0.0)
-        if self.lam_max not in self._cache:
-            # at lam >= lambda_max the null model is exactly optimal
-            self._cache[self.lam_max] = _null_solution(self.problem, self.lam_max)
-        solves = 0
+        while self._last.nnz <= s and self._last.lam > self.lam_floor:
+            self._last = self._next_knot(self._last)
+        over = max((sol.lam for sol in self._cache.values() if sol.nnz > s), default=-1.0)
+        return min((sol for sol in self._cache.values() if sol.nnz <= s and sol.lam > over),
+                   key=lambda sol: (-sol.nnz, sol.lam))
 
-        # bracket the transition: adjacent evaluated penalties with
-        # nnz(lo) > s >= nnz(hi)
-        lo = None
-        hi = None
-        for lam in sorted(self._cache, reverse=True):
-            if self._cache[lam].nnz <= s:
-                hi = lam
-            else:
-                lo = lam
+    def _next_knot(self, at: LinearSolution) -> LinearSolution:
+        """Solution at the next knot below ``at.lam``, or at a path point on the way."""
+        X, z, omega = self.problem.features, self.problem.labels, self.problem.sample_weights
+        d, lam, w, b = self.problem.d, at.lam, at.weights, at.intercept
+        _, mu, g, _ = _smooth_grad(X, z, omega, w, b)
+        D = omega * mu * (1.0 - mu)
+        # the support below lam: the nonzeros, and the zeros at |g_j| = lam leaving 0
+        A = np.flatnonzero((w != 0) | (np.abs(g) >= lam - self.tol))
+        while True:
+            sign = np.where(w[A] != 0, np.sign(w[A]), -np.sign(g[A]))
+            P, H = _hessian(X, D, A)
+            v = np.linalg.solve(H, -np.append(sign, 0.0))  # d(w_A, b) / dlam
+            if np.all(moving := (w[A] != 0) | (sign * v[:-1] < 0)):
                 break
-        if lo is None:
-            cur = hi if hi is not None else self.lam_max
-            while cur > self.lam_floor and solves < BISECTION_STEPS:
-                cur = max(cur / BRACKET_DESCENT, self.lam_floor)
-                sol = self.solve(cur)
-                solves += 1
-                if sol.nnz > s:
-                    lo = cur
-                    break
-                hi = cur
-                if cur <= self.lam_floor:
-                    break
-        if lo is not None:
-            while hi / lo > 1.0 + BISECTION_RTOL and solves < BISECTION_STEPS:
-                mid = float(np.sqrt(lo * hi))
-                sol = self.solve(mid)
-                solves += 1
-                if sol.nnz <= s:
-                    hi = mid
-                else:
-                    lo = mid
-        result = self._best_for(s)
-        if result is None:  # pragma: no cover - lambda_max entry always qualifies
-            result = _null_solution(self.problem, self.lam_max)
-        return result
+            A = A[moving]
+
+        # the step down in lam to each event: an active weight reaches 0, or a free
+        # g_j - dlam * dg_j/dlam meets -sign_j * (lam - dlam) for sign_j = -1, 1
+        free = np.tile(~np.isin(np.arange(d), A), 2)
+        feature = np.concatenate([A, np.tile(np.arange(d), 2)])
+        event_sign = np.concatenate([sign, np.repeat([-1.0, 1.0], d)])
+        sg, c = event_sign[A.size:], np.tile(X.T @ (D * (P @ v)), 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.concatenate([np.where(w[A] != 0, w[A] / v[:-1], 0.0), np.where(
+                free, np.maximum(lam + sg * np.tile(g, 2), 0.0) / (1.0 + sg * c), 0.0)])
+        steps[~(steps > self.tol)] = np.inf  # closer events are below the knots' resolution
+        i = int(np.argmin(steps))
+        self._start = (w, b)
+        if steps[i] >= lam - self.lam_floor:  # halve lam: a far jump can leave Newton crawling
+            return self.solve(max(self.lam_floor, lam / 2))
+
+        # the knot of event i: feature j is 0 with g_j + sign_j * lam = 0, and the
+        # rest S of A keeps g + sign * lam = 0.  Newton steps in (w_S, b, lam) from
+        # the tangent's point solve it; an event found to come first is the next target.
+        dlam = steps[i]
+        w_k = np.zeros(d)
+        w_k[A] = np.where(sign * (w[A] - dlam * v[:-1]) > 0, w[A] - dlam * v[:-1], 0.0)
+        b_k, lam_k = b - dlam * v[-1], lam - dlam
+        for _ in range(d + 1):
+            j = feature[i]
+            S = A[A != j]
+            R, sign_R = np.append(S, j), np.append(sign[A != j], event_sign[i])
+            w_k[j], res = 0.0, np.inf
+            for _ in range(MAX_ITER):
+                _, mu, g_k, gb = _smooth_grad(X, z, omega, w_k, b_k)
+                F = np.append(g_k[R] + lam_k * sign_R, gb)
+                if np.abs(F).max() <= self.tol or not np.abs(F).max() <= res / 2:
+                    break  # solved, or Newton stopped converging
+                res = np.abs(F).max()
+                _, H = _hessian(X, omega * mu * (1.0 - mu), R)
+                J = np.column_stack([np.delete(H, S.size, axis=1), np.append(sign_R, 0.0)])
+                step = np.linalg.lstsq(J, F, rcond=None)[0]
+                w_k[S], b_k, lam_k = w_k[S] - step[:-2], b_k - step[-2], lam_k - step[-1]
+            violation = np.concatenate([np.where(A != j, -sign * w_k[A], -np.inf), np.where(
+                free, -sg * np.tile(g_k, 2) - lam_k - self.tol, -np.inf)])
+            i = int(np.argmax(violation))
+            # a knot, or a near miss's closest point, on A's own path
+            on_path = np.abs(np.delete(F, -2)).max() <= self.tol
+            if violation[i] < 0 and on_path and self.lam_floor < lam_k < lam:
+                self._start = (w_k, b_k)
+                return self.solve(lam_k)
+        return self.solve(lam - dlam / 2)  # no knot near the prediction: walk on halfway
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +371,7 @@ def corrective_refit(
         obj, _ = _refit_objective(design, y, kind, beta)
         for _ in range(REFIT_MAX_ITER):
             s = design @ beta
-            mu = expit(s)
+            mu = logistic(s)
             grad = design.T @ (mu - y) + pen * beta
             if float(np.max(np.abs(grad))) <= 1e-10:
                 break

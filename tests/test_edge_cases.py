@@ -62,7 +62,13 @@ def test_every_l1_solve_of_a_rare_class_fit_converges(monkeypatch):
     # separable data: the train risk is near zero after one rule, which leaves
     # nearly flat weighted problems for the later propositions
     kkt = []
+    paths = []
     real = sparse_logreg.fit_weighted_l1
+
+    class RecordedPath(sparse_logreg.LambdaPath):
+        def __init__(self, problem):
+            super().__init__(problem)
+            paths.append(self)
 
     def checked(problem, lam, *args, **kwargs):
         sol = real(problem, lam, *args, **kwargs)
@@ -71,7 +77,9 @@ def test_every_l1_solve_of_a_rare_class_fit_converges(monkeypatch):
         return sol
 
     monkeypatch.setattr(sparse_logreg, "fit_weighted_l1", checked)
+    monkeypatch.setattr(lltboost, "LambdaPath", RecordedPath)
     fit, config = LEARNERS["lltboost"]
     fit(*degenerate_data("three_positives", LossKind.LOGISTIC), config(LossKind.LOGISTIC))
-    assert len(kkt) > 100
+    # every path with a positive lambda_max walks at least one knot
+    assert len(kkt) >= sum(path.lam_max > 0 for path in paths) > 0
     assert max(kkt) <= sparse_logreg.KKT_TOL

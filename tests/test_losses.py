@@ -1,8 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from obliquerules.core import Task
-from obliquerules.losses import FIT_LOSS, LossKind, gradient, init_intercept, loss, training_arrays
+from obliquerules.losses import (FIT_LOSS, LossKind, gradient, init_intercept, logistic, loss,
+                                 training_arrays)
 
 seed = 42
 
@@ -32,6 +36,20 @@ def test_logistic_loss_finite_over_wide_score_range():
     for y in (0.0, 1.0):
         vals = loss(LossKind.LOGISTIC, np.full_like(scores, y), scores)
         assert np.all(np.isfinite(vals))
+
+
+def test_logistic_matches_the_closed_form_without_warnings():
+    s = np.concatenate([[-800.0, -745.0, -709.0, -40.0, 0.0, 40.0, 709.0, 800.0],
+                        np.linspace(-50.0, 50.0, 1001)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = logistic(s)
+    # 1 / (1 + exp(-s)) in the form that cannot overflow, in Python floats
+    closed = [1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+              for x in s]
+    # below s = -709 the exact value is subnormal or zero
+    np.testing.assert_allclose(p, closed, rtol=1e-15, atol=1e-300)
+    assert p[0] == 0.0 and p[-1] == 1.0 and np.all((p >= 0.0) & (p <= 1.0))
 
 
 def test_classification_losses_reject_nonbinary_targets():

@@ -43,3 +43,18 @@ def test_compare_outputs_counts_differing_values_by_path():
     assert compare._counts_by_path(diffs) == [
         ".curves[].complexity: 2", ".rules[].w[]: 2", ".seed: 1"]
     assert compare._counts_by_path([]) == []
+
+
+def test_compare_outputs_summarizes_changed_final_stages():
+    compare = load_script("compare_outputs")
+
+    def fit(*stages):
+        return [{"train_risk": repr(risk), "complexity": cx, "rules": []} for risk, cx in stages]
+
+    before = {"a": fit((0.7, 0), (0.5, 4)), "b": fit((0.7, 0), (0.4, 6)),
+              "c": fit((0.7, 0), (0.3, 8)), "d": fit((0.6, 0))}
+    after = {"a": fit((0.7, 0), (0.5, 4)), "b": fit((0.7, 0), (0.35, 5)),
+             "c": fit((0.7, 0), (0.3, 9)), "d": fit((0.6, 0), (0.65, 2))}
+    assert compare._final_stage_changes(before, after) == (
+        "final stage differs in 3 of 4 fits: complexity rose 2, fell 1; "
+        "train risk fell 1, rose 1")

@@ -297,6 +297,59 @@ def test_lambda_path_memoizes_consistently():
     assert np.array_equal(np.flatnonzero(a.weights), np.flatnonzero(b.weights))
 
 
+def test_sparsity_level_is_returned_at_its_knot():
+    # the returned point is where the next feature enters: its largest
+    # inactive gradient meets lam
+    checked = 0
+    for seed_ in range(20):
+        prob = random_problem(seed_, d=5, informative=3)
+        path = LambdaPath(prob)
+        for s in range(1, prob.d):
+            sol = path.for_sparsity(s)
+            if sol.nnz != s:
+                continue
+            *_, gw, gb = sparse_logreg._smooth_grad(
+                prob.features, prob.labels, prob.sample_weights, sol.weights, sol.intercept)
+            assert abs(np.abs(gw[sol.weights == 0]).max() - sol.lam) <= KKT_TOL, (seed_, s)
+            checked += 1
+    assert checked >= 60
+
+
+def test_a_single_class_path_gives_the_clamped_null_model():
+    X = np.random.default_rng(1).normal(size=(10, 3))
+    for z in (np.ones(10), np.zeros(10)):
+        prob = WeightedBinaryProblem(X, z, np.ones(10))
+        sol = LambdaPath(prob).for_sparsity(2)
+        assert sol.nnz == 0 and sol.intercept == fit_weighted_l1(prob, 0.5).intercept
+
+
+def test_mirrored_labels_give_the_mirrored_path():
+    # labels 1 - z on the same weights: softplus(-s) + s = softplus(s) makes
+    # the objective at (w, b) equal the mirror's at (-w, -b)
+    for seed_ in range(20):
+        prob = random_problem(seed_, d=4, informative=2)
+        mirror = WeightedBinaryProblem(prob.features, 1.0 - prob.labels, prob.sample_weights)
+        path, mirror_path = LambdaPath(prob), LambdaPath(mirror)
+        for s in range(1, prob.d + 1):
+            a, b = path.for_sparsity(s), mirror_path.for_sparsity(s)
+            assert a.nnz == b.nnz and a.lam == pytest.approx(b.lam, rel=1e-12), (seed_, s)
+            np.testing.assert_allclose(b.weights, -a.weights, rtol=0.0, atol=1e-8)
+            assert b.intercept == pytest.approx(-a.intercept, rel=0.0, abs=1e-8)
+
+
+def test_tolerance_follows_the_gradient_scale_of_the_problem():
+    # the positive rows carry so little weight that lambda_max is far below
+    # KKT_TOL; an absolute tolerance would accept the null model at every lam
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(300, 3))
+    z = (X[:, 0] + 0.3 * rng.normal(size=300) > 1.5).astype(float)
+    prob = WeightedBinaryProblem(X, z, np.where(z == 1, 1e-9, 1.0))
+    assert 0 < lambda_max(prob) < 0.01 * KKT_TOL
+    sol = LambdaPath(prob).for_sparsity(1)
+    assert sol.nnz == 1 and sol.converged
+    assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL * lambda_max(prob)
+
+
 # ---------------------------------------------------------------------------
 # corrective refits
 # ---------------------------------------------------------------------------
