@@ -6,7 +6,11 @@ Each tree is imported in its own fresh interpreter, which writes:
 - fits.json: every stage's train risk, complexity, intercept and rule weights,
   and every proposition's indices, weights and threshold (floats as repr), of
   lltboost and tgb fits on make_oblique, make_rotated_box and make_staircase
-  (n=300, d=6, seeds 0 and 1) under logistic and squared loss;
+  (n=300, d=6, seeds 0 and 1) under logistic and squared loss, and of two
+  more logistic tgb fits: one on make_staircase(n=2000, d=8) with the
+  features rounded to 1 decimal, so that about 30 rows share each value of a
+  column, and one on make_oblique(n=1000, d=6, seed=2) at reg 100 with up to
+  8 propositions per rule, so that rules are scanned up to 8 levels deep;
 - report.json and the three result CSVs of a small run_benchmark run;
 - model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
   model_lltboost_config.json and model_tgb_config.json written by ``train
@@ -67,6 +71,8 @@ def _stage_doc(stage) -> dict:
 
 def write_outputs(out: Path) -> None:
     """Fit, run the protocol and train through the CLI; write FILES into ``out``."""
+    import numpy as np
+
     from obliquerules import cli, lltboost, tgb
     from obliquerules.datasets import make_oblique, make_rotated_box, make_staircase, write_csv
     from obliquerules.evaluation import ProtocolConfig, run_benchmark
@@ -82,6 +88,14 @@ def write_outputs(out: Path) -> None:
                     trace = module.fit(data.X, data.y, cfg)
                     key = f"{make.__name__}/seed{seed}/{kind.value}/{module.__name__}"
                     fits[key] = [_stage_doc(stage) for stage in trace.stages]
+    tied = make_staircase(n=2000, d=8, seed=0)
+    deep = make_oblique(n=1000, d=6, seed=2)
+    for key, X, y, cfg in (
+            ("tied/make_staircase_round1/seed0/logistic/obliquerules.tgb", np.round(tied.X, 1),
+             tied.y, tgb.TGBConfig(reg_strength=1.0)),
+            ("deep/make_oblique/seed2/logistic/obliquerules.tgb", deep.X, deep.y,
+             tgb.TGBConfig(reg_strength=100.0, max_propositions=8))):
+        fits[key] = [_stage_doc(stage) for stage in tgb.fit(X, y, cfg).stages]
     (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))
 
     datasets = [make_oblique(n=150, d=4, seed=3), make_staircase(n=150, d=4, seed=4)]

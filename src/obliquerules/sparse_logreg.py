@@ -385,6 +385,9 @@ def corrective_refit(
             improved = False
             for _ in range(60):
                 cand = beta - t * step
+                if np.array_equal(cand, beta):
+                    # rounding is monotone, so no smaller t moves beta either
+                    break
                 obj_cand, _ = _refit_objective(design, y, kind, cand)
                 if obj_cand < obj:
                     beta, obj = cand, obj_cand

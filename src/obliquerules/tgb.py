@@ -4,6 +4,17 @@ Rules are conjunctions of single-feature threshold conditions found by
 exhaustive scan; the rest of the pipeline (fully corrective weight refits,
 staged traces) matches the oblique learner so the two are directly
 comparable at equal rule counts.
+
+The scan never sorts.  ``fit`` sorts every column of the standardized
+features once, stably, into ``orders`` (shape ``(d, n)``; row ``j`` lists
+the row indices in ascending order of feature ``j``, ties in ascending row
+order), and each conjunction filters that array down to the rows still
+inside it - the presorted columns of SLIQ (Mehta, Agrawal & Rissanen, EDBT
+1996) and of exact greedy split finding in XGBoost (Chen & Guestrin, KDD
+2016, section 4.1).  The sort lives in ``fit``, not in the conjunction,
+because the first scan of every conjunction covers all rows.  Filtering
+keeps the stable order of the remaining rows, so every scan sums the same
+gradients in the same order as a fresh stable sort would, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ class AxisCandidate(NamedTuple):
         return SparseProposition((self.feature,), (-1.0,), -self.threshold)
 
 
-def best_axis_proposition(active, X, g, reg_strength: float = 0.0) -> AxisCandidate | None:
+def best_axis_proposition(active, X, g, orders, reg_strength: float = 0.0) -> AxisCandidate | None:
     """Exhaustive scan over single-feature threshold conditions.
 
     Candidate thresholds are the midpoints between consecutive distinct
@@ -62,17 +73,21 @@ def best_axis_proposition(active, X, g, reg_strength: float = 0.0) -> AxisCandid
     broken toward the lowest feature index, then the smallest threshold,
     then ``>=`` before ``<=``.  Returns ``None`` when no feature has two
     distinct values.
+
+    ``active`` holds the active row indices in ascending order, and
+    ``orders[j]`` holds the same rows in ascending order of ``X[:, j]``,
+    ties in ascending row order: the stable sort of all rows filtered to the
+    active ones.  That is the order a stable sort of ``X[active, j]`` gives,
+    so the running gradient sums, and hence the scores, are the same bits.
     """
     active = np.asarray(active, dtype=int)
-    ga = g[active]
-    total = float(ga.sum())
+    total = float(g[active].sum())
     n_act = active.size
     best: AxisCandidate | None = None
     for j in range(X.shape[1]):
-        vals = X[active, j]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        cum = np.cumsum(ga[order])
+        rows = orders[j]
+        sv = X[rows, j]
+        cum = np.cumsum(g[rows])
         edges = np.flatnonzero(sv[:-1] < sv[1:])
         if edges.size == 0:
             continue
@@ -96,20 +111,21 @@ def best_axis_proposition(active, X, g, reg_strength: float = 0.0) -> AxisCandid
     return best
 
 
-def _grow_conjunction(Z, g, cfg: TGBConfig) -> list[SparseProposition] | None:
+def _grow_conjunction(Z, g, orders, cfg: TGBConfig) -> list[SparseProposition] | None:
     active = np.arange(Z.shape[0])
     body: list[SparseProposition] = []
     current = 0.0
     for _ in range(cfg.max_propositions):
-        cand = best_axis_proposition(active, Z, g, cfg.reg_strength)
+        cand = best_axis_proposition(active, Z, g, orders, cfg.reg_strength)
         if cand is None or cand.score <= current:
             break
         prop = cand.to_proposition()
-        keep = prop.activations(Z[active]) >= 0.5
-        if not keep.any():
+        inside = prop.activations(Z) >= 0.5
+        if not inside[active].any():
             break
         body.append(prop)
-        active = active[keep]
+        active = active[inside[active]]
+        orders = orders[inside[orders]].reshape(Z.shape[1], -1)
         current = cand.score
     return body or None
 
@@ -128,6 +144,8 @@ def fit(X, y, cfg: TGBConfig) -> FitTrace:
     n = X.shape[0]
     standardizer = Standardizer.fit(X)
     Z = standardizer.transform(X)
+    # the smallest integer type that holds a row index keeps the orders small
+    orders = np.argsort(Z.T, axis=1, kind="stable").astype(np.min_scalar_type(n))
     beta = np.array([init_intercept(kind, y)])
     scores = np.full(n, beta[0])
     covers: list[np.ndarray] = []
@@ -140,7 +158,7 @@ def fit(X, y, cfg: TGBConfig) -> FitTrace:
     stages = [stage()]
     for _ in range(cfg.max_rules):
         g = gradient(kind, y, scores)
-        body = _grow_conjunction(Z, g, cfg)
+        body = _grow_conjunction(Z, g, orders, cfg)
         if body is None:
             break
         covers.append(conjunction_cover(body, Z))

@@ -392,6 +392,57 @@ def test_refit_never_increases_training_loss():
         assert new_loss <= warm_loss + 1e-12
 
 
+def newton_refit_with_full_line_searches(design, y, beta):
+    """corrective_refit's logistic loop with no early end to a line search: each
+    failing one runs all 60 halvings.  Returns beta, the objective evaluations
+    and whether the loop ended on a failed line search."""
+    kind = LossKind.LOGISTIC
+    pen = np.full(design.shape[1], 2.0 * sparse_logreg.REFIT_RIDGE)
+    pen[0] = 0.0
+    obj, _ = sparse_logreg._refit_objective(design, y, kind, beta)
+    calls = 1
+    for _ in range(sparse_logreg.REFIT_MAX_ITER):
+        mu = sparse_logreg.logistic(design @ beta)
+        grad = design.T @ (mu - y) + pen * beta
+        if float(np.max(np.abs(grad))) <= 1e-10:
+            return beta, calls, False
+        H = design.T @ ((mu * (1.0 - mu))[:, None] * design) + np.diag(pen + 1e-12)
+        step = np.linalg.solve(H, grad)
+        for t in 0.5 ** np.arange(60):
+            cand = beta - t * step
+            obj_cand, _ = sparse_logreg._refit_objective(design, y, kind, cand)
+            calls += 1
+            if obj_cand < obj:
+                beta, obj = cand, obj_cand
+                break
+        else:
+            return beta, calls, True
+    return beta, calls, False
+
+
+def test_refit_ends_a_line_search_once_the_step_cannot_move_beta(monkeypatch):
+    rng = np.random.default_rng(4)
+    design = np.column_stack([np.ones(60), (rng.random((60, 3)) < 0.5).astype(float)])
+    y = (rng.random(60) < 0.4).astype(float)
+    warm = np.zeros(4)
+    expected, full_calls, ended_on_failure = newton_refit_with_full_line_searches(design, y, warm)
+    assert ended_on_failure
+
+    calls = 0
+    objective = sparse_logreg._refit_objective
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return objective(*args)
+
+    monkeypatch.setattr(sparse_logreg, "_refit_objective", counted)
+    beta = corrective_refit(design, y, LossKind.LOGISTIC, warm)
+    assert beta.tobytes() == expected.tobytes()
+    # corrective_refit also scores beta and the warm start once each before returning
+    assert calls - 2 < full_calls
+
+
 def test_refit_requires_intercept_column_and_matching_warm_start():
     design = np.column_stack([np.zeros(4), np.ones(4)])
     with pytest.raises(ValueError):

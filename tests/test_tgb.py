@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from obliquerules import tgb
 from obliquerules.losses import LossKind, loss
 from obliquerules.tgb import AxisCandidate, TGBConfig, best_axis_proposition, fit
 
@@ -14,21 +17,31 @@ from obliquerules.tgb import AxisCandidate, TGBConfig, best_axis_proposition, fi
 # ---------------------------------------------------------------------------
 
 
+def sorted_rows(active, X):
+    """Each column's active rows in a stable sort of their values, shape (d, |active|)."""
+    active = np.asarray(active, dtype=int)
+    return active[np.argsort(X[active], axis=0, kind="stable")].T
+
+
+def scan(active, X, g, reg_strength=0.0):
+    return best_axis_proposition(active, X, g, sorted_rows(active, X), reg_strength)
+
+
 def test_hand_example():
     # scores |sum g| / sqrt(count) at reg 0: x>=1.5 covers {2,3}, sum 0 -> 0;
     # x>=2.5 -> 1/1; x<=1.5 -> 1/1; x<=2.5 -> 2/sqrt(2), the winner
     X = np.array([[1.0], [2.0], [3.0]])
     g = np.array([1.0, 1.0, -1.0])
-    cand = best_axis_proposition(np.arange(3), X, g)
+    cand = scan(np.arange(3), X, g)
     assert cand == AxisCandidate(0, "<=", 2.5, 2.0 / math.sqrt(2.0))
     # at reg 2: x>=2.5 and x<=1.5 -> 1/sqrt(3); x<=2.5 -> 2/sqrt(4) = 1 still wins
-    cand = best_axis_proposition(np.arange(3), X, g, 2.0)
+    cand = scan(np.arange(3), X, g, 2.0)
     assert cand == AxisCandidate(0, "<=", 2.5, 1.0)
 
 
 def test_zero_gradient_scores_zero():
     X = np.array([[1.0], [2.0]])
-    cand = best_axis_proposition(np.arange(2), X, np.zeros(2))
+    cand = scan(np.arange(2), X, np.zeros(2))
     assert cand is not None
     assert cand.score == 0.0
 
@@ -36,7 +49,7 @@ def test_zero_gradient_scores_zero():
 def test_constant_features_give_no_candidate():
     X = np.ones((5, 2))
     g = np.arange(5.0)
-    assert best_axis_proposition(np.arange(5), X, g) is None
+    assert scan(np.arange(5), X, g) is None
 
 
 def test_direction_to_proposition_semantics():
@@ -77,7 +90,7 @@ def test_scan_matches_brute_force(lam):
         X = np.round(rng.normal(size=(n, d)), 2)
         g = rng.integers(-5, 6, size=n).astype(float)
         active = np.arange(n)
-        fast = best_axis_proposition(active, X, g, lam)
+        fast = scan(active, X, g, lam)
         slow = brute_force_scan(active, X, g, lam)
         assert fast == slow
         if fast is not None:
@@ -90,9 +103,52 @@ def test_scan_respects_active_subset():
     X = rng.normal(size=(30, 2))
     g = rng.integers(-3, 4, size=30).astype(float)
     active = np.arange(0, 30, 2)
-    fast = best_axis_proposition(active, X, g)
+    fast = scan(active, X, g)
     slow = brute_force_scan(active, X, g, 0.0)
     assert fast == slow
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 4),
+       decimals=st.sampled_from([0, 1]), reg=st.sampled_from([0.0, 1.0, 100.0]))
+def test_filtered_presort_scans_like_a_fresh_sort_under_ties(seed, n, d, decimals, reg):
+    # few distinct values and duplicated rows tie every column; filtering the
+    # stable order of all rows to nested ascending subsets must give, at each
+    # depth, the stable order of the subset and the brute-force candidate
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.normal(size=(int(rng.integers(1, n + 1)), d)), decimals)
+    X = base[rng.integers(0, base.shape[0], size=n)]
+    g = rng.integers(-5, 6, size=n).astype(float)
+    active = np.arange(n)
+    orders = np.argsort(X.T, axis=1, kind="stable")
+    for _ in range(5):
+        assert np.array_equal(orders, sorted_rows(active, X))
+        cand = best_axis_proposition(active, X, g, orders, reg)
+        assert cand == brute_force_scan(active, X, g, reg)
+        inside = rng.random(n) < rng.uniform(0.3, 1.0)
+        if not inside[active].any():
+            break
+        active = active[inside[active]]
+        orders = orders[inside[orders]].reshape(d, -1)
+
+
+@pytest.mark.parametrize("reg", [0.01, 100.0])
+def test_every_scan_of_a_fit_gets_its_active_rows_in_stable_order(monkeypatch, reg):
+    rng = np.random.default_rng(11)
+    X = np.round(rng.normal(size=(400, 5)), 1)
+    y = ((X[:, 0] > 0) & (X[:, 1] > -0.5) & (X[:, 2] < 0.5)).astype(float)
+    sizes = []
+
+    def checked_scan(active, Z, g, orders, reg_strength):
+        assert np.array_equal(orders, sorted_rows(active, Z))
+        sizes.append(len(active))
+        return best_axis_proposition(active, Z, g, orders, reg_strength)
+
+    monkeypatch.setattr(tgb, "best_axis_proposition", checked_scan)
+    fit(X, y, TGBConfig(max_rules=4, max_propositions=5, reg_strength=reg))
+    # a scan of all rows opens each conjunction; the scans after it go deeper
+    depths = np.diff(np.append(np.flatnonzero(np.array(sizes) == len(X)), len(sizes)))
+    assert depths.max() >= 4
 
 
 def test_scan_invariant_under_monotone_transforms():
@@ -104,8 +160,8 @@ def test_scan_invariant_under_monotone_transforms():
         X = rng.normal(size=(25, 3))
         g = rng.integers(-4, 5, size=25).astype(float)
         X2 = np.column_stack([np.exp(X[:, 0]), X[:, 1] ** 3 + 2 * X[:, 1], 5 * X[:, 2] - 1])
-        a = best_axis_proposition(np.arange(25), X, g)
-        b = best_axis_proposition(np.arange(25), X2, g)
+        a = scan(np.arange(25), X, g)
+        b = scan(np.arange(25), X2, g)
         assert (a is None) == (b is None)
         if a is not None:
             assert a.feature == b.feature and a.direction == b.direction
@@ -121,7 +177,7 @@ def test_normalization_prefers_broader_covers():
     x = np.arange(13.0).reshape(-1, 1)
     g = np.full(13, 0.5)
     g[0] = -5.0
-    norm = best_axis_proposition(np.arange(13), x, g, 0.0)
+    norm = scan(np.arange(13), x, g, 0.0)
     assert norm.to_proposition().activations(x).sum() == 1
 
 
