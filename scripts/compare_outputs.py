@@ -6,11 +6,13 @@ Each tree is imported in its own fresh interpreter, which writes:
 - fits.json: every stage's train risk, complexity, intercept and rule weights,
   and every proposition's indices, weights and threshold (floats as repr), of
   lltboost and tgb fits on make_oblique, make_rotated_box and make_staircase
-  (n=300, d=6, seeds 0 and 1) under logistic and squared loss, and of two
+  (n=300, d=6, seeds 0 and 1) under logistic and squared loss, and of three
   more logistic tgb fits: one on make_staircase(n=2000, d=8) with the
   features rounded to 1 decimal, so that about 30 rows share each value of a
-  column, and one on make_oblique(n=1000, d=6, seed=2) at reg 100 with up to
-  8 propositions per rule, so that rules are scanned up to 8 levels deep;
+  column; one on make_oblique(n=1000, d=6, seed=2) at reg 100 with up to
+  8 propositions per rule, so that rules are scanned up to 8 levels deep; and
+  one of 60 rules on make_oblique(n=2000, d=6, noise=0.2, seed=3), so that
+  the logistic refit keys its rows on more than 52 binary digits;
 - report.json and the three result CSVs of a small run_benchmark run;
 - model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
   model_lltboost_config.json and model_tgb_config.json written by ``train
@@ -90,11 +92,14 @@ def write_outputs(out: Path) -> None:
                     fits[key] = [_stage_doc(stage) for stage in trace.stages]
     tied = make_staircase(n=2000, d=8, seed=0)
     deep = make_oblique(n=1000, d=6, seed=2)
+    wide = make_oblique(n=2000, d=6, noise=0.2, seed=3)
     for key, X, y, cfg in (
             ("tied/make_staircase_round1/seed0/logistic/obliquerules.tgb", np.round(tied.X, 1),
              tied.y, tgb.TGBConfig(reg_strength=1.0)),
             ("deep/make_oblique/seed2/logistic/obliquerules.tgb", deep.X, deep.y,
-             tgb.TGBConfig(reg_strength=100.0, max_propositions=8))):
+             tgb.TGBConfig(reg_strength=100.0, max_propositions=8)),
+            ("wide/make_oblique_noise0.2/seed3/logistic/obliquerules.tgb", wide.X, wide.y,
+             tgb.TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0))):
         fits[key] = [_stage_doc(stage) for stage in tgb.fit(X, y, cfg).stages]
     (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))
 

@@ -25,6 +25,8 @@ HALVINGS = 50
 LAMBDA_FLOOR_RATIO = 1e-6
 REFIT_RIDGE = 1e-8
 REFIT_MAX_ITER = 100
+REFIT_DECREMENT_RTOL = 1e-14
+KEY_DIGITS = 52  # 0/1 digits a float key holds exactly
 
 
 @dataclass(eq=False)
@@ -331,9 +333,23 @@ class LambdaPath:
 # --------------------------------------------------------------------------
 
 
-def _refit_objective(design, y, kind, beta):
-    raw = float(np.sum(loss_value(kind, y, design @ beta)))
-    return raw + REFIT_RIDGE * float(beta[1:] @ beta[1:]), raw
+def _distinct_rows(digits):
+    """One row index per distinct row of a 0/1 matrix, and that row's count.
+
+    Up to ``KEY_DIGITS`` columns, read as binary digits, make an exact float
+    key.  Wider matrices renumber each chunk's keys into [0, n) and pair them
+    as ``left * n + right``, renumbered in turn.
+    """
+    n = digits.shape[0]
+    key = None
+    for start in range(0, digits.shape[1], KEY_DIGITS):
+        chunk = digits[:, start:start + KEY_DIGITS]
+        _, part = np.unique(chunk @ 2.0 ** np.arange(chunk.shape[1]), return_inverse=True)
+        key = part if key is None else np.unique(key * n + part, return_inverse=True)[1]
+    counts = np.bincount(key)
+    rows = np.empty(counts.size, dtype=int)
+    rows[key] = np.arange(n)  # the rows of a group are equal, so any one stands for it
+    return rows, counts
 
 
 def corrective_refit(
@@ -347,6 +363,13 @@ def corrective_refit(
     Minimizes ``sum_i loss(y_i, design_i . beta) + REFIT_RIDGE * ||beta_1..m||^2``
     (intercept unpenalized).  Guaranteed not to increase the unpenalized
     training loss relative to the warm start.
+
+    Squared loss is solved in closed form.  Logistic loss needs 0/1 rule
+    columns: rows with the same design row and label collapse into one row
+    weighted by their count (the grouped binomial form), and damped Newton
+    steps run on those groups until the Newton decrement ``grad . step`` falls
+    to the objective's rounding, ``REFIT_DECREMENT_RTOL * max(1, objective)``
+    (Boyd & Vandenberghe, Convex Optimization, 2004, section 9.5.1).
     """
     kind = LossKind(kind)
     design = np.asarray(design, dtype=float)
@@ -364,44 +387,42 @@ def corrective_refit(
     pen[0] = 0.0
 
     if kind is LossKind.SQUARED:
-        A = design.T @ design + np.diag(pen)
-        beta = np.linalg.solve(A, design.T @ y)
+        beta = np.linalg.solve(design.T @ design + np.diag(pen), design.T @ y)
+        raw, raw_warm = (float(np.sum(loss_value(kind, y, design @ b))) for b in (beta, beta0))
     elif kind is LossKind.LOGISTIC:
+        digits = np.column_stack([y, design[:, 1:]])
+        if not np.all((digits == 0) | (digits == 1)):
+            raise ValueError("logistic refits need labels and rule columns in {0, 1}")
+        rows, counts = _distinct_rows(digits)
+        U, y_g, c = design[rows], y[rows], counts.astype(float)
+
+        def objective(beta):
+            s = U @ beta
+            raw = float(c @ loss_value(kind, y_g, s))
+            return raw + REFIT_RIDGE * float(beta[1:] @ beta[1:]), raw, s
+
         beta = beta0.copy()
-        obj, _ = _refit_objective(design, y, kind, beta)
+        obj, raw_warm, s = objective(beta)
+        raw = raw_warm
         for _ in range(REFIT_MAX_ITER):
-            s = design @ beta
             mu = logistic(s)
-            grad = design.T @ (mu - y) + pen * beta
-            if float(np.max(np.abs(grad))) <= 1e-10:
-                break
-            wdiag = mu * (1.0 - mu)
-            H = design.T @ (wdiag[:, None] * design) + np.diag(pen + 1e-12)
-            try:
-                step = np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError:  # pragma: no cover - H is PD by construction
-                step = grad / max(float(np.max(np.abs(H))), 1.0)
-            t = 1.0
-            improved = False
-            for _ in range(60):
+            grad = U.T @ (c * (mu - y_g)) + pen * beta
+            H = U.T @ ((c * mu * (1.0 - mu))[:, None] * U) + np.diag(pen + 1e-12)
+            step = np.linalg.solve(H, grad)
+            if grad @ step <= REFIT_DECREMENT_RTOL * max(1.0, obj):
+                break  # no line search could resolve a decrease this small
+            for t in 0.5 ** np.arange(60):
                 cand = beta - t * step
                 if np.array_equal(cand, beta):
-                    # rounding is monotone, so no smaller t moves beta either
+                    break  # rounding is monotone, so no smaller t moves beta either
+                cand_obj, cand_raw, cand_s = objective(cand)
+                if cand_obj < obj:
+                    beta, obj, raw, s = cand, cand_obj, cand_raw, cand_s
                     break
-                obj_cand, _ = _refit_objective(design, y, kind, cand)
-                if obj_cand < obj:
-                    beta, obj = cand, obj_cand
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
+            if beta is not cand:  # the line search found no decrease
                 break
     else:
         raise ValueError("corrective refits require a differentiable loss")
 
     # never hand back a warmer start than we were given
-    _, raw_new = _refit_objective(design, y, kind, beta)
-    _, raw_warm = _refit_objective(design, y, kind, beta0)
-    if not raw_new <= raw_warm + 1e-12:
-        return beta0.copy()
-    return beta
+    return beta if raw <= raw_warm + 1e-12 else beta0.copy()

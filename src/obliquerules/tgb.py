@@ -25,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FitStage, FitTrace, SparseProposition, Standardizer, check_integer_fields,
-                   conjunction_cover)
+from .core import FitStage, FitTrace, SparseProposition, Standardizer, check_integer_fields
 from .losses import LossKind, gradient, init_intercept, loss, training_arrays
 from .sparse_logreg import corrective_refit
 
@@ -111,7 +110,13 @@ def best_axis_proposition(active, X, g, orders, reg_strength: float = 0.0) -> Ax
     return best
 
 
-def _grow_conjunction(Z, g, orders, cfg: TGBConfig) -> list[SparseProposition] | None:
+def _grow_conjunction(Z, g, orders,
+                      cfg: TGBConfig) -> tuple[list[SparseProposition], np.ndarray] | None:
+    """The conjunction's propositions and its 0/1 cover over all rows, or None.
+
+    ``active`` holds the rows inside every accepted proposition, so it is the
+    cover's support.
+    """
     active = np.arange(Z.shape[0])
     body: list[SparseProposition] = []
     current = 0.0
@@ -127,7 +132,11 @@ def _grow_conjunction(Z, g, orders, cfg: TGBConfig) -> list[SparseProposition] |
         active = active[inside[active]]
         orders = orders[inside[orders]].reshape(Z.shape[1], -1)
         current = cand.score
-    return body or None
+    if not body:
+        return None
+    cover = np.zeros(Z.shape[0])
+    cover[active] = 1.0
+    return body, cover
 
 
 def fit(X, y, cfg: TGBConfig) -> FitTrace:
@@ -158,10 +167,11 @@ def fit(X, y, cfg: TGBConfig) -> FitTrace:
     stages = [stage()]
     for _ in range(cfg.max_rules):
         g = gradient(kind, y, scores)
-        body = _grow_conjunction(Z, g, orders, cfg)
-        if body is None:
+        grown = _grow_conjunction(Z, g, orders, cfg)
+        if grown is None:
             break
-        covers.append(conjunction_cover(body, Z))
+        body, cover = grown
+        covers.append(cover)
         bodies.append(body)
         design = np.column_stack([np.ones(n)] + covers)
         warm = np.append(beta, 0.0)

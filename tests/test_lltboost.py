@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from obliquerules import sparse_logreg
 from obliquerules.core import SparseProposition
+from obliquerules.datasets import make_oblique
 from obliquerules.losses import LossKind, loss
 from obliquerules.lltboost import (
     LLTConfig,
@@ -218,6 +220,27 @@ def test_train_risk_never_increases(maker, kind):
         risks = [st.train_risk for st in trace.stages]
         for a, b in zip(risks, risks[1:]):
             assert b <= a + 1e-9
+
+
+def test_direct_fit_on_20000_rows_keeps_risk_monotone_and_converges(monkeypatch):
+    # forty times the protocol's 500-row bootstrap cap
+    data = make_oblique(n=20000, d=6, seed=0)
+    solves = []
+    solve = sparse_logreg.fit_weighted_l1
+
+    def checked(problem, lam, *args, **kwargs):
+        sol = solve(problem, lam, *args, **kwargs)
+        tol = sparse_logreg.KKT_TOL * min(1.0, sparse_logreg.lambda_max(problem))
+        solves.append((sol.converged, sparse_logreg.kkt_residual(
+            problem, lam, sol.weights, sol.intercept) <= tol))
+        return sol
+
+    monkeypatch.setattr(sparse_logreg, "fit_weighted_l1", checked)
+    trace = fit(data.X, data.y, LLTConfig())
+    risks = [st.train_risk for st in trace.stages]
+    assert len(risks) == 11
+    assert all(b <= a for a, b in zip(risks, risks[1:]))
+    assert solves and all(converged and kkt_met for converged, kkt_met in solves)
 
 
 def test_trace_structure():

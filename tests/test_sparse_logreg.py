@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquerules import sparse_logreg
 from obliquerules.losses import LossKind, loss
@@ -392,55 +394,106 @@ def test_refit_never_increases_training_loss():
         assert new_loss <= warm_loss + 1e-12
 
 
-def newton_refit_with_full_line_searches(design, y, beta):
-    """corrective_refit's logistic loop with no early end to a line search: each
-    failing one runs all 60 halvings.  Returns beta, the objective evaluations
-    and whether the loop ended on a failed line search."""
-    kind = LossKind.LOGISTIC
+def penalized_refit_objective(design, y, beta):
+    """The logistic refit objective, summed over all rows."""
+    raw = float(np.sum(loss(LossKind.LOGISTIC, y, design @ beta)))
+    return raw + sparse_logreg.REFIT_RIDGE * float(beta[1:] @ beta[1:])
+
+
+def reference_refit_objective(design, y, beta, max_steps=200):
+    """Newton steps on the full-row objective until a 60-halving line search
+    finds no decrease: the refit's minimum to the rounding of its sums."""
     pen = np.full(design.shape[1], 2.0 * sparse_logreg.REFIT_RIDGE)
     pen[0] = 0.0
-    obj, _ = sparse_logreg._refit_objective(design, y, kind, beta)
-    calls = 1
-    for _ in range(sparse_logreg.REFIT_MAX_ITER):
+    obj = penalized_refit_objective(design, y, beta)
+    for _ in range(max_steps):
         mu = sparse_logreg.logistic(design @ beta)
         grad = design.T @ (mu - y) + pen * beta
-        if float(np.max(np.abs(grad))) <= 1e-10:
-            return beta, calls, False
         H = design.T @ ((mu * (1.0 - mu))[:, None] * design) + np.diag(pen + 1e-12)
         step = np.linalg.solve(H, grad)
         for t in 0.5 ** np.arange(60):
-            cand = beta - t * step
-            obj_cand, _ = sparse_logreg._refit_objective(design, y, kind, cand)
-            calls += 1
+            obj_cand = penalized_refit_objective(design, y, beta - t * step)
             if obj_cand < obj:
-                beta, obj = cand, obj_cand
+                beta, obj = beta - t * step, obj_cand
                 break
         else:
-            return beta, calls, True
-    return beta, calls, False
+            break
+    return obj
 
 
-def test_refit_ends_a_line_search_once_the_step_cannot_move_beta(monkeypatch):
+def assert_refit_reaches_reference(design, y, warm):
+    beta = corrective_refit(design, y, LossKind.LOGISTIC, warm)
+    raw = np.sum(loss(LossKind.LOGISTIC, y, design @ beta))
+    warm_raw = np.sum(loss(LossKind.LOGISTIC, y, design @ warm))
+    assert raw <= warm_raw + 1e-12
+    if np.array_equal(beta, warm):
+        return  # the refit kept the warm start, as its never-worse guarantee may
+    expected = reference_refit_objective(design, y, warm)
+    obj = penalized_refit_objective(design, y, beta)
+    assert abs(obj - expected) <= 1e-12 * max(1.0, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), m=st.integers(1, 6),
+       scale=st.floats(0.0, 4.0))
+def test_refit_reaches_a_full_row_newton_solve_and_never_worsens_the_warm_start(
+        seed, n, m, scale):
+    rng = np.random.default_rng(seed)
+    cols = (rng.random((n, m)) < rng.uniform(0.1, 0.9)).astype(float)
+    for j in range(1, m):
+        copy = cols[:, rng.integers(j)].copy()
+        flip = rng.random(n) < rng.choice([0.0, 0.05])  # a duplicate or a near-collinear copy
+        copy[flip] = 1.0 - copy[flip]
+        if rng.random() < 0.5:
+            cols[:, j] = copy
+    design = np.column_stack([np.ones(n), cols])
+    y = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(float)
+    assert_refit_reaches_reference(design, y, rng.normal(scale=scale, size=m + 1))
+
+
+def test_refit_keeps_rows_apart_that_differ_only_in_the_first_or_last_of_60_rule_columns():
+    # more rule columns than one float key of 52 binary digits holds exactly
+    rng = np.random.default_rng(7)
+    n = 80
+    shared = np.tile((rng.random(60) < 0.5).astype(float), (n, 1))
+    shared[:, 0], shared[:, -1] = np.arange(n) % 2, np.arange(n) // 2 % 2
+    design = np.column_stack([np.ones(n), shared])
+    # each (first, last) pair of the four has its own positive rate
+    y = (rng.random(n) < np.array([0.1, 0.4, 0.6, 0.9])[np.arange(n) % 4]).astype(float)
+    assert_refit_reaches_reference(design, y, np.zeros(61))
+
+
+def test_logistic_refit_rejects_non_binary_rule_columns_and_labels():
+    design = np.column_stack([np.ones(4), [0.0, 1.0, 0.5, 1.0]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="rule columns"):
+        corrective_refit(design, y, LossKind.LOGISTIC, np.zeros(2))
+    design[2, 1] = 0.0
+    with pytest.raises(ValueError, match="labels"):
+        corrective_refit(design, np.array([0.0, 2.0, 0.0, 1.0]), LossKind.LOGISTIC, np.zeros(2))
+
+
+def test_refit_stops_on_the_newton_decrement(monkeypatch):
     rng = np.random.default_rng(4)
     design = np.column_stack([np.ones(60), (rng.random((60, 3)) < 0.5).astype(float)])
     y = (rng.random(60) < 0.4).astype(float)
     warm = np.zeros(4)
-    expected, full_calls, ended_on_failure = newton_refit_with_full_line_searches(design, y, warm)
-    assert ended_on_failure
+    expected = reference_refit_objective(design, y, warm)
 
     calls = 0
-    objective = sparse_logreg._refit_objective
+    loss_value = sparse_logreg.loss_value
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return objective(*args)
+        return loss_value(*args)
 
-    monkeypatch.setattr(sparse_logreg, "_refit_objective", counted)
+    monkeypatch.setattr(sparse_logreg, "loss_value", counted)
     beta = corrective_refit(design, y, LossKind.LOGISTIC, warm)
-    assert beta.tobytes() == expected.tobytes()
-    # corrective_refit also scores beta and the warm start once each before returning
-    assert calls - 2 < full_calls
+    assert abs(penalized_refit_objective(design, y, beta) - expected) <= 1e-12 * expected
+    # one evaluation at the warm start and one per Newton step, each taken whole;
+    # no line search halves its way down to a step that cannot move beta
+    assert calls == 4
 
 
 def test_refit_requires_intercept_column_and_matching_warm_start():
