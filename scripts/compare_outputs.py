@@ -12,7 +12,13 @@ Each tree is imported in its own fresh interpreter, which writes:
   column; one on make_oblique(n=1000, d=6, seed=2) at reg 100 with up to
   8 propositions per rule, so that rules are scanned up to 8 levels deep; and
   one of 60 rules on make_oblique(n=2000, d=6, noise=0.2, seed=3), so that
-  the logistic refit keys its rows on more than 52 binary digits;
+  the logistic refit keys its rows on more than 52 binary digits; every
+  stage also carries the sha256 of its ``decision_function`` scores on a
+  fixed block of 20,000 raw rows from make_oblique (seed 10) of the fit's
+  width, followed by 200 of those rows moved onto the hyperplane of each
+  proposition of the fit's final stage.  On a hyperplane the rounding of a
+  projection decides the cover, so a projection that rounds differently,
+  as a dense oblique one can, changes the hash;
 - report.json and the three result CSVs of a small run_benchmark run;
 - model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
   model_lltboost_config.json and model_tgb_config.json written by ``train
@@ -50,13 +56,16 @@ from pathlib import Path
 FILES = ("fits.json", "report.json", "complexity_table.csv", "risk_table.csv",
          "curves.csv", "model_lltboost.json", "model_tgb.json",
          "model_lltboost_config.json", "model_tgb_config.json")
+SCORE_ROWS = 20_000  # raw rows of the block every stage scores
+BOUNDARY_ROWS = 200  # of them moved onto each proposition's hyperplane
 TRAIN_CONFIG = {"rules": 3, "propositions": 2, "nonzeros": 2, "reg": 1,
                 "validation_fraction": 0.3, "seed": 4}
 
 
-def _stage_doc(stage) -> dict:
+def _stage_doc(stage, block) -> dict:
     ens = stage.ensemble
     return {
+        "scores": hashlib.sha256(ens.decision_function(block).tobytes()).hexdigest(),
         "train_risk": repr(stage.train_risk),
         "complexity": stage.complexity,
         "intercept": repr(ens.intercept),
@@ -71,6 +80,28 @@ def _stage_doc(stage) -> dict:
     }
 
 
+def _score_block(base, ensemble):
+    """``base`` plus its first BOUNDARY_ROWS rows moved, in standardized
+    coordinates, onto the hyperplane of each proposition of ``ensemble``."""
+    import numpy as np
+
+    std = ensemble.standardizer
+    Z = (base[:BOUNDARY_ROWS] - std.mean) / std.scale
+    rows = [base]
+    for rule in ensemble.rules:
+        for p in rule.propositions:
+            w = np.zeros(Z.shape[1])
+            w[p.indices] = p.weights
+            on_plane = Z + np.outer(p.threshold - Z @ w, w / (w @ w))
+            rows.append(on_plane * std.scale + std.mean)
+    return np.vstack(rows)
+
+
+def _fit_doc(trace, base) -> list[dict]:
+    block = _score_block(base, trace.final)
+    return [_stage_doc(stage, block) for stage in trace.stages]
+
+
 def write_outputs(out: Path) -> None:
     """Fit, run the protocol and train through the CLI; write FILES into ``out``."""
     import numpy as np
@@ -80,6 +111,7 @@ def write_outputs(out: Path) -> None:
     from obliquerules.evaluation import ProtocolConfig, run_benchmark
     from obliquerules.losses import LossKind
 
+    blocks = {d: make_oblique(n=SCORE_ROWS, d=d, seed=10).X for d in (6, 8)}
     fits = {}
     for make in (make_oblique, make_rotated_box, make_staircase):
         for seed in (0, 1):
@@ -89,7 +121,7 @@ def write_outputs(out: Path) -> None:
                                     (tgb, tgb.TGBConfig(loss=kind, reg_strength=1.0))):
                     trace = module.fit(data.X, data.y, cfg)
                     key = f"{make.__name__}/seed{seed}/{kind.value}/{module.__name__}"
-                    fits[key] = [_stage_doc(stage) for stage in trace.stages]
+                    fits[key] = _fit_doc(trace, blocks[6])
     tied = make_staircase(n=2000, d=8, seed=0)
     deep = make_oblique(n=1000, d=6, seed=2)
     wide = make_oblique(n=2000, d=6, noise=0.2, seed=3)
@@ -100,7 +132,7 @@ def write_outputs(out: Path) -> None:
              tgb.TGBConfig(reg_strength=100.0, max_propositions=8)),
             ("wide/make_oblique_noise0.2/seed3/logistic/obliquerules.tgb", wide.X, wide.y,
              tgb.TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0))):
-        fits[key] = [_stage_doc(stage) for stage in tgb.fit(X, y, cfg).stages]
+        fits[key] = _fit_doc(tgb.fit(X, y, cfg), blocks[X.shape[1]])
     (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))
 
     datasets = [make_oblique(n=150, d=4, seed=3), make_staircase(n=150, d=4, seed=4)]

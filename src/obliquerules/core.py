@@ -3,7 +3,9 @@
 A proposition is a sparse half-space indicator ``step{w.x >= t}``; a rule is a
 conjunction of propositions with an output weight; an ensemble sums rule
 outputs on top of an intercept.  Model complexity counts rules, propositions,
-and nonzero proposition weights.
+and nonzero proposition weights.  Every score comes from one batch kernel,
+:func:`score_ensembles`, which scores several ensembles on one block of rows
+and shares their work.
 """
 
 from __future__ import annotations
@@ -82,12 +84,15 @@ class Standardizer:
     def n_features(self) -> int:
         return self.mean.shape[0]
 
+    def _check_width(self, n_columns: int):
+        if n_columns != self.n_features:
+            raise ValueError(
+                f"feature count mismatch: transform expects {self.n_features}, got {n_columns}"
+            )
+
     def transform(self, X) -> np.ndarray:
         X, single = _as_row_matrix(X)
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"feature count mismatch: transform expects {self.n_features}, got {X.shape[1]}"
-            )
+        self._check_width(X.shape[1])
         Z = (X - self.mean) / self.scale
         return Z[0] if single else Z
 
@@ -244,12 +249,7 @@ class RuleEnsemble:
         return len(self.rules)
 
     def decision_function(self, X) -> np.ndarray:
-        X, single = _as_row_matrix(X)
-        Z = self.standardizer.transform(X)
-        score = np.full(Z.shape[0], self.intercept)
-        for rule in self.rules:
-            score += rule.weight * rule.cover(Z)
-        return score[0] if single else score
+        return score_ensembles([self], X)[0]
 
     def predict(self, X) -> np.ndarray:
         """Regression: the score.  Classification: step of the score at 0."""
@@ -261,6 +261,75 @@ class RuleEnsemble:
     def complexity(self) -> int:
         """Rule count plus per-rule complexities; 0 for the intercept-only model."""
         return self.n_rules + sum(r.complexity() for r in self.rules)
+
+
+def _projection(ZT, pos, weights) -> np.ndarray:
+    """``Z[:, indices] @ weights``, bit for bit, from the rows ``ZT[pos]`` of ``Z.T``."""
+    if pos.size == 1:
+        return ZT[pos[0]] * weights[0]
+    return ZT[pos].T @ weights
+
+
+def score_ensembles(ensembles, X) -> list:
+    """Decision scores of each of ``ensembles`` on the raw rows ``X``.
+
+    Returns one score array per ensemble, or one scalar each for a 1-d ``X``.
+    The scores are the bits of ``intercept + sum_i weight_i * cover_i`` over
+    ``standardizer.transform(X)``, summed in rule order, but the work is
+    shared across the whole call, in the manner of QuickScorer (Lucchese et
+    al., SIGIR 2015), which tests each distinct condition of an additive
+    ensemble once over a whole block of rows:
+
+    - only the columns that some proposition reads are standardized, one at
+      a time, as ``(X[:, j] - mean[j]) / scale[j]`` (elementwise, so the
+      same bits as ``transform``), into the rows of a C-contiguous
+      ``(u, n)`` array ``ZT``;
+    - each distinct proposition is evaluated once.  A one-nonzero projection
+      is ``z_j * w``, one product, as the one-column matrix product gives.
+      A denser one is ``ZT[pos].T @ w``: ``ZT[pos].T`` is F-contiguous,
+      the layout of ``Z[:, indices]``, and the BLAS kernel, hence the
+      rounding of the sum, depends on the operand's layout.  A C-order copy
+      of the same columns rounds some projections differently;
+    - each distinct (standardizer, rule body) gets one boolean cover, the
+      ``&`` of its propositions, shared by every ensemble that holds it, as
+      the stages of one trace do.
+    """
+    X, single = _as_row_matrix(X)
+    n = X.shape[0]
+    for ensemble in ensembles:
+        standardizer = ensemble.standardizer
+        standardizer._check_width(X.shape[1])
+        for rule in ensemble.rules:
+            for p in rule.propositions:
+                p._check_width(standardizer.n_features)
+
+    # standardizer -> {rule body: its cover}, filled once per group below
+    covers: dict[Standardizer, dict] = {}
+    for ensemble in ensembles:
+        bodies = covers.setdefault(ensemble.standardizer, {})
+        bodies.update(dict.fromkeys(rule.propositions for rule in ensemble.rules))
+    for standardizer, bodies in covers.items():
+        fires = dict.fromkeys(p for body in bodies for p in body)
+        used = np.unique([int(j) for p in fires for j in p.indices])
+        ZT = np.empty((used.size, n))
+        for k, j in enumerate(used):
+            ZT[k] = (X[:, j] - standardizer.mean[j]) / standardizer.scale[j]
+        for p in fires:
+            fires[p] = _projection(ZT, np.searchsorted(used, p.indices), p.weights) >= p.threshold
+        for body in bodies:
+            cover = fires[body[0]]
+            for p in body[1:]:
+                cover = cover & fires[p]
+            bodies[body] = cover
+
+    scores = []
+    for ensemble in ensembles:
+        bodies = covers[ensemble.standardizer]
+        score = np.full(n, ensemble.intercept)
+        for rule in ensemble.rules:
+            score += rule.weight * bodies[rule.propositions]
+        scores.append(score[0] if single else score)
+    return scores
 
 
 # --------------------------------------------------------------------------

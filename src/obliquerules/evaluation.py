@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lltboost, tgb
-from .core import Standardizer, Task, check_integer_fields
+from .core import Standardizer, Task, check_integer_fields, score_ensembles
 from .datasets import Dataset
 from .losses import FIT_LOSS, LossKind, loss
 
@@ -235,15 +235,14 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
         try:
             trace = _fit_variant(method, hyper, X_train, y_train, fit_kind, config, fit_seed)
             seconds = trace.wall_time_seconds
-            staged = []
-            for r, stage in enumerate(trace.stages):
-                if r == 0:
-                    continue
-                ens = stage.ensemble
-                staged.append(
-                    (r, stage.complexity, ens.decision_function(X_train),
-                     ens.decision_function(X_test))
-                )
+            stages = trace.stages[1:]
+            ensembles = [stage.ensemble for stage in stages]
+            staged = list(zip(
+                range(1, len(trace.stages)),
+                [stage.complexity for stage in stages],
+                score_ensembles(ensembles, X_train),
+                score_ensembles(ensembles, X_test),
+            ))
             for metric_name, metric_kind in metrics:
                 curves[metric_name] = tuple(
                     CurvePoint(

@@ -90,7 +90,6 @@ def best_axis_proposition(active, X, g, orders, reg_strength: float = 0.0) -> Ax
         edges = np.flatnonzero(sv[:-1] < sv[1:])
         if edges.size == 0:
             continue
-        mids = 0.5 * (sv[edges] + sv[edges + 1])
         le_sum = cum[edges]
         ge_sum = total - le_sum
         le_count = edges + 1.0
@@ -104,7 +103,8 @@ def best_axis_proposition(active, X, g, orders, reg_strength: float = 0.0) -> Ax
         k = int(np.argmax(flat))
         score = float(flat[k])
         if best is None or score > best.score:
-            mid = float(mids[k // 2])
+            e = edges[k // 2]
+            mid = float(0.5 * (sv[e] + sv[e + 1]))
             direction = ">=" if k % 2 == 0 else "<="
             best = AxisCandidate(j, direction, mid, score)
     return best

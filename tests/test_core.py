@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obliquerules import LLTConfig, TGBConfig, core, fit_lltboost, fit_tgb
 from obliquerules.core import (
     FitStage,
     FitTrace,
@@ -11,7 +12,9 @@ from obliquerules.core import (
     SparseProposition,
     Standardizer,
     Task,
+    score_ensembles,
 )
+from obliquerules.datasets import make_oblique
 
 seed = 42
 
@@ -161,6 +164,118 @@ def test_score_is_linear_in_weights(s, beta0, beta1):
     f = identity_ensemble((rule,), intercept=beta0)
     q = p.activations(X)
     assert np.allclose(f.decision_function(X), beta0 + beta1 * q)
+
+
+# ---------------------------------------------------------------------------
+# batch scoring
+# ---------------------------------------------------------------------------
+
+
+def reference_scores(ensemble, X):
+    """``intercept + sum_i weight_i * cover_i`` over ``transform(X)``, rule by rule."""
+    Z = ensemble.standardizer.transform(X)
+    score = np.full(Z.shape[0], ensemble.intercept)
+    for rule in ensemble.rules:
+        score += rule.weight * rule.cover(Z)
+    return score
+
+
+def random_stages(rng, d):
+    """Ensembles of 0..r rules under one standardizer, as the stages of a trace:
+    stage m holds the first m rule bodies, refitted weights of either sign.
+    Bodies draw from a small pool, so propositions repeat within and across
+    bodies, and the pool reads only some of the ``d`` columns."""
+    std = Standardizer(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    columns = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+    pool = []
+    for _ in range(int(rng.integers(1, 6))):
+        k = int(rng.integers(1, columns.size + 1))
+        w = rng.normal(size=k)
+        w[w == 0] = 1.0
+        idx = np.sort(rng.choice(columns, size=k, replace=False))
+        pool.append(SparseProposition(indices=idx, weights=w, threshold=0.5 * rng.normal()))
+    bodies = [tuple(pool[i] for i in rng.choice(len(pool), size=int(rng.integers(1, 4))))
+              for _ in range(int(rng.integers(0, 6)))]
+    stages = [
+        RuleEnsemble(
+            intercept=rng.normal(),
+            rules=tuple(Rule(propositions=b, weight=rng.normal()) for b in bodies[:m]),
+            task=Task.REGRESSION,
+            standardizer=std,
+        )
+        for m in range(len(bodies) + 1)
+    ]
+    return stages, pool
+
+
+def check_scoring_matches_reference(s):
+    rng = np.random.default_rng(s)
+    d = int(rng.integers(1, 9))
+    stages, pool = random_stages(rng, d)
+    X = rng.normal(size=(int(rng.integers(1, 200)), d)) * 1.5 + 0.5
+    for got, ensemble in zip(score_ensembles(stages, X), stages):
+        assert np.array_equal(got, reference_scores(ensemble, X))
+    for got, ensemble in zip(score_ensembles(stages, X[0]), stages):
+        assert np.ndim(got) == 0
+        assert got == reference_scores(ensemble, X[:1])[0]
+    # the kernel's projections are the bits of the reference's Z[:, indices] @ w
+    Z = stages[0].standardizer.transform(X)
+    used = np.unique(np.concatenate([p.indices for p in pool]))
+    ZT = np.ascontiguousarray(Z[:, used].T)
+    for p in pool:
+        pos = np.searchsorted(used, p.indices)
+        assert np.array_equal(core._projection(ZT, pos, p.weights), Z[:, p.indices] @ p.weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_scoring_is_bit_equal_to_rule_by_rule_reference(s):
+    check_scoring_matches_reference(s)
+
+
+def test_a_c_order_projection_fails_the_reference_check(monkeypatch):
+    # the same columns copied in C order round some dense projections
+    # differently, so the bit-equality check must catch that operand layout
+    monkeypatch.setattr(
+        core, "_projection", lambda ZT, pos, w: np.column_stack([ZT[k] for k in pos]) @ w)
+    failures = 0
+    for s in range(20):
+        try:
+            check_scoring_matches_reference(s)
+        except AssertionError:
+            failures += 1
+    assert failures > 0
+
+
+@pytest.mark.parametrize("fit, cfg", [
+    (fit_lltboost, LLTConfig(max_rules=5, seed=0)),
+    (fit_tgb, TGBConfig(max_rules=6, reg_strength=1.0)),
+])
+def test_staged_scores_equal_each_stages_own_decision_function(fit, cfg):
+    data = make_oblique(n=300, d=6, seed=1)
+    trace = fit(data.X, data.y, cfg)
+    ensembles = [stage.ensemble for stage in trace.stages]
+    assert len(ensembles) > 2
+    for X in (data.X, make_oblique(n=2000, d=6, seed=2).X):
+        for got, ensemble in zip(score_ensembles(ensembles, X), ensembles):
+            assert np.array_equal(got, ensemble.decision_function(X))
+            assert np.array_equal(got, reference_scores(ensemble, X))
+
+
+def test_scoring_errors_are_pinned():
+    rule = Rule(propositions=(make_prop((0, 2), (1.0, -1.0), 0.0),), weight=1.0)
+    f = identity_ensemble((rule,))
+    with pytest.raises(ValueError, match="feature count mismatch: transform expects 3, got 2"):
+        f.decision_function(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="expected a vector or matrix, got ndim=3"):
+        f.decision_function(np.zeros((2, 2, 3)))
+    # a proposition wider than the ensemble's own standardizer
+    wide = Rule(propositions=(make_prop((3,), (1.0,), 0.0),), weight=1.0)
+    with pytest.raises(ValueError, match="references feature 3 but input has only 3 columns"):
+        identity_ensemble((rule, wide)).decision_function(np.zeros(3))
+    # checked ensemble by ensemble, in the order given, before any scoring
+    with pytest.raises(ValueError, match="feature count mismatch: transform expects 4"):
+        score_ensembles([f, identity_ensemble((), d=4)], np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
