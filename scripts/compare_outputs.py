@@ -6,13 +6,16 @@ Each tree is imported in its own fresh interpreter, which writes:
 - fits.json: every stage's train risk, complexity, intercept and rule weights,
   and every proposition's indices, weights and threshold (floats as repr), of
   lltboost and tgb fits on make_oblique, make_rotated_box and make_staircase
-  (n=300, d=6, seeds 0 and 1) under logistic and squared loss, and of three
+  (n=300, d=6, seeds 0 and 1) under logistic and squared loss, and of four
   more logistic tgb fits: one on make_staircase(n=2000, d=8) with the
   features rounded to 1 decimal, so that about 30 rows share each value of a
   column; one on make_oblique(n=1000, d=6, seed=2) at reg 100 with up to
-  8 propositions per rule, so that rules are scanned up to 8 levels deep; and
+  8 propositions per rule, so that rules are scanned up to 8 levels deep;
   one of 60 rules on make_oblique(n=2000, d=6, noise=0.2, seed=3), so that
-  the logistic refit keys its rows on more than 52 binary digits; every
+  the logistic refit keys its rows on more than 52 binary digits; and one
+  on a bootstrap resample of make_staircase(n=2000, d=8) with a constant
+  ninth column appended, so that duplicated rows tie every column of the
+  presort and one feature offers no threshold at all; every
   stage also carries the sha256 of its ``decision_function`` scores on a
   fixed block of 20,000 raw rows from make_oblique (seed 10) of the fit's
   width, followed by 200 of those rows moved onto the hyperplane of each
@@ -111,7 +114,7 @@ def write_outputs(out: Path) -> None:
     from obliquerules.evaluation import ProtocolConfig, run_benchmark
     from obliquerules.losses import LossKind
 
-    blocks = {d: make_oblique(n=SCORE_ROWS, d=d, seed=10).X for d in (6, 8)}
+    blocks = {d: make_oblique(n=SCORE_ROWS, d=d, seed=10).X for d in (6, 8, 9)}
     fits = {}
     for make in (make_oblique, make_rotated_box, make_staircase):
         for seed in (0, 1):
@@ -125,13 +128,17 @@ def write_outputs(out: Path) -> None:
     tied = make_staircase(n=2000, d=8, seed=0)
     deep = make_oblique(n=1000, d=6, seed=2)
     wide = make_oblique(n=2000, d=6, noise=0.2, seed=3)
+    resample = np.random.default_rng(0).integers(0, tied.X.shape[0], size=tied.X.shape[0])
+    boot_X = np.column_stack([tied.X[resample], np.ones(tied.X.shape[0])])
     for key, X, y, cfg in (
             ("tied/make_staircase_round1/seed0/logistic/obliquerules.tgb", np.round(tied.X, 1),
              tied.y, tgb.TGBConfig(reg_strength=1.0)),
             ("deep/make_oblique/seed2/logistic/obliquerules.tgb", deep.X, deep.y,
              tgb.TGBConfig(reg_strength=100.0, max_propositions=8)),
             ("wide/make_oblique_noise0.2/seed3/logistic/obliquerules.tgb", wide.X, wide.y,
-             tgb.TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0))):
+             tgb.TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0)),
+            ("boot/make_staircase_bootstrap_const/seed0/logistic/obliquerules.tgb", boot_X,
+             tied.y[resample], tgb.TGBConfig(reg_strength=1.0))):
         fits[key] = _fit_doc(tgb.fit(X, y, cfg), blocks[X.shape[1]])
     (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))
 

@@ -1,7 +1,7 @@
 """Command-line surface: train, predict, print, benchmark, make-synthetic.
 
-Exit codes: 0 success, 2 usage/config problems, 3 data errors, 4 fit
-failures.  All commands are deterministic given their flags and seeds.
+Exit codes: 0 success, 2 usage/config problems (an unwritable ``--out``
+included), 3 data errors, 4 fit failures.  All commands are deterministic given their flags and seeds.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,15 @@ def _read_json(path, what: str) -> dict:
     return doc
 
 
+@contextmanager
+def _writing(path):
+    """Report a failure to write ``path`` as a usage error, like an unreadable config."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -180,7 +190,8 @@ def _cmd_train(args) -> int:
             "label_names": list(dataset.label_names),
         },
     )
-    save_model(model, args.out)
+    with _writing(args.out):
+        save_model(model, args.out)
 
     print("stage,complexity,train_risk")
     for m, stage in enumerate(trace.stages):
@@ -214,7 +225,8 @@ def _cmd_predict(args) -> int:
     scores = ens.decision_function(X)
     out_lines = [repr(float(s)) for s in scores]
     if args.out:
-        Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
     else:
         for line in out_lines:
             print(line)
@@ -280,9 +292,12 @@ def _cmd_benchmark(args) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{args.config}: {exc}") from None
     datasets = [_dataset_from_spec(s, i) for i, s in enumerate(specs)]
+    with _writing(args.out):  # before the protocol runs, not after
+        Path(args.out).mkdir(parents=True, exist_ok=True)
 
     report = run_benchmark(datasets, config)
-    report.write(args.out)
+    with _writing(args.out):
+        report.write(args.out)
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
     print(f"report written to {args.out}")
@@ -298,7 +313,8 @@ def _synthesize(generator: str, **spec) -> Dataset:
 
 def _cmd_make_synthetic(args) -> int:
     dataset = _synthesize(args.generator, n=args.n, d=args.d, noise=args.noise, seed=args.seed)
-    write_csv(dataset, args.out, target_column=args.target_column)
+    with _writing(args.out):
+        write_csv(dataset, args.out, target_column=args.target_column)
     print(f"{dataset.name}: {dataset.n_rows} rows, {dataset.n_features} features "
           f"-> {args.out}")
     return EXIT_OK

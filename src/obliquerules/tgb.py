@@ -15,6 +15,20 @@ inside it - the presorted columns of SLIQ (Mehta, Agrawal & Rissanen, EDBT
 because the first scan of every conjunction covers all rows.  Filtering
 keeps the stable order of the remaining rows, so every scan sums the same
 gradients in the same order as a fresh stable sort would, bit for bit.
+
+``_stable_orders`` builds that sort column by column with the fast unstable
+sort, then repairs only columns with equal values: it numbers the groups of
+equal sorted values and sorts once more by the distinct key ``group * n +
+row``, which orders by value first and row second - the stable order.
+
+One scan of a column is one pass of prefix sums.  Split position ``k`` of
+the ``n_act`` sorted active rows puts the first ``k + 1`` below the
+threshold, so its ``<=`` sum is the running sum and its ``>=`` sum the rest
+of the total; the divisors ``sqrt(reg_strength + count)`` come from one
+table per scan.  A position between equal values is no threshold and is
+masked to score -1.  One argmax per direction, with ``>=`` taking an equal
+score unless ``<=`` reaches it at a smaller threshold, picks the candidate
+that the documented tie-break order names.
 """
 
 from __future__ import annotations
@@ -78,35 +92,52 @@ def best_axis_proposition(active, X, g, orders, reg_strength: float = 0.0) -> Ax
     ties in ascending row order: the stable sort of all rows filtered to the
     active ones.  That is the order a stable sort of ``X[active, j]`` gives,
     so the running gradient sums, and hence the scores, are the same bits.
+
+    The scan works on the ``n_act - 1`` split positions of each column:
+    position ``k`` puts the first ``k + 1`` sorted rows below the threshold.
+    Its ``<=`` sum is ``cumsum(g[rows])[k]`` and its ``>=`` sum is the rest
+    of ``total``.  The divisors come from one table, ``root[c] =
+    sqrt(reg_strength + c)`` for every count ``c``, read forwards for ``<=``
+    and backwards for ``>=``; the counts are exact in floating point, so the
+    table holds the same bits as a square root per position.  A position
+    between equal values is no threshold; it scores -1, below every real
+    score, which is >= 0, and a column with no other position is skipped.
+    Each direction takes its own first argmax, and ``>=`` wins an equal score
+    unless ``<=`` reaches it at a smaller threshold, which is the tie-break
+    order above.
+
+    ``X`` is ``(n, d)`` in either layout; ``fit`` passes it column-major, so
+    that the gather of one column reads contiguous memory.
     """
     active = np.asarray(active, dtype=int)
     total = float(g[active].sum())
     n_act = active.size
+    root = np.sqrt(reg_strength + np.arange(n_act + 1.0))
+    root_le, root_ge = root[1:n_act], root[n_act - 1:0:-1]
     best: AxisCandidate | None = None
     for j in range(X.shape[1]):
-        rows = orders[j]
+        rows = orders[j].astype(np.intp)
         sv = X[rows, j]
-        cum = np.cumsum(g[rows])
-        edges = np.flatnonzero(sv[:-1] < sv[1:])
-        if edges.size == 0:
+        tie = sv[:-1] >= sv[1:]
+        if tie.all():
             continue
-        le_sum = cum[edges]
-        ge_sum = total - le_sum
-        le_count = edges + 1.0
-        score_le = np.abs(le_sum) / np.sqrt(reg_strength + le_count)
-        score_ge = np.abs(ge_sum) / np.sqrt(reg_strength + (n_act - le_count))
-        # interleave so that, within this feature, candidates are ordered by
-        # ascending threshold with >= ahead of <= at the same threshold
-        flat = np.empty(2 * edges.size)
-        flat[0::2] = score_ge
-        flat[1::2] = score_le
-        k = int(np.argmax(flat))
-        score = float(flat[k])
+        score_le = np.cumsum(g[rows])[:-1]
+        score_ge = total - score_le
+        np.abs(score_le, out=score_le)
+        np.abs(score_ge, out=score_ge)
+        score_le /= root_le
+        score_ge /= root_ge
+        if tie.any():
+            score_le[tie] = -1.0
+            score_ge[tie] = -1.0
+        kl = int(np.argmax(score_le))
+        kg = int(np.argmax(score_ge))
+        if score_ge[kg] > score_le[kl] or (score_ge[kg] == score_le[kl] and kg <= kl):
+            k, direction, score = kg, ">=", float(score_ge[kg])
+        else:
+            k, direction, score = kl, "<=", float(score_le[kl])
         if best is None or score > best.score:
-            e = edges[k // 2]
-            mid = float(0.5 * (sv[e] + sv[e + 1]))
-            direction = ">=" if k % 2 == 0 else "<="
-            best = AxisCandidate(j, direction, mid, score)
+            best = AxisCandidate(j, direction, float(0.5 * (sv[k] + sv[k + 1])), score)
     return best
 
 
@@ -115,12 +146,16 @@ def _grow_conjunction(Z, g, orders,
     """The conjunction's propositions and its 0/1 cover over all rows, or None.
 
     ``active`` holds the rows inside every accepted proposition, so it is the
-    cover's support.
+    cover's support.  ``orders`` is filtered to them at the top of the next
+    level, so a conjunction that stops at ``max_propositions`` never filters
+    for a scan that does not come.
     """
     active = np.arange(Z.shape[0])
     body: list[SparseProposition] = []
     current = 0.0
-    for _ in range(cfg.max_propositions):
+    for level in range(cfg.max_propositions):
+        if level:  # every earlier level accepted; ``inside`` is the last one's
+            orders = np.compress(inside[orders].ravel(), orders).reshape(Z.shape[1], -1)
         cand = best_axis_proposition(active, Z, g, orders, cfg.reg_strength)
         if cand is None or cand.score <= current:
             break
@@ -130,13 +165,38 @@ def _grow_conjunction(Z, g, orders,
             break
         body.append(prop)
         active = active[inside[active]]
-        orders = orders[inside[orders]].reshape(Z.shape[1], -1)
         current = cand.score
     if not body:
         return None
     cover = np.zeros(Z.shape[0])
     cover[active] = 1.0
     return body, cover
+
+
+def _stable_orders(Z) -> np.ndarray:
+    """``np.argsort(Z.T, axis=1, kind="stable")`` in the smallest unsigned
+    type that holds ``n``, built one column at a time.
+
+    Each column is sorted by the fast unstable sort.  Only if it has equal
+    values is the order repaired: the sorted values are numbered by group
+    of equal values, ascending, and the positions sorted again by the key
+    ``group * n + row``.  The keys are distinct and order first by value,
+    then by row, which is the stable order.  ``-0.0`` and ``0.0`` compare
+    equal in both sorts, so they share a group.
+    """
+    n, d = Z.shape
+    orders = np.empty((d, n), dtype=np.min_scalar_type(n))
+    for j in range(d):
+        z = Z[:, j]
+        order = np.argsort(z)
+        sv = z[order]
+        tie = sv[:-1] == sv[1:]
+        if tie.any():
+            group = np.zeros(n, dtype=np.int64)
+            np.cumsum(~tie, out=group[1:])
+            order = np.sort(group * n + order) % n
+        orders[j] = order
+    return orders
 
 
 def fit(X, y, cfg: TGBConfig) -> FitTrace:
@@ -152,9 +212,9 @@ def fit(X, y, cfg: TGBConfig) -> FitTrace:
     X, y, task = training_arrays(X, y, kind)
     n = X.shape[0]
     standardizer = Standardizer.fit(X)
-    Z = standardizer.transform(X)
-    # the smallest integer type that holds a row index keeps the orders small
-    orders = np.argsort(Z.T, axis=1, kind="stable").astype(np.min_scalar_type(n))
+    # column-major, so that every gather of the scan and the presort reads one column
+    Z = np.asfortranarray(standardizer.transform(X))
+    orders = _stable_orders(Z)
     beta = np.array([init_intercept(kind, y)])
     scores = np.full(n, beta[0])
     covers: list[np.ndarray] = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from obliquerules import cli
 from obliquerules.cli import TRAIN_FIELDS, main, print_rules
 from obliquerules.core import Rule, RuleEnsemble, SparseProposition, Standardizer, Task
 from obliquerules.datasets import load_csv, make_oblique, write_csv
@@ -732,6 +733,35 @@ def test_benchmark_config_errors(tmp_path):
         json.dumps({"datasets": [{"synthetic": "cubes"}]}), encoding="utf-8"
     )
     assert main(["benchmark", "--config", str(bad_gen), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "make-synthetic", "benchmark"])
+def test_unwritable_out_is_a_usage_error(tmp_path, clf_csv, command, monkeypatch, capsys):
+    (tmp_path / "file.txt").write_text("", encoding="utf-8")
+    cfg_path = tmp_path / "protocol.json"
+    cfg_path.write_text(json.dumps({"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}]}),
+                        encoding="utf-8")
+    argv = {
+        "train": ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
+                  "--method", "tgb", "--rules", "1"],
+        "predict": ["predict", "--model", str(trained_model(tmp_path, clf_csv)),
+                    "--data", str(clf_csv)],
+        "make-synthetic": ["make-synthetic", "--generator", "oblique", "--n", "20"],
+        "benchmark": ["benchmark", "--config", str(cfg_path)],
+    }[command]
+
+    def protocol_must_not_run(*args, **kwargs):
+        raise AssertionError("the protocol ran before the output was checked")
+
+    monkeypatch.setattr(cli, "run_benchmark", protocol_must_not_run)
+    # benchmark creates the missing parents of its output directory
+    bad_paths = ["file.txt/out"] if command == "benchmark" else ["missing/out", "file.txt/out"]
+    for bad in bad_paths:
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / bad}: ")
+        assert "Traceback" not in err
 
 
 def test_version_flag_exits_zero(capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obliquerules import tgb
@@ -50,6 +50,30 @@ def test_constant_features_give_no_candidate():
     X = np.ones((5, 2))
     g = np.arange(5.0)
     assert scan(np.arange(5), X, g) is None
+
+
+def test_ge_wins_a_tie_at_the_same_threshold():
+    # x>=1.5 and x<=1.5 both score 1/1; >= comes first at one threshold
+    X = np.array([[1.0], [2.0]])
+    cand = scan(np.arange(2), X, np.array([1.0, -1.0]))
+    assert cand == AxisCandidate(0, ">=", 1.5, 1.0)
+
+
+def test_a_single_active_row_gives_no_candidate():
+    X = np.array([[1.0, 4.0], [2.0, 3.0], [3.0, 5.0]])
+    assert scan(np.array([1]), X, np.array([1.0, -2.0, 3.0])) is None
+
+
+@pytest.mark.parametrize("reg", [0.0, 1.0, 100.0])
+def test_a_fully_tied_column_offers_no_threshold(reg):
+    # column 0 is constant over the active rows, so every candidate comes from
+    # column 1, although column 0 would win a tie by its lower index
+    X = np.array([[7.0, 0.5], [1.0, -1.0], [7.0, 2.0], [7.0, 0.5], [7.0, 3.0], [2.0, 1.0]])
+    g = np.array([2.0, 9.0, -1.0, 3.0, -4.0, 9.0])
+    active = np.array([0, 2, 3, 4])
+    cand = scan(active, X, g, reg)
+    assert cand.feature == 1
+    assert cand == brute_force_scan(active, X, g, reg)
 
 
 def test_direction_to_proposition_semantics():
@@ -130,6 +154,28 @@ def test_filtered_presort_scans_like_a_fresh_sort_under_ties(seed, n, d, decimal
             break
         active = active[inside[active]]
         orders = orders[inside[orders]].reshape(d, -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 3),
+       decimals=st.sampled_from([0, 1, 2]), bootstrap=st.booleans(),
+       signed_zero=st.booleans(), constant=st.booleans())
+@example(seed=0, n=1, d=2, decimals=0, bootstrap=False, signed_zero=True, constant=False)
+@example(seed=0, n=2, d=2, decimals=0, bootstrap=False, signed_zero=True, constant=True)
+@example(seed=1, n=200, d=2, decimals=0, bootstrap=True, signed_zero=True, constant=True)
+def test_presort_equals_a_stable_argsort(seed, n, d, decimals, bootstrap, signed_zero,
+                                         constant):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), decimals)
+    if bootstrap:
+        X = X[rng.integers(0, n, size=n)]
+    if signed_zero:  # -0.0 == 0.0, so the two tie in both sorts
+        X[:, 0] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if constant:
+        X[:, -1] = 1.5
+    orders = tgb._stable_orders(X)
+    assert orders.dtype == np.min_scalar_type(n)
+    assert np.array_equal(orders, np.argsort(X.T, axis=1, kind="stable"))
 
 
 @pytest.mark.parametrize("reg", [0.01, 100.0])
