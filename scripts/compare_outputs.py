@@ -21,7 +21,12 @@ Each tree is imported in its own fresh interpreter, which writes:
   width, followed by 200 of those rows moved onto the hyperplane of each
   proposition of the fit's final stage.  On a hyperplane the rounding of a
   projection decides the cover, so a projection that rounds differently,
-  as a dense oblique one can, changes the hash;
+  as a dense oblique one can, changes the hash.  The block is not a
+  multiple of ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary.
+  For the two tgb fits whose columns tie (the rounded and the bootstrap
+  one), the key ``presort/<fit key>`` holds the sha256 of
+  ``tgb._stable_orders`` over the standardized training rows, the order of
+  the rows inside each tie that the axis scan reads;
 - report.json and the three result CSVs of a small run_benchmark run;
 - model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
   model_lltboost_config.json and model_tgb_config.json written by ``train
@@ -139,7 +144,11 @@ def write_outputs(out: Path) -> None:
              tgb.TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0)),
             ("boot/make_staircase_bootstrap_const/seed0/logistic/obliquerules.tgb", boot_X,
              tied.y[resample], tgb.TGBConfig(reg_strength=1.0))):
-        fits[key] = _fit_doc(tgb.fit(X, y, cfg), blocks[X.shape[1]])
+        trace = tgb.fit(X, y, cfg)
+        fits[key] = _fit_doc(trace, blocks[X.shape[1]])
+        if key.startswith(("tied/", "boot/")):
+            orders = tgb._stable_orders(trace.final.standardizer.transform(X))
+            fits[f"presort/{key}"] = hashlib.sha256(orders.tobytes()).hexdigest()
     (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))
 
     datasets = [make_oblique(n=150, d=4, seed=3), make_staircase(n=150, d=4, seed=4)]
@@ -218,7 +227,8 @@ def _counts_by_path(diffs) -> list[str]:
 def _final_stage_changes(before: dict, after: dict) -> str:
     """For two fits.json documents: in how many fits the final stage differs,
     and how its complexity and train risk moved in those."""
-    finals = [(before[key][-1], after[key][-1]) for key in sorted(set(before) & set(after))]
+    finals = [(before[key][-1], after[key][-1]) for key in sorted(set(before) & set(after))
+              if isinstance(before[key], list) and isinstance(after[key], list)]
     changed = [(a, b) for a, b in finals if a != b]
     moves = collections.Counter()
     for a, b in changed:

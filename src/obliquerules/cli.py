@@ -7,7 +7,9 @@ included), 3 data errors, 4 fit failures.  All commands are deterministic given 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -121,6 +123,17 @@ def _writing(path):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable_parent(path):
+    """Raise the usage error of :func:`_writing` unless the directory of ``path``
+    exists and is writable, so a long run does not end in a failed write."""
+    parent = Path(path).parent
+    with _writing(path):
+        with os.scandir(parent):  # missing, or not a directory
+            pass
+        if not os.access(parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -169,6 +182,7 @@ def _cmd_train(args) -> int:
             f"note: skipped {dataset.n_skipped_rows} row(s) with missing cells",
             file=sys.stderr,
         )
+    _check_writable_parent(args.out)
     try:
         trace = LEARNERS[args.method].module.fit(dataset.X, dataset.y, cfg)
     except Exception as exc:

@@ -4,8 +4,8 @@ A proposition is a sparse half-space indicator ``step{w.x >= t}``; a rule is a
 conjunction of propositions with an output weight; an ensemble sums rule
 outputs on top of an intercept.  Model complexity counts rules, propositions,
 and nonzero proposition weights.  Every score comes from one batch kernel,
-:func:`score_ensembles`, which scores several ensembles on one block of rows
-and shares their work.
+:func:`score_ensembles`, which scores several ensembles on the same rows,
+block by block, and shares their work.
 """
 
 from __future__ import annotations
@@ -40,6 +40,18 @@ def _as_row_matrix(x) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
+def _project(ZT, rows, weights, out, term) -> np.ndarray:
+    """Write ``ZT[rows[0]] * weights[0] + ZT[rows[1]] * weights[1] + ...`` into
+    ``out``, summed left to right one element at a time, using ``term`` as
+    scratch.  Each element's bits depend only on its own entries, not on the
+    layout of ``ZT`` or its length, as a BLAS product's can."""
+    np.multiply(ZT[rows[0]], weights[0], out=out)
+    for k, w in zip(rows[1:], weights[1:]):
+        np.multiply(ZT[k], w, out=term)
+        out += term
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Standardizer:
     """Per-feature affine transform ``(x - mean) / scale`` fitted on training data."""
@@ -58,6 +70,8 @@ class Standardizer:
         scale.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
+        # numeric, so equal across processes (a bytes hash is salted per process)
+        object.__setattr__(self, "_hash", hash((tuple(mean.tolist()), tuple(scale.tolist()))))
 
     @classmethod
     def fit(cls, X) -> "Standardizer":
@@ -78,7 +92,7 @@ class Standardizer:
         )
 
     def __hash__(self):
-        return hash((self.mean.tobytes(), self.scale.tobytes()))
+        return self._hash
 
     @property
     def n_features(self) -> int:
@@ -136,6 +150,8 @@ class SparseProposition:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(
+            self, "_hash", hash((tuple(idx.tolist()), tuple(wts.tolist()), self.threshold)))
 
     @classmethod
     def from_dense(cls, w, threshold: float) -> "SparseProposition":
@@ -154,7 +170,7 @@ class SparseProposition:
         )
 
     def __hash__(self):
-        return hash((self.indices.tobytes(), self.weights.tobytes(), self.threshold))
+        return self._hash
 
     @property
     def nnz(self) -> int:
@@ -171,7 +187,8 @@ class SparseProposition:
         """0/1 array of the indicator over the rows of ``X`` (standardized scale)."""
         X, _ = _as_row_matrix(X)
         self._check_width(X.shape[1])
-        proj = X[:, self.indices] @ self.weights
+        proj, term = np.empty((2, X.shape[0]))
+        _project(X.T, self.indices, self.weights, proj, term)
         return (proj >= self.threshold).astype(float)
 
     def evaluate(self, x) -> int:
@@ -263,11 +280,7 @@ class RuleEnsemble:
         return self.n_rules + sum(r.complexity() for r in self.rules)
 
 
-def _projection(ZT, pos, weights) -> np.ndarray:
-    """``Z[:, indices] @ weights``, bit for bit, from the rows ``ZT[pos]`` of ``Z.T``."""
-    if pos.size == 1:
-        return ZT[pos[0]] * weights[0]
-    return ZT[pos].T @ weights
+SCORE_BLOCK_ROWS = 16384  # rows per block of score_ensembles; its buffers stay in cache
 
 
 def score_ensembles(ensembles, X) -> list:
@@ -275,61 +288,99 @@ def score_ensembles(ensembles, X) -> list:
 
     Returns one score array per ensemble, or one scalar each for a 1-d ``X``.
     The scores are the bits of ``intercept + sum_i weight_i * cover_i`` over
-    ``standardizer.transform(X)``, summed in rule order, but the work is
-    shared across the whole call, in the manner of QuickScorer (Lucchese et
-    al., SIGIR 2015), which tests each distinct condition of an additive
-    ensemble once over a whole block of rows:
+    ``standardizer.transform(X)``, summed in rule order, with each cover the
+    product of its propositions' :meth:`SparseProposition.activations`.  The
+    work is shared across the whole call, in the manner of QuickScorer
+    (Lucchese et al., SIGIR 2015), which tests each distinct condition of an
+    additive ensemble once over a whole block of rows.
 
-    - only the columns that some proposition reads are standardized, one at
-      a time, as ``(X[:, j] - mean[j]) / scale[j]`` (elementwise, so the
-      same bits as ``transform``), into the rows of a C-contiguous
-      ``(u, n)`` array ``ZT``;
-    - each distinct proposition is evaluated once.  A one-nonzero projection
-      is ``z_j * w``, one product, as the one-column matrix product gives.
-      A denser one is ``ZT[pos].T @ w``: ``ZT[pos].T`` is F-contiguous,
-      the layout of ``Z[:, indices]``, and the BLAS kernel, hence the
-      rounding of the sum, depends on the operand's layout.  A C-order copy
-      of the same columns rounds some projections differently;
-    - each distinct (standardizer, rule body) gets one boolean cover, the
-      ``&`` of its propositions, shared by every ensemble that holds it, as
-      the stages of one trace do.
+    A plan made once per call gives an integer slot to each column that some
+    proposition reads, to each distinct proposition and to each distinct
+    rule body of two or more propositions, per standardizer, so the stages of
+    one trace share them.  Then the rows are scored in blocks of
+    ``SCORE_BLOCK_ROWS``, through buffers allocated once per call:
+
+    - each used column is standardized, one at a time, as
+      ``(x - mean[j]) / scale[j]`` (elementwise, so the bits of
+      ``transform``), into a row of the ``(u, rows)`` block ``Z``;
+    - each proposition projects its rows of ``Z`` in the fixed order of
+      :func:`_project`, the order ``activations`` uses, so a row's cover does
+      not depend on the block it falls in or on the layout of ``X``;
+    - each body is the ``&`` of its propositions' conditions;
+    - each ensemble's score slice is its intercept plus ``weight * cover``,
+      rule by rule.
     """
     X, single = _as_row_matrix(X)
     n = X.shape[0]
+    columns = []  # (j, mean[j], scale[j]) of each row of Z
+    conditions = []  # (fires row, Z rows, weights, threshold) of each proposition
+    conjunctions = []  # (fires row, fires rows of its propositions) of each body
+    sums = []  # (intercept, ((weight, fires row of its cover), ...)) of each ensemble
+    slots = {}  # standardizer -> its column, proposition and body slots
+    n_fires = 0
     for ensemble in ensembles:
-        standardizer = ensemble.standardizer
-        standardizer._check_width(X.shape[1])
+        std = ensemble.standardizer
+        std._check_width(X.shape[1])
+        column_at, proposition_at, body_at = slots.setdefault(std, ({}, {}, {}))
+        terms = []
         for rule in ensemble.rules:
-            for p in rule.propositions:
-                p._check_width(standardizer.n_features)
+            body = rule.propositions
+            cover = body_at.get(body)
+            if cover is None:
+                parts = []
+                for p in body:
+                    row = proposition_at.get(p)
+                    if row is None:
+                        p._check_width(X.shape[1])
+                        rows = []
+                        for j in p.indices.tolist():
+                            if j not in column_at:
+                                column_at[j] = len(columns)
+                                columns.append((j, std.mean[j], std.scale[j]))
+                            rows.append(column_at[j])
+                        row = proposition_at[p] = n_fires
+                        n_fires += 1
+                        conditions.append((row, rows, p.weights.tolist(), p.threshold))
+                    parts.append(row)
+                if len(parts) == 1:
+                    cover = parts[0]
+                else:
+                    cover = n_fires
+                    n_fires += 1
+                    conjunctions.append((cover, parts))
+                body_at[body] = cover
+            terms.append((rule.weight, cover))
+        sums.append((ensemble.intercept, terms))
 
-    # standardizer -> {rule body: its cover}, filled once per group below
-    covers: dict[Standardizer, dict] = {}
-    for ensemble in ensembles:
-        bodies = covers.setdefault(ensemble.standardizer, {})
-        bodies.update(dict.fromkeys(rule.propositions for rule in ensemble.rules))
-    for standardizer, bodies in covers.items():
-        fires = dict.fromkeys(p for body in bodies for p in body)
-        used = np.unique([int(j) for p in fires for j in p.indices])
-        ZT = np.empty((used.size, n))
-        for k, j in enumerate(used):
-            ZT[k] = (X[:, j] - standardizer.mean[j]) / standardizer.scale[j]
-        for p in fires:
-            fires[p] = _projection(ZT, np.searchsorted(used, p.indices), p.weights) >= p.threshold
-        for body in bodies:
-            cover = fires[body[0]]
-            for p in body[1:]:
-                cover = cover & fires[p]
-            bodies[body] = cover
-
-    scores = []
-    for ensemble in ensembles:
-        bodies = covers[ensemble.standardizer]
-        score = np.full(n, ensemble.intercept)
-        for rule in ensemble.rules:
-            score += rule.weight * bodies[rule.propositions]
-        scores.append(score[0] if single else score)
-    return scores
+    block_rows = SCORE_BLOCK_ROWS
+    width = min(n, block_rows)
+    Z_buf = np.empty((len(columns), width))
+    fires_buf = np.empty((n_fires, width), dtype=bool)
+    proj_buf, term_buf = np.empty((2, width))
+    scores = [np.empty(n) for _ in ensembles]
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        m = stop - start
+        Z, fires, proj, term = Z_buf[:, :m], fires_buf[:, :m], proj_buf[:m], term_buf[:m]
+        block = X[start:stop]
+        for z, (j, mean, scale) in zip(Z, columns):
+            np.subtract(block[:, j], mean, out=z)
+            np.divide(z, scale, out=z)
+        for row, rows, weights, threshold in conditions:
+            _project(Z, rows, weights, proj, term)
+            np.greater_equal(proj, threshold, out=fires[row])
+        for row, parts in conjunctions:
+            cover = fires[row]
+            np.logical_and(fires[parts[0]], fires[parts[1]], out=cover)
+            for k in parts[2:]:
+                np.logical_and(cover, fires[k], out=cover)
+        for score, (intercept, terms) in zip(scores, sums):
+            part = score[start:stop]
+            part.fill(intercept)
+            for weight, row in terms:
+                np.multiply(fires[row], weight, out=term)
+                part += term
+    return [score[0] for score in scores] if single else scores
 
 
 # --------------------------------------------------------------------------

@@ -753,7 +753,12 @@ def test_unwritable_out_is_a_usage_error(tmp_path, clf_csv, command, monkeypatch
     def protocol_must_not_run(*args, **kwargs):
         raise AssertionError("the protocol ran before the output was checked")
 
+    def fit_must_not_run(*args, **kwargs):
+        raise AssertionError("the learner fitted before the output was checked")
+
     monkeypatch.setattr(cli, "run_benchmark", protocol_must_not_run)
+    if command == "train":
+        monkeypatch.setattr(cli.LEARNERS["tgb"].module, "fit", fit_must_not_run)
     # benchmark creates the missing parents of its output directory
     bad_paths = ["file.txt/out"] if command == "benchmark" else ["missing/out", "file.txt/out"]
     for bad in bad_paths:
@@ -762,6 +767,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, clf_csv, command, monkeypatch
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {tmp_path / bad}: ")
         assert "Traceback" not in err
+        assert not (tmp_path / bad).exists()
 
 
 def test_version_flag_exits_zero(capsys):

@@ -1,8 +1,15 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obliquerules
 from obliquerules import LLTConfig, TGBConfig, core, fit_lltboost, fit_tgb
 from obliquerules.core import (
     FitStage,
@@ -218,13 +225,6 @@ def check_scoring_matches_reference(s):
     for got, ensemble in zip(score_ensembles(stages, X[0]), stages):
         assert np.ndim(got) == 0
         assert got == reference_scores(ensemble, X[:1])[0]
-    # the kernel's projections are the bits of the reference's Z[:, indices] @ w
-    Z = stages[0].standardizer.transform(X)
-    used = np.unique(np.concatenate([p.indices for p in pool]))
-    ZT = np.ascontiguousarray(Z[:, used].T)
-    for p in pool:
-        pos = np.searchsorted(used, p.indices)
-        assert np.array_equal(core._projection(ZT, pos, p.weights), Z[:, p.indices] @ p.weights)
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,18 +233,62 @@ def test_batch_scoring_is_bit_equal_to_rule_by_rule_reference(s):
     check_scoring_matches_reference(s)
 
 
-def test_a_c_order_projection_fails_the_reference_check(monkeypatch):
-    # the same columns copied in C order round some dense projections
-    # differently, so the bit-equality check must catch that operand layout
-    monkeypatch.setattr(
-        core, "_projection", lambda ZT, pos, w: np.column_stack([ZT[k] for k in pos]) @ w)
-    failures = 0
-    for s in range(20):
-        try:
-            check_scoring_matches_reference(s)
-        except AssertionError:
-            failures += 1
-    assert failures > 0
+def on_hyperplanes(rng, pool, std, n_per):
+    """Raw rows whose standardized images lie on the hyperplane of each
+    proposition of ``pool``, where rounding decides the cover."""
+    rows = []
+    for p in pool:
+        Z = rng.normal(size=(n_per, std.n_features))
+        w = np.zeros(std.n_features)
+        w[p.indices] = p.weights
+        rows.append((Z + np.outer(p.threshold - Z @ w, w / (w @ w))) * std.scale + std.mean)
+    return np.vstack(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_row_on_a_hyperplane_scores_alone_as_in_its_batch(s):
+    rng = np.random.default_rng(s)
+    d = int(rng.integers(2, 12))
+    stages, pool = random_stages(rng, d)
+    final = stages[-1]
+    X = on_hyperplanes(rng, pool, final.standardizer, n_per=int(rng.integers(1, 40)))
+    batch = final.decision_function(X)
+    assert np.array_equal(final.decision_function(np.asfortranarray(X)), batch)
+    for i in range(X.shape[0]):
+        assert final.decision_function(X[i]) == batch[i]
+        assert final.decision_function(X[i:i + 1])[0] == batch[i]
+    # the fitting side sees the same covers as scoring
+    Z = final.standardizer.transform(X)
+    for p in pool:
+        assert np.array_equal(
+            p.activations(Z), [p.activations(Z[i])[0] for i in range(Z.shape[0])])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_block_size_scores_the_reference_bits(s):
+    rng = np.random.default_rng(s)
+    d = int(rng.integers(1, 9))
+    ensembles, pool = random_stages(rng, d)
+    other, _ = random_stages(rng, d)
+    std = ensembles[0].standardizer
+    # an equal standardizer held by a distinct object shares the first one's slots
+    twin = Standardizer(std.mean.copy(), std.scale.copy())
+    ensembles += other + [RuleEnsemble(e.intercept, e.rules, e.task, twin) for e in ensembles]
+    n = int(rng.integers(2, 60))
+    X = rng.normal(size=(n, d)) * 1.5 + 0.5
+    X = np.vstack([X, on_hyperplanes(rng, pool, std, n_per=3)])
+    n = X.shape[0]
+    expected = [reference_scores(e, X).tobytes() for e in ensembles]
+    for block in (1, 7, n - 1, n, n + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "SCORE_BLOCK_ROWS", block)
+            got = score_ensembles(ensembles, X)
+            assert [g.tobytes() for g in got] == expected
+            for g, e in zip(score_ensembles(ensembles, X[-1]), ensembles):
+                assert np.ndim(g) == 0
+                assert np.float64(g).tobytes() == reference_scores(e, X[-1:]).tobytes()
 
 
 @pytest.mark.parametrize("fit, cfg", [
@@ -383,6 +427,29 @@ def test_value_equality_and_hashing():
     eb = RuleEnsemble(0.5, (rb,), Task.REGRESSION, Standardizer(np.zeros(3), np.ones(3)))
     assert ea == eb and hash(ea) == hash(eb)
     assert ea != RuleEnsemble(0.5, (ra,), Task.CLASSIFICATION, sa)
+
+
+def test_hashes_are_numeric_and_survive_pickling_and_processes():
+    # -0.0 == 0.0, so they must hash equal too (their bytes differ)
+    a = make_prop((0, 2), (1.0, -0.5), 0.0)
+    b = make_prop((0, 2), (1.0, -0.5), -0.0)
+    sa = Standardizer(np.array([0.0, 1.5]), np.array([1.0, 2.0]))
+    sb = Standardizer(np.array([-0.0, 1.5]), np.array([1.0, 2.0]))
+    assert a == b and hash(a) == hash(b)
+    assert sa == sb and hash(sa) == hash(sb)
+    for obj in (a, sa, RuleEnsemble(0.5, (Rule((a,), 2.0),), Task.REGRESSION, sa)):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj)
+    # a trace pickled by a worker process keys the same slots as the parent's
+    code = ("import numpy as np; from obliquerules.core import SparseProposition, Standardizer; "
+            "print(hash(SparseProposition((0, 2), (1.0, -0.5), 0.0)), "
+            "hash(Standardizer(np.array([0.0, 1.5]), np.array([1.0, 2.0]))))")
+    src = str(Path(obliquerules.__file__).parents[1])
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == [str(hash(a)), str(hash(sa))]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ def test_compare_outputs_summarizes_changed_final_stages():
               "c": fit((0.7, 0), (0.3, 8)), "d": fit((0.6, 0))}
     after = {"a": fit((0.7, 0), (0.5, 4)), "b": fit((0.7, 0), (0.35, 5)),
              "c": fit((0.7, 0), (0.3, 9)), "d": fit((0.6, 0), (0.65, 2))}
+    # a presort hash is no fit and is left out of the count
+    before["presort/c"], after["presort/c"] = "00ff", "ff00"
     assert compare._final_stage_changes(before, after) == (
         "final stage differs in 3 of 4 fits: complexity rose 2, fell 1; "
         "train risk fell 1, rose 1")
