@@ -15,7 +15,9 @@ Each tree is imported in its own fresh interpreter, which writes:
   the logistic refit keys its rows on more than 52 binary digits; and one
   on a bootstrap resample of make_staircase(n=2000, d=8) with a constant
   ninth column appended, so that duplicated rows tie every column of the
-  presort and one feature offers no threshold at all; every
+  presort and one feature offers no threshold at all; and of one more
+  logistic lltboost fit (seed 1) on 500 rows drawn with replacement from
+  make_oblique(n=1000, d=6, seed=0), as the protocol draws them; every
   stage also carries the sha256 of its ``decision_function`` scores on a
   fixed block of 20,000 raw rows from make_oblique (seed 10) of the fit's
   width, followed by 200 of those rows moved onto the hyperplane of each
@@ -26,7 +28,14 @@ Each tree is imported in its own fresh interpreter, which writes:
   For the two tgb fits whose columns tie (the rounded and the bootstrap
   one), the key ``presort/<fit key>`` holds the sha256 of
   ``tgb._stable_orders`` over the standardized training rows, the order of
-  the rows inside each tie that the axis scan reads;
+  the rows inside each tie that the axis scan reads.  For each lltboost fit,
+  the key ``l1/<fit key>`` holds the sha256 of every solution that
+  ``LambdaPath.for_sparsity`` returned during the fit, with its sparsity
+  level, so that a change of an L1 solution shows even where no final model
+  keeps it.  The 13 lltboost fits run 1294 L1 solves on their paths: 1280
+  at knots, 12 after a far jump halved lam and 2 after a halfway step, so
+  both fallbacks of the walk are covered (the halfway steps come from the
+  bootstrap fit);
 - report.json and the three result CSVs of a small run_benchmark run;
 - model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
   model_lltboost_config.json and model_tgb_config.json written by ``train
@@ -110,6 +119,31 @@ def _fit_doc(trace, base) -> list[dict]:
     return [_stage_doc(stage, block) for stage in trace.stages]
 
 
+def _record_sparsity_queries(answers: list) -> None:
+    """Append ``(s, solution)`` to ``answers`` for every ``LambdaPath.for_sparsity``
+    call from now on, in call order."""
+    from obliquerules.sparse_logreg import LambdaPath
+
+    for_sparsity = LambdaPath.for_sparsity
+
+    def recorded(path, s):
+        solution = for_sparsity(path, s)
+        answers.append((s, solution))
+        return solution
+
+    LambdaPath.for_sparsity = recorded
+
+
+def _l1_digest(answers) -> str:
+    """sha256 of each recorded (s, weights, intercept, lam, nnz, converged, n_iter)."""
+    digest = hashlib.sha256()
+    for s, sol in answers:
+        digest.update(sol.weights.tobytes())
+        digest.update(repr((int(s), float(sol.intercept), float(sol.lam), int(sol.nnz),
+                            bool(sol.converged), int(sol.n_iter))).encode())
+    return digest.hexdigest()
+
+
 def write_outputs(out: Path) -> None:
     """Fit, run the protocol and train through the CLI; write FILES into ``out``."""
     import numpy as np
@@ -121,15 +155,29 @@ def write_outputs(out: Path) -> None:
 
     blocks = {d: make_oblique(n=SCORE_ROWS, d=d, seed=10).X for d in (6, 8, 9)}
     fits = {}
+    answers = []
+    _record_sparsity_queries(answers)
     for make in (make_oblique, make_rotated_box, make_staircase):
         for seed in (0, 1):
             data = make(n=300, d=6, seed=seed)
             for kind in (LossKind.LOGISTIC, LossKind.SQUARED):
                 for module, cfg in ((lltboost, lltboost.LLTConfig(loss=kind, seed=seed)),
                                     (tgb, tgb.TGBConfig(loss=kind, reg_strength=1.0))):
+                    answers.clear()
                     trace = module.fit(data.X, data.y, cfg)
                     key = f"{make.__name__}/seed{seed}/{kind.value}/{module.__name__}"
                     fits[key] = _fit_doc(trace, blocks[6])
+                    if module is lltboost:
+                        fits[f"l1/{key}"] = _l1_digest(answers)
+    # a bootstrap sample, as the protocol fits, on which the path walk takes
+    # halfway steps
+    boot = make_oblique(n=1000, d=6, seed=0)
+    rows = np.random.default_rng(1).integers(0, boot.X.shape[0], size=500)
+    key = "boot/make_oblique_bootstrap/seed1/logistic/obliquerules.lltboost"
+    answers.clear()
+    trace = lltboost.fit(boot.X[rows], boot.y[rows], lltboost.LLTConfig(seed=1))
+    fits[key] = _fit_doc(trace, blocks[6])
+    fits[f"l1/{key}"] = _l1_digest(answers)
     tied = make_staircase(n=2000, d=8, seed=0)
     deep = make_oblique(n=1000, d=6, seed=2)
     wide = make_oblique(n=2000, d=6, noise=0.2, seed=3)

@@ -120,10 +120,8 @@ class SparseProposition:
     weight -1 and threshold -t.
 
     >>> p = SparseProposition(indices=(0, 2), weights=(1.0, -0.5), threshold=0.25)
-    >>> p.evaluate([1.0, 9.9, 1.0])
-    1
-    >>> p.evaluate([0.0, 0.0, 1.0])
-    0
+    >>> p.activations([[1.0, 9.9, 1.0], [0.0, 0.0, 1.0]]).tolist()
+    [1.0, 0.0]
     """
 
     indices: np.ndarray
@@ -191,12 +189,6 @@ class SparseProposition:
         _project(X.T, self.indices, self.weights, proj, term)
         return (proj >= self.threshold).astype(float)
 
-    def evaluate(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("evaluate expects a single feature vector")
-        return int(self.activations(x.reshape(1, -1))[0])
-
 
 def conjunction_cover(propositions, X) -> np.ndarray:
     """0/1 array: rows of ``X`` where every one of ``propositions`` fires."""
@@ -223,14 +215,6 @@ class Rule:
             raise ValueError("rule weight must be finite")
         object.__setattr__(self, "propositions", props)
         object.__setattr__(self, "weight", float(self.weight))
-
-    def cover(self, X) -> np.ndarray:
-        """0/1 array: rows where every proposition fires."""
-        return conjunction_cover(self.propositions, X)
-
-    def evaluate(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        return int(self.cover(x.reshape(1, -1))[0])
 
     def complexity(self) -> int:
         """Number of propositions plus total nonzero proposition weights."""

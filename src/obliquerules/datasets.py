@@ -79,6 +79,7 @@ def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
 
 def _parse_floats(path, line_no: int, cells, columns, header) -> list[float]:
+    """The finite numbers in ``columns`` of one row's ``cells``."""
     values = []
     for i in columns:
         try:
@@ -87,14 +88,18 @@ def _parse_floats(path, line_no: int, cells, columns, header) -> list[float]:
             raise DataError(
                 f"{path}:{line_no}: non-numeric value {cells[i]!r} in column {header[i]!r}"
             ) from None
+        if not math.isfinite(values[-1]):
+            raise DataError(
+                f"{path}:{line_no}: non-finite value {cells[i]!r} in column {header[i]!r}")
     return values
 
 
 def _target_values(path, rows, j, column: str, task: Task, label_names=()):
     """Column ``j`` of ``rows`` as targets, and the labels behind 0/1.
 
-    Classification labels map to 0/1 through ``label_names`` when it is given,
-    else through the two distinct labels found, in sorted order.
+    Regression targets must be finite numbers.  Classification labels map to
+    0/1 through ``label_names`` when it is given, else through the two distinct
+    labels found, in sorted order.
     """
     if task is Task.REGRESSION:
         y = np.empty(len(rows))
@@ -106,6 +111,9 @@ def _target_values(path, rows, j, column: str, task: Task, label_names=()):
                     f"{path}:{line_no}: non-numeric regression "
                     f"target {cells[j]!r} in column {column!r}"
                 ) from None
+            if not math.isfinite(y[k]):
+                raise DataError(
+                    f"{path}:{line_no}: non-finite target {cells[j]!r} in column {column!r}")
         return y, ()
     names = tuple(label_names) or tuple(sorted({cells[j] for _, cells in rows}))
     if len(names) != 2:
@@ -127,8 +135,8 @@ def load_csv(path, target_column: str, task) -> Dataset:
     """Read a headered CSV into a Dataset.
 
     Rows containing any empty cell are skipped (counted in
-    ``n_skipped_rows``); a non-empty cell that fails to parse as a number is
-    an error reported with its line number.  Classification targets may be
+    ``n_skipped_rows``); a non-empty cell that is not a finite number is an
+    error reported with its line number.  Classification targets may be
     arbitrary strings but exactly two distinct values must occur; they map
     to {0, 1} in sorted order.
     """
@@ -178,14 +186,7 @@ def load_feature_rows(path, feature_names) -> np.ndarray:
             raise DataError(
                 f"{path}:{line_no}: missing cell; rows given to predict must be complete"
             )
-        values = _parse_floats(path, line_no, cells, cols, header)
-        for j, v in zip(cols, values):
-            if not math.isfinite(v):
-                raise DataError(
-                    f"{path}:{line_no}: non-finite value {cells[j]!r} in column "
-                    f"{header[j]!r}; rows given to predict must be finite"
-                )
-        rows.append(values)
+        rows.append(_parse_floats(path, line_no, cells, cols, header))
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -209,12 +210,6 @@ def load_targets(path, target_column: str, task, label_names=()) -> np.ndarray:
                 f"{path}:{line_no}: missing cell; rows given to predict must be complete"
             )
     y, _ = _target_values(path, records, j, target_column, task, label_names)
-    for (line_no, cells), value in zip(records, y):
-        if not math.isfinite(value):
-            raise DataError(
-                f"{path}:{line_no}: non-finite target {cells[j]!r} in column "
-                f"{target_column!r}; rows given to predict must be finite"
-            )
     return y
 
 

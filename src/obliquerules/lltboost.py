@@ -45,15 +45,6 @@ class LLTConfig:
         object.__setattr__(self, "loss", LossKind(self.loss))
 
 
-def gradient_sum_objective(g, q) -> float:
-    """|<g, q>| - the absolute gradient sum over the covered examples."""
-    g = np.asarray(g, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if g.shape != q.shape:
-        raise ValueError("gradient and cover vectors must have equal length")
-    return float(abs(g @ q))
-
-
 def _weighted_sign_risk(prop: SparseProposition, X, rows, g, sgn) -> float:
     """|g|-weighted 0/1 risk of the proposition predicting gradient signs."""
     if rows.size == 0:
@@ -118,7 +109,7 @@ def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparsePropositi
     best_cover = 0
     for prop in candidates:  # iteration order realizes the tie-breaking
         q = prop.activations(Xa)
-        obj = gradient_sum_objective(ga, q)
+        obj = float(abs(ga @ q))  # the gradient-sum objective |<g, q>|
         better = obj > best_obj or (obj == best_obj and best is not None and prop.nnz < best.nnz)
         if better:
             best, best_obj, best_cover = prop, obj, int(q.sum())
@@ -139,7 +130,7 @@ def fit_conjunction(X, g, cfg: LLTConfig, active, validation) -> list[SparseProp
             break
         keep = prop.activations(X[active]) >= 0.5
         new_active = active[keep]
-        new_objective = gradient_sum_objective(g[new_active], np.ones(new_active.size))
+        new_objective = float(abs(g[new_active] @ np.ones(new_active.size)))
         if new_objective <= current_objective + OBJECTIVE_TOLERANCE:
             break
         body.append(prop)

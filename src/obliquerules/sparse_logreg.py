@@ -31,7 +31,11 @@ KEY_DIGITS = 52  # 0/1 digits a float key holds exactly
 
 @dataclass(eq=False)
 class WeightedBinaryProblem:
-    """A weighted binary labeling task; sample weights are normalized to mean 1."""
+    """A weighted binary labeling task; sample weights are normalized to mean 1.
+
+    ``lam_max`` is :func:`lambda_max` and ``tol`` the KKT tolerance of every
+    solve, ``KKT_TOL`` times min(1, lam_max): lam_max is the gradient scale.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -55,6 +59,8 @@ class WeightedBinaryProblem:
         self.features = X
         self.labels = z
         self.sample_weights = w * (X.shape[0] / total)
+        self.lam_max = lambda_max(self)
+        self.tol = KKT_TOL * min(1.0, self.lam_max)
 
     @property
     def n(self) -> int:
@@ -163,23 +169,21 @@ def fit_weighted_l1(
     problem: WeightedBinaryProblem,
     lam: float,
     init: tuple[np.ndarray, float] | None = None,
-    on_iteration=None,
 ) -> LinearSolution:
     """Solve the penalized problem at one lam by orthant-wise Newton steps.
 
     Starts from ``init`` (weights, intercept), else from the null model.  While
-    the KKT residual exceeds ``KKT_TOL`` times min(1, lambda_max), the problem's
-    gradient scale, the working set W is the support plus every zero weight
-    whose gradient exceeds lam.  A support weight keeps its
-    sign and an entering weight takes the sign against its gradient; on that
-    orthant the penalty is linear, and the step solves the (|W| + 1)-square
-    Newton system of the smooth piece.  The step is halved until F decreases,
-    and a weight whose sign would flip is set to zero.
+    the KKT residual exceeds the problem's ``tol``, the working set W is the
+    support plus every zero weight whose gradient exceeds lam.  A support
+    weight keeps its sign and an entering weight takes the sign against its
+    gradient; on that orthant the penalty is linear, and the step solves the
+    (|W| + 1)-square Newton system of the smooth piece.  The step is halved
+    until F decreases, and a weight whose sign would flip is set to zero.
 
-    ``on_iteration`` receives F after each step; it never increases.  ``n_iter``
-    counts the steps: a start that meets the tolerance returns as it is with
-    ``n_iter == 0``.  The solve stops unconverged after ``MAX_ITER`` steps, or
-    when ``HALVINGS`` halvings find no decrease that ``_smooth_change`` resolves.
+    ``n_iter`` counts the steps: a start that meets the tolerance returns as it
+    is with ``n_iter == 0``.  The solve stops unconverged after ``MAX_ITER``
+    steps, or when ``HALVINGS`` halvings find no decrease that
+    ``_smooth_change`` resolves.
     """
     if lam < 0:
         raise ValueError("penalty must be nonnegative")
@@ -196,11 +200,9 @@ def fit_weighted_l1(
         if w.shape != (problem.d,):
             raise ValueError("warm start has wrong width")
 
-    tol = KKT_TOL * min(1.0, lambda_max(problem))  # lambda_max is the gradient scale
-    F = objective_value(problem, lam, w, b)
     for k in range(MAX_ITER + 1):
         s, mu, gw, gb = _smooth_grad(X, z, omega, w, b)
-        converged = _kkt(w, gw, gb, lam) <= tol
+        converged = _kkt(w, gw, gb, lam) <= problem.tol
         if converged or k == MAX_ITER:
             break
         W = np.flatnonzero((w != 0) | (np.abs(gw) > lam))
@@ -220,9 +222,6 @@ def fit_weighted_l1(
             break  # no resolvable decrease is left
         w[W] = w_W
         b -= t * step[-1]
-        F += change
-        if on_iteration is not None:
-            on_iteration(F)
 
     return LinearSolution(weights=w, intercept=float(b), nnz=int(np.count_nonzero(w)),
                           lam=float(lam), converged=converged, n_iter=k)
@@ -239,11 +238,9 @@ class LambdaPath:
 
     def __init__(self, problem: WeightedBinaryProblem):
         self.problem = problem
-        self.lam_max = lambda_max(problem)
-        self.lam_floor = LAMBDA_FLOOR_RATIO * self.lam_max
-        self.tol = KKT_TOL * min(1.0, self.lam_max)  # as in fit_weighted_l1
-        self._last = _null_solution(problem, self.lam_max)  # optimal for lam >= lambda_max
-        self._cache: dict[float, LinearSolution] = {self.lam_max: self._last}
+        self.lam_floor = LAMBDA_FLOOR_RATIO * problem.lam_max
+        self._last = _null_solution(problem, problem.lam_max)  # optimal for lam >= lam_max
+        self._cache: dict[float, LinearSolution] = {problem.lam_max: self._last}
         self._start: tuple[np.ndarray, float] | None = None  # the walk's prediction
 
     def solve(self, lam: float) -> LinearSolution:
@@ -267,11 +264,11 @@ class LambdaPath:
     def _next_knot(self, at: LinearSolution) -> LinearSolution:
         """Solution at the next knot below ``at.lam``, or at a path point on the way."""
         X, z, omega = self.problem.features, self.problem.labels, self.problem.sample_weights
-        d, lam, w, b = self.problem.d, at.lam, at.weights, at.intercept
+        d, tol, lam, w, b = self.problem.d, self.problem.tol, at.lam, at.weights, at.intercept
         _, mu, g, _ = _smooth_grad(X, z, omega, w, b)
         D = omega * mu * (1.0 - mu)
         # the support below lam: the nonzeros, and the zeros at |g_j| = lam leaving 0
-        A = np.flatnonzero((w != 0) | (np.abs(g) >= lam - self.tol))
+        A = np.flatnonzero((w != 0) | (np.abs(g) >= lam - tol))
         while True:
             sign = np.where(w[A] != 0, np.sign(w[A]), -np.sign(g[A]))
             P, H = _hessian(X, D, A)
@@ -289,7 +286,7 @@ class LambdaPath:
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.concatenate([np.where(w[A] != 0, w[A] / v[:-1], 0.0), np.where(
                 free, np.maximum(lam + sg * np.tile(g, 2), 0.0) / (1.0 + sg * c), 0.0)])
-        steps[~(steps > self.tol)] = np.inf  # closer events are below the knots' resolution
+        steps[~(steps > tol)] = np.inf  # closer events are below the knots' resolution
         i = int(np.argmin(steps))
         self._start = (w, b)
         if steps[i] >= lam - self.lam_floor:  # halve lam: a far jump can leave Newton crawling
@@ -310,7 +307,7 @@ class LambdaPath:
             for _ in range(MAX_ITER):
                 _, mu, g_k, gb = _smooth_grad(X, z, omega, w_k, b_k)
                 F = np.append(g_k[R] + lam_k * sign_R, gb)
-                if np.abs(F).max() <= self.tol or not np.abs(F).max() <= res / 2:
+                if np.abs(F).max() <= tol or not np.abs(F).max() <= res / 2:
                     break  # solved, or Newton stopped converging
                 res = np.abs(F).max()
                 _, H = _hessian(X, omega * mu * (1.0 - mu), R)
@@ -318,10 +315,10 @@ class LambdaPath:
                 step = np.linalg.lstsq(J, F, rcond=None)[0]
                 w_k[S], b_k, lam_k = w_k[S] - step[:-2], b_k - step[-2], lam_k - step[-1]
             violation = np.concatenate([np.where(A != j, -sign * w_k[A], -np.inf), np.where(
-                free, -sg * np.tile(g_k, 2) - lam_k - self.tol, -np.inf)])
+                free, -sg * np.tile(g_k, 2) - lam_k - tol, -np.inf)])
             i = int(np.argmax(violation))
             # a knot, or a near miss's closest point, on A's own path
-            on_path = np.abs(np.delete(F, -2)).max() <= self.tol
+            on_path = np.abs(np.delete(F, -2)).max() <= tol
             if violation[i] < 0 and on_path and self.lam_floor < lam_k < lam:
                 self._start = (w_k, b_k)
                 return self.solve(lam_k)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from obliquerules import cli
+from obliquerules import cli, tgb
 from obliquerules.cli import TRAIN_FIELDS, main, print_rules
 from obliquerules.core import Rule, RuleEnsemble, SparseProposition, Standardizer, Task
 from obliquerules.datasets import load_csv, make_oblique, write_csv
@@ -223,16 +223,54 @@ def test_train_target_only_csv_is_a_data_error(tmp_path, method, capsys):
     assert not out.exists()
 
 
-def test_train_fit_failure_exit_code(tmp_path):
-    # a non-finite regression target parses but cannot be fitted
-    rows = ["a,y"] + [f"{i},{i * 0.37}" for i in range(11)] + ["11,inf"]
-    data = tmp_path / "reg.csv"
-    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+def test_train_fit_failure_exit_code(tmp_path, clf_csv, monkeypatch, capsys):
+    # valid data that the learner fails on
+    def failing_fit(X, y, cfg):
+        raise FloatingPointError("the fit diverged")
+
+    monkeypatch.setattr(tgb, "fit", failing_fit)
+    out = tmp_path / "m.json"
     code = main(
-        ["train", "--data", str(data), "--target", "y", "--task", "reg",
-         "--method", "tgb", "--out", str(tmp_path / "m.json")]
+        ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
+         "--method", "tgb", "--out", str(out)]
     )
     assert code == 4
+    assert "fit failed: FloatingPointError: the fit diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _with_cell(src, dst, line, column, cell):
+    """Copy CSV ``src`` to ``dst`` with the cell at (file ``line``, ``column``) replaced."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = cell
+    lines[line - 1] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return dst
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("method", ["tgb", "lltboost"])
+def test_train_rejects_non_finite_feature_cells(tmp_path, clf_csv, cell, method, capsys):
+    bad = _with_cell(clf_csv, tmp_path / "bad.csv", 6, 1, cell)
+    out = tmp_path / "m.json"
+    code = main(["train", "--data", str(bad), "--target", "y", "--task", "clf",
+                 "--method", method, "--out", str(out)])
+    assert code == 3
+    assert f":6: non-finite value '{cell}' in column 'x2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_train_rejects_a_non_finite_regression_target(tmp_path, clf_csv, cell, capsys):
+    reg_csv = _rewrite_target(clf_csv, tmp_path / "reg.csv", lambda i, t: f"{0.37 * i}")
+    bad = _with_cell(reg_csv, tmp_path / "bad.csv", 4, -1, cell)
+    out = tmp_path / "m.json"
+    code = main(["train", "--data", str(bad), "--target", "y", "--task", "reg",
+                 "--method", "tgb", "--out", str(out)])
+    assert code == 3
+    assert f":4: non-finite target '{cell}' in column 'y'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_non_fitting_loss_in_config_is_usage_error(tmp_path, clf_csv, capsys):
@@ -437,12 +475,7 @@ def test_predict_rejects_incomplete_rows(tmp_path, clf_csv, target, capsys):
 @pytest.mark.parametrize("target", [None, "y"])
 def test_predict_rejects_non_finite_feature_cells(tmp_path, clf_csv, cell, target, capsys):
     model_path = trained_model(tmp_path, clf_csv)
-    lines = clf_csv.read_text(encoding="utf-8").splitlines()
-    cells = lines[5].split(",")
-    cells[1] = cell
-    lines[5] = ",".join(cells)
-    bad = tmp_path / "non_finite.csv"
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad = _with_cell(clf_csv, tmp_path / "non_finite.csv", 6, 1, cell)
     argv = ["predict", "--model", str(model_path), "--data", str(bad)]
     if target:
         argv += ["--target", target]
@@ -688,6 +721,28 @@ def test_benchmark_command_writes_report(tmp_path, capsys):
     }
     doc = json.loads((out_dir / "report.json").read_text())
     assert {d["name"] for d in doc["datasets"]} == {"oblique", "fromfile"}
+
+
+@pytest.mark.parametrize("task,column,cell", [("clf", 1, "nan"), ("clf", 0, "1e400"),
+                                              ("reg", -1, "inf")])
+def test_benchmark_rejects_a_non_finite_csv_cell_before_the_protocol(
+        tmp_path, clf_csv, monkeypatch, capsys, task, column, cell):
+    def protocol(*args):
+        raise AssertionError("the protocol ran on a non-finite dataset")
+
+    monkeypatch.setattr(cli, "run_benchmark", protocol)
+    if task == "reg":
+        clf_csv = _rewrite_target(clf_csv, tmp_path / "reg.csv", lambda i, t: f"{0.37 * i}")
+    bad = _with_cell(clf_csv, tmp_path / "bad.csv", 9, column, cell)
+    cfg = {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3},
+                        {"path": str(bad), "target": "y", "task": task}],
+           "methods": ["tgb"]}
+    cfg_path = tmp_path / "protocol.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["benchmark", "--config", str(cfg_path), "--out", str(out_dir)]) == 3
+    assert "bad.csv:9: non-finite" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flags", [["--d", "1"], ["--n", "-5"], ["--noise", "2"],

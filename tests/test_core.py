@@ -19,6 +19,7 @@ from obliquerules.core import (
     SparseProposition,
     Standardizer,
     Task,
+    conjunction_cover,
     score_ensembles,
 )
 from obliquerules.datasets import make_oblique
@@ -30,6 +31,11 @@ def make_prop(indices, weights, threshold):
     return SparseProposition(indices=indices, weights=weights, threshold=threshold)
 
 
+def fires(propositions, x) -> int:
+    """1 if every one of ``propositions`` holds at the single row ``x``, else 0."""
+    return int(conjunction_cover(propositions, [x])[0])
+
+
 # ---------------------------------------------------------------------------
 # propositions
 # ---------------------------------------------------------------------------
@@ -37,23 +43,23 @@ def make_prop(indices, weights, threshold):
 
 def test_oblique_proposition_fires_on_inclusive_boundary():
     p = make_prop((0, 1), (1.0, 1.0), 0.0)
-    assert p.evaluate([0.5, -0.5]) == 1  # exactly on the boundary
-    assert p.evaluate([0.5, -0.4]) == 1
-    assert p.evaluate([0.5, -0.6]) == 0
+    assert fires((p,), [0.5, -0.5]) == 1  # exactly on the boundary
+    assert fires((p,), [0.5, -0.4]) == 1
+    assert fires((p,), [0.5, -0.6]) == 0
 
 
 def test_single_feature_ge_threshold():
     p = make_prop((2,), (1.0,), 1.5)
-    assert p.evaluate([9.0, 9.0, 1.5]) == 1
-    assert p.evaluate([9.0, 9.0, 1.4999]) == 0
+    assert fires((p,), [9.0, 9.0, 1.5]) == 1
+    assert fires((p,), [9.0, 9.0, 1.4999]) == 0
 
 
 def test_le_condition_via_negated_weight():
     # x_0 <= 2.0  is encoded as  -x_0 >= -2.0
     p = make_prop((0,), (-1.0,), -2.0)
-    assert p.evaluate([2.0]) == 1
-    assert p.evaluate([1.0]) == 1
-    assert p.evaluate([2.0001]) == 0
+    assert fires((p,), [2.0]) == 1
+    assert fires((p,), [1.0]) == 1
+    assert fires((p,), [2.0001]) == 0
 
 
 def test_proposition_rejects_empty_and_zero_weights():
@@ -70,7 +76,7 @@ def test_proposition_rejects_empty_and_zero_weights():
 def test_proposition_dimension_mismatch():
     p = make_prop((3,), (1.0,), 0.0)
     with pytest.raises(ValueError, match="feature"):
-        p.evaluate([1.0, 2.0])
+        p.activations([1.0, 2.0])
     with pytest.raises(ValueError):
         p.activations(np.zeros((4, 2)))
 
@@ -92,9 +98,9 @@ def test_conjunction_requires_all_propositions():
         propositions=(make_prop((0,), (1.0,), 0.0), make_prop((1,), (-1.0,), -1.0)),
         weight=1.0,
     )
-    assert q.evaluate([0.5, 0.5]) == 1  # x0 >= 0 and x1 <= 1
-    assert q.evaluate([-0.5, 0.5]) == 0
-    assert q.evaluate([0.5, 1.5]) == 0
+    assert fires(q.propositions, [0.5, 0.5]) == 1  # x0 >= 0 and x1 <= 1
+    assert fires(q.propositions, [-0.5, 0.5]) == 0
+    assert fires(q.propositions, [0.5, 1.5]) == 0
 
 
 def test_rule_rejects_empty_body():
@@ -116,7 +122,7 @@ def test_conjunction_equals_product_of_propositions(s):
         props.append(SparseProposition(indices=idx, weights=w, threshold=rng.normal()))
     rule = Rule(propositions=tuple(props), weight=1.0)
     expected = np.prod([p.activations(X) for p in props], axis=0)
-    assert np.array_equal(rule.cover(X), expected)
+    assert np.array_equal(conjunction_cover(rule.propositions, X), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +189,7 @@ def reference_scores(ensemble, X):
     Z = ensemble.standardizer.transform(X)
     score = np.full(Z.shape[0], ensemble.intercept)
     for rule in ensemble.rules:
-        score += rule.weight * rule.cover(Z)
+        score += rule.weight * conjunction_cover(rule.propositions, Z)
     return score
 
 

@@ -156,7 +156,8 @@ def test_targets_map_through_the_given_labels(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "inf", "1e400", ""])
 def test_targets_reject_a_missing_or_non_finite_regression_cell(tmp_path, cell):
     p = write(tmp_path, f"a,y\n1,0.5\n2,{cell}\n")
-    with pytest.raises(DataError, match="data.csv:3: .*rows given to predict must be"):
+    message = "missing cell" if cell == "" else f"non-finite target '{cell}' in column 'y'"
+    with pytest.raises(DataError, match=f"data.csv:3: {message}"):
         load_targets(p, "y", Task.REGRESSION)
 
 

@@ -81,5 +81,5 @@ def test_every_l1_solve_of_a_rare_class_fit_converges(monkeypatch):
     fit, config = LEARNERS["lltboost"]
     fit(*degenerate_data("three_positives", LossKind.LOGISTIC), config(LossKind.LOGISTIC))
     # every path with a positive lambda_max walks at least one knot
-    assert len(kkt) >= sum(path.lam_max > 0 for path in paths) > 0
+    assert len(kkt) >= sum(path.problem.lam_max > 0 for path in paths) > 0
     assert max(kkt) <= sparse_logreg.KKT_TOL

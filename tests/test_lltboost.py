@@ -13,7 +13,6 @@ from obliquerules.lltboost import (
     fit,
     fit_conjunction,
     fit_proposition,
-    gradient_sum_objective,
 )
 
 
@@ -32,11 +31,6 @@ def random_proposition(rng, d):
 # ---------------------------------------------------------------------------
 # the objective / weighted-risk decomposition
 # ---------------------------------------------------------------------------
-
-
-def test_objective_shape_mismatch():
-    with pytest.raises(ValueError):
-        gradient_sum_objective(np.ones(3), np.ones(4))
 
 
 def test_gradient_sum_decomposition_identity():
@@ -108,7 +102,7 @@ def test_single_active_example_gets_covered():
     cfg = LLTConfig()
     prop = fit_proposition(np.array([17]), X, g, cfg, np.array([], dtype=int))
     assert prop is not None
-    assert prop.evaluate(X[17]) == 1
+    assert prop.activations(X[17])[0] == 1
 
 
 def test_zero_gradients_yield_no_proposition():

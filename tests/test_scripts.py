@@ -1,11 +1,16 @@
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from obliquerules import lltboost, tgb
+from obliquerules.datasets import make_oblique
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def load_script(name="run_oblique_benchmark"):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_script(name="run_oblique_benchmark", folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -60,3 +65,22 @@ def test_compare_outputs_summarizes_changed_final_stages():
     assert compare._final_stage_changes(before, after) == (
         "final stage differs in 3 of 4 fits: complexity rose 2, fell 1; "
         "train risk fell 1, rose 1")
+
+
+def test_benchmark_tracer_finds_and_restores_every_name_it_wraps(monkeypatch):
+    # perfbench/tracer.py wraps names of src/ where callers resolve them today,
+    # so a refactor that moves one must move the tracer's name with it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    tracer = load_script("tracer", ROOT / "perfbench")
+    data = make_oblique(n=120, d=3, seed=0)
+    with tracer.Tracer() as live:
+        tracer.trace_layers(live)  # a KeyError names a wrapped name that is gone
+        wrapped = list(live._saved)
+        lltboost.fit(data.X, data.y, lltboost.LLTConfig(max_rules=2))
+        tgb.fit(data.X, data.y, tgb.TGBConfig(max_rules=2))
+    assert wrapped and all(vars(owner)[attr] is original for owner, attr, original in wrapped)
+    # the learners still call through the wrapped names
+    for span in ("sparse_logreg.l1", "sparse_logreg.path_query", "sparse_logreg.path_solve",
+                 "sparse_logreg.refit", "losses.loss", "losses.gradient", "lltboost.fit",
+                 "lltboost.proposition", "tgb.fit", "tgb.axis_scan", "core.activation"):
+        assert live.calls[span] > 0, span

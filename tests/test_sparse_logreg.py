@@ -92,11 +92,20 @@ def test_just_below_lambda_max_usually_activates_a_feature():
 # ---------------------------------------------------------------------------
 
 
-def test_objective_nonincreasing_across_iterations():
+def test_objective_nonincreasing_across_iterations(monkeypatch):
+    # a solve capped at MAX_ITER = k returns the endpoint of its first k steps
     for s in range(5):
         prob = random_problem(s)
+        lam = 0.05 * lambda_max(prob)
         history = []
-        fit_weighted_l1(prob, 0.05 * lambda_max(prob), on_iteration=history.append)
+        for k in range(50):
+            monkeypatch.setattr(sparse_logreg, "MAX_ITER", k)
+            sol = fit_weighted_l1(prob, lam)
+            assert sol.n_iter == k
+            history.append(objective_value(prob, lam, sol.weights, sol.intercept))
+            if sol.converged:
+                break
+        assert sol.converged and len(history) > 2, f"seed {s}"
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
 

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obliquerules import tgb
+from obliquerules.core import conjunction_cover
+from obliquerules.datasets import make_oblique, make_rotated_box, make_staircase
 from obliquerules.losses import LossKind, loss
 from obliquerules.tgb import AxisCandidate, TGBConfig, best_axis_proposition, fit
 
@@ -254,6 +256,31 @@ def test_all_propositions_single_feature_and_classic_complexity():
         assert all(p.nnz == 1 for p in rule.propositions)
     classic = final.n_rules + sum(2 * len(r.propositions) for r in final.rules)
     assert final.complexity() == classic
+
+
+@pytest.mark.parametrize("make", [make_oblique, make_rotated_box, make_staircase])
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.SQUARED])
+@pytest.mark.parametrize("reg", [0.0, 1.0])
+def test_fit_is_invariant_to_positive_per_feature_affine_rescaling(make, kind, reg):
+    # X' = a * X + c with a > 0 keeps every column's value order, so the fit
+    # makes the same choices: the same train risks and complexities, bit for
+    # bit, and final rules that cover the same training rows.  A negative a
+    # would reverse the order and with it the >= / <= tie-break.
+    for seed in range(6):
+        data = make(n=300, d=5, seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        a = rng.choice([0.001, 0.5, 3.0, 1000.0], size=5)
+        c = rng.choice([-7.0, 0.0, 0.25, 1000.0], size=5)
+        inputs = (data.X, a * data.X + c)
+        traces = [fit(X, data.y, TGBConfig(loss=kind, reg_strength=reg)) for X in inputs]
+        risks, complexities, covers = [], [], []
+        for trace, X in zip(traces, inputs):
+            risks.append([stage.train_risk for stage in trace.stages])
+            complexities.append([stage.complexity for stage in trace.stages])
+            Z = trace.final.standardizer.transform(X)
+            covers.append([conjunction_cover(r.propositions, Z) for r in trace.final.rules])
+        assert risks[0] == risks[1] and complexities[0] == complexities[1], seed
+        assert np.array_equal(covers[0], covers[1]), seed
 
 
 @pytest.mark.parametrize("kind", [LossKind.SQUARED, LossKind.LOGISTIC])
