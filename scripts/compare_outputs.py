@@ -35,7 +35,10 @@ Each tree is imported in its own fresh interpreter, which writes:
   keeps it.  The 13 lltboost fits run 1294 L1 solves on their paths: 1280
   at knots, 12 after a far jump halved lam and 2 after a halfway step, so
   both fallbacks of the walk are covered (the halfway steps come from the
-  bootstrap fit);
+  bootstrap fit).  For each tgb fit, the key ``scan/<fit key>`` holds the
+  sha256 of every answer of ``tgb.best_axis_proposition`` during the fit
+  (feature, direction, and the hex of threshold and score, or None), so that
+  a change of an axis scan shows even where no final model keeps it;
 - report.json and the three result CSVs of a small run_benchmark run;
 - model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
   model_lltboost_config.json and model_tgb_config.json written by ``train
@@ -144,6 +147,32 @@ def _l1_digest(answers) -> str:
     return digest.hexdigest()
 
 
+def _record_axis_scans(answers: list) -> None:
+    """Append every ``tgb.best_axis_proposition`` answer from now on to
+    ``answers``, in call order."""
+    from obliquerules import tgb
+
+    best_axis_proposition = tgb.best_axis_proposition
+
+    def recorded(*args, **kwargs):
+        cand = best_axis_proposition(*args, **kwargs)
+        answers.append(cand)
+        return cand
+
+    tgb.best_axis_proposition = recorded
+
+
+def _scan_digest(answers) -> str:
+    """sha256 of each recorded (feature, direction, threshold hex, score hex) or None."""
+    digest = hashlib.sha256()
+    for cand in answers:
+        if cand is not None:
+            cand = (int(cand.feature), cand.direction, float(cand.threshold).hex(),
+                    float(cand.score).hex())
+        digest.update(repr(cand).encode())
+    return digest.hexdigest()
+
+
 def write_outputs(out: Path) -> None:
     """Fit, run the protocol and train through the CLI; write FILES into ``out``."""
     import numpy as np
@@ -155,8 +184,9 @@ def write_outputs(out: Path) -> None:
 
     blocks = {d: make_oblique(n=SCORE_ROWS, d=d, seed=10).X for d in (6, 8, 9)}
     fits = {}
-    answers = []
+    answers, scans = [], []
     _record_sparsity_queries(answers)
+    _record_axis_scans(scans)
     for make in (make_oblique, make_rotated_box, make_staircase):
         for seed in (0, 1):
             data = make(n=300, d=6, seed=seed)
@@ -164,11 +194,14 @@ def write_outputs(out: Path) -> None:
                 for module, cfg in ((lltboost, lltboost.LLTConfig(loss=kind, seed=seed)),
                                     (tgb, tgb.TGBConfig(loss=kind, reg_strength=1.0))):
                     answers.clear()
+                    scans.clear()
                     trace = module.fit(data.X, data.y, cfg)
                     key = f"{make.__name__}/seed{seed}/{kind.value}/{module.__name__}"
                     fits[key] = _fit_doc(trace, blocks[6])
                     if module is lltboost:
                         fits[f"l1/{key}"] = _l1_digest(answers)
+                    else:
+                        fits[f"scan/{key}"] = _scan_digest(scans)
     # a bootstrap sample, as the protocol fits, on which the path walk takes
     # halfway steps
     boot = make_oblique(n=1000, d=6, seed=0)
@@ -192,8 +225,10 @@ def write_outputs(out: Path) -> None:
              tgb.TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0)),
             ("boot/make_staircase_bootstrap_const/seed0/logistic/obliquerules.tgb", boot_X,
              tied.y[resample], tgb.TGBConfig(reg_strength=1.0))):
+        scans.clear()
         trace = tgb.fit(X, y, cfg)
         fits[key] = _fit_doc(trace, blocks[X.shape[1]])
+        fits[f"scan/{key}"] = _scan_digest(scans)
         if key.startswith(("tied/", "boot/")):
             orders = tgb._stable_orders(trace.final.standardizer.transform(X))
             fits[f"presort/{key}"] = hashlib.sha256(orders.tobytes()).hexdigest()

@@ -308,6 +308,8 @@ def _cmd_benchmark(args) -> int:
     datasets = [_dataset_from_spec(s, i) for i, s in enumerate(specs)]
     with _writing(args.out):  # before the protocol runs, not after
         Path(args.out).mkdir(parents=True, exist_ok=True)
+        if not os.access(args.out, os.W_OK):  # an existing directory may be read-only
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
     report = run_benchmark(datasets, config)
     with _writing(args.out):

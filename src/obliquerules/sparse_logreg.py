@@ -392,10 +392,12 @@ def corrective_refit(
             raise ValueError("logistic refits need labels and rule columns in {0, 1}")
         rows, counts = _distinct_rows(digits)
         U, y_g, c = design[rows], y[rows], counts.astype(float)
+        ridge = np.diag(pen + 1e-12)
+        halvings = 0.5 ** np.arange(60)
 
-        def objective(beta):
+        def objective(beta):  # the logistic loss of ``loss_value``, on checked labels
             s = U @ beta
-            raw = float(c @ loss_value(kind, y_g, s))
+            raw = float(c @ (softplus(s) - y_g * s))
             return raw + REFIT_RIDGE * float(beta[1:] @ beta[1:]), raw, s
 
         beta = beta0.copy()
@@ -404,11 +406,11 @@ def corrective_refit(
         for _ in range(REFIT_MAX_ITER):
             mu = logistic(s)
             grad = U.T @ (c * (mu - y_g)) + pen * beta
-            H = U.T @ ((c * mu * (1.0 - mu))[:, None] * U) + np.diag(pen + 1e-12)
+            H = U.T @ ((c * mu * (1.0 - mu))[:, None] * U) + ridge
             step = np.linalg.solve(H, grad)
             if grad @ step <= REFIT_DECREMENT_RTOL * max(1.0, obj):
                 break  # no line search could resolve a decrease this small
-            for t in 0.5 ** np.arange(60):
+            for t in halvings:
                 cand = beta - t * step
                 if np.array_equal(cand, beta):
                     break  # rounding is monotone, so no smaller t moves beta either

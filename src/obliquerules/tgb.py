@@ -29,6 +29,12 @@ table per scan.  A position between equal values is no threshold and is
 masked to score -1.  One argmax per direction, with ``>=`` taking an equal
 score unless ``<=`` reaches it at a smaller threshold, picks the candidate
 that the documented tie-break order names.
+
+A bootstrap of a few hundred rows makes each column's numpy calls cost more
+than their arithmetic, so the scan takes columns in blocks of about
+``SCAN_BLOCK_CELLS`` sorted cells and runs each step once per block on a
+``(columns, rows)`` array, like the column blocks of XGBoost (section 4.1).
+From ``SCAN_BLOCK_CELLS`` active rows up, a block is one column.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ import numpy as np
 from .core import FitStage, FitTrace, SparseProposition, Standardizer, check_integer_fields
 from .losses import LossKind, gradient, init_intercept, loss, training_arrays
 from .sparse_logreg import corrective_refit
+
+SCAN_BLOCK_CELLS = 4096  # sorted cells per block of columns the scan processes at once
 
 
 @dataclass(frozen=True)
@@ -106,38 +114,57 @@ def best_axis_proposition(active, X, g, orders, reg_strength: float = 0.0) -> Ax
     unless ``<=`` reaches it at a smaller threshold, which is the tie-break
     order above.
 
+    The columns go in blocks of ``max(1, SCAN_BLOCK_CELLS // n_act)``, each
+    handled by one set of numpy calls on ``(c, n_act)`` arrays, row ``i`` for
+    column ``j0 + i``: one gather of gradients, one flat gather of values,
+    one ``cumsum(axis=1)`` and one argmax per direction.  The ``cumsum`` adds
+    along each row in order, as the 1-d one does, so the bits are the same.
+    Only the choice between the two directions and across columns runs in
+    Python, column by column in ascending order.
+
     ``X`` is ``(n, d)`` in either layout; ``fit`` passes it column-major, so
-    that the gather of one column reads contiguous memory.
+    that the values of a block of columns are a view of contiguous memory,
+    which a C-order ``X`` first copies.
     """
     active = np.asarray(active, dtype=int)
-    total = float(g[active].sum())
     n_act = active.size
+    if n_act < 2:
+        return None
+    total = float(g[active].sum())
     root = np.sqrt(reg_strength + np.arange(n_act + 1.0))
     root_le, root_ge = root[1:n_act], root[n_act - 1:0:-1]
+    n, d = X.shape
+    width = max(1, SCAN_BLOCK_CELLS // n_act)
     best: AxisCandidate | None = None
-    for j in range(X.shape[1]):
-        rows = orders[j].astype(np.intp)
-        sv = X[rows, j]
-        tie = sv[:-1] >= sv[1:]
-        if tie.all():
-            continue
-        score_le = np.cumsum(g[rows])[:-1]
+    for j0 in range(0, d, width):
+        rows = orders[j0:j0 + width].astype(np.intp)
+        c = rows.shape[0]
+        score_le = np.cumsum(g.take(rows), axis=1)[:, :-1]
+        rows += n * np.arange(c)[:, None]
+        sv = X.T[j0:j0 + c].ravel().take(rows)  # row i is column j0 + i, sorted
+        tie = sv[:, :-1] >= sv[:, 1:]
         score_ge = total - score_le
         np.abs(score_le, out=score_le)
         np.abs(score_ge, out=score_ge)
         score_le /= root_le
         score_ge /= root_ge
         if tie.any():
-            score_le[tie] = -1.0
-            score_ge[tie] = -1.0
-        kl = int(np.argmax(score_le))
-        kg = int(np.argmax(score_ge))
-        if score_ge[kg] > score_le[kl] or (score_ge[kg] == score_le[kl] and kg <= kl):
-            k, direction, score = kg, ">=", float(score_ge[kg])
-        else:
-            k, direction, score = kl, "<=", float(score_le[kl])
-        if best is None or score > best.score:
-            best = AxisCandidate(j, direction, float(0.5 * (sv[k] + sv[k + 1])), score)
+            np.copyto(score_le, -1.0, where=tie)
+            np.copyto(score_ge, -1.0, where=tie)
+        kls = score_le.argmax(axis=1).tolist()
+        kgs = score_ge.argmax(axis=1).tolist()
+        for i, skip in enumerate(tie.all(axis=1).tolist()):
+            if skip:
+                continue
+            kl, kg = kls[i], kgs[i]
+            sl, sg = float(score_le[i, kl]), float(score_ge[i, kg])
+            if sg > sl or (sg == sl and kg <= kl):
+                k, direction, score = kg, ">=", sg
+            else:
+                k, direction, score = kl, "<=", sl
+            if best is None or score > best.score:
+                threshold = float(0.5 * (sv[i, k] + sv[i, k + 1]))
+                best = AxisCandidate(j0 + i, direction, threshold, score)
     return best
 
 

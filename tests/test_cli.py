@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -823,6 +824,19 @@ def test_unwritable_out_is_a_usage_error(tmp_path, clf_csv, command, monkeypatch
         assert err.startswith(f"error: cannot write {tmp_path / bad}: ")
         assert "Traceback" not in err
         assert not (tmp_path / bad).exists()
+    if command == "benchmark":
+        # an existing directory that denies writing; as root every directory is
+        # writable, so the denial comes from os.access
+        read_only = tmp_path / "read_only"
+        read_only.mkdir()
+        access = cli.os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode, *args, **kwargs: (
+            Path(path) != read_only and access(path, mode, *args, **kwargs)))
+        assert main(argv + ["--out", str(read_only)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {read_only}: ")
+        assert "Traceback" not in err
+        assert not any(read_only.iterdir())
 
 
 def test_version_flag_exits_zero(capsys):

@@ -490,19 +490,76 @@ def test_refit_stops_on_the_newton_decrement(monkeypatch):
     expected = reference_refit_objective(design, y, warm)
 
     calls = 0
-    loss_value = sparse_logreg.loss_value
+    softplus = sparse_logreg.softplus
 
-    def counted(*args):
+    def counted(*args):  # the refit objective calls softplus once per evaluation
         nonlocal calls
         calls += 1
-        return loss_value(*args)
+        return softplus(*args)
 
-    monkeypatch.setattr(sparse_logreg, "loss_value", counted)
+    monkeypatch.setattr(sparse_logreg, "softplus", counted)
     beta = corrective_refit(design, y, LossKind.LOGISTIC, warm)
     assert abs(penalized_refit_objective(design, y, beta) - expected) <= 1e-12 * expected
     # one evaluation at the warm start and one per Newton step, each taken whole;
     # no line search halves its way down to a step that cannot move beta
     assert calls == 4
+
+
+def frozen_logistic_refit(design, y, warm):
+    """The logistic refit loop as it ran through ``losses.loss``, rebuilding
+    its ridge matrix and halving factors at every Newton step."""
+    pen = np.full(design.shape[1], 2.0 * sparse_logreg.REFIT_RIDGE)
+    pen[0] = 0.0
+    rows, counts = sparse_logreg._distinct_rows(np.column_stack([y, design[:, 1:]]))
+    U, y_g, c = design[rows], y[rows], counts.astype(float)
+
+    def objective(beta):
+        s = U @ beta
+        raw = float(c @ loss(LossKind.LOGISTIC, y_g, s))
+        return raw + sparse_logreg.REFIT_RIDGE * float(beta[1:] @ beta[1:]), raw, s
+
+    beta = warm.copy()
+    obj, raw_warm, s = objective(beta)
+    raw = raw_warm
+    for _ in range(sparse_logreg.REFIT_MAX_ITER):
+        mu = sparse_logreg.logistic(s)
+        grad = U.T @ (c * (mu - y_g)) + pen * beta
+        H = U.T @ ((c * mu * (1.0 - mu))[:, None] * U) + np.diag(pen + 1e-12)
+        step = np.linalg.solve(H, grad)
+        if grad @ step <= sparse_logreg.REFIT_DECREMENT_RTOL * max(1.0, obj):
+            break
+        for t in 0.5 ** np.arange(60):
+            cand = beta - t * step
+            if np.array_equal(cand, beta):
+                break
+            cand_obj, cand_raw, cand_s = objective(cand)
+            if cand_obj < obj:
+                beta, obj, raw, s = cand, cand_obj, cand_raw, cand_s
+                break
+        if beta is not cand:
+            break
+    return beta if raw <= raw_warm + 1e-12 else warm.copy()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), m=st.sampled_from([1, 3, 8, 60]),
+       pure=st.booleans(), bootstrap=st.booleans(), scale=st.sampled_from([0.0, 1.0, 4.0]))
+def test_logistic_refit_equals_the_frozen_loop_bit_for_bit(seed, n, m, pure, bootstrap, scale):
+    # pure: the first rule column holds only positive rows, a separable cover;
+    # bootstrap: rows drawn with replacement, so groups have counts above 1;
+    # m = 60: more rule columns than one 52-digit key holds
+    rng = np.random.default_rng(seed)
+    cols = (rng.random((n, m)) < rng.uniform(0.1, 0.9)).astype(float)
+    y = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(float)
+    if pure:
+        cols[:, 0] = y * (rng.random(n) < 0.7)
+    design = np.column_stack([np.ones(n), cols])
+    if bootstrap:
+        rows = rng.integers(0, n, size=n)
+        design, y = design[rows], y[rows]
+    warm = rng.normal(scale=scale, size=m + 1)
+    beta = corrective_refit(design, y, LossKind.LOGISTIC, warm)
+    assert beta.tobytes() == frozen_logistic_refit(design, y, warm).tobytes()
 
 
 def test_refit_requires_intercept_column_and_matching_warm_start():

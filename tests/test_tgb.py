@@ -159,6 +159,36 @@ def test_filtered_presort_scans_like_a_fresh_sort_under_ties(seed, n, d, decimal
 
 
 @settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 5),
+       decimals=st.sampled_from([0, 1, 2]), bootstrap=st.booleans(), constant=st.booleans(),
+       fortran=st.booleans(), reg=st.sampled_from([0.0, 1.0, 100.0]))
+@example(seed=0, n=1, d=3, decimals=1, bootstrap=False, constant=True, fortran=True, reg=0.0)
+@example(seed=0, n=2, d=3, decimals=1, bootstrap=False, constant=True, fortran=False, reg=1.0)
+@example(seed=2, n=2, d=2, decimals=0, bootstrap=True, constant=False, fortran=True, reg=0.0)
+def test_block_scan_matches_brute_force_at_every_block_width(seed, n, d, decimals, bootstrap,
+                                                            constant, fortran, reg):
+    # rounded and resampled columns tie values and whole rows; a constant
+    # column sits among the others of its block; blocks run from one column
+    # to all of them
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), decimals)
+    if bootstrap:
+        X = X[rng.integers(0, n, size=n)]
+    if constant:
+        X[:, rng.integers(d)] = 0.25
+    X = np.asfortranarray(X) if fortran else np.ascontiguousarray(X)
+    g = rng.integers(-5, 6, size=n).astype(float)
+    active = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    orders = sorted_rows(active, X).astype(np.min_scalar_type(n))
+    expected = brute_force_scan(active, X, g, reg)
+    n_act = active.size
+    for cells in (1, n_act - 1, n_act, n_act * d, 10**6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tgb, "SCAN_BLOCK_CELLS", cells)
+            assert best_axis_proposition(active, X, g, orders, reg) == expected
+
+
+@settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 3),
        decimals=st.sampled_from([0, 1, 2]), bootstrap=st.booleans(),
        signed_zero=st.booleans(), constant=st.booleans())
