@@ -38,8 +38,12 @@ Each tree is imported in its own fresh interpreter, which writes:
   bootstrap fit).  For each tgb fit, the key ``scan/<fit key>`` holds the
   sha256 of every answer of ``tgb.best_axis_proposition`` during the fit
   (feature, direction, and the hex of threshold and score, or None), so that
-  a change of an axis scan shows even where no final model keeps it;
-- report.json and the three result CSVs of a small run_benchmark run;
+  a change of an axis scan shows even where no final model keeps it (a
+  scan that answers for several reg strengths adds each answer in turn);
+- report.json and the three result CSVs of a small run_benchmark run on the
+  default 7-value tgb grid, over two classification datasets and one
+  regression dataset, so that the grid is fitted under logistic and under
+  squared loss;
 - model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
   model_lltboost_config.json and model_tgb_config.json written by ``train
   --config`` with every settings key given in the file.
@@ -149,14 +153,17 @@ def _l1_digest(answers) -> str:
 
 def _record_axis_scans(answers: list) -> None:
     """Append every ``tgb.best_axis_proposition`` answer from now on to
-    ``answers``, in call order."""
+    ``answers``, in call order.  A scan that answers for several reg
+    strengths at once returns a tuple of answers, and each is appended in
+    turn, so a tree whose scan answers once per call compares equal."""
     from obliquerules import tgb
 
     best_axis_proposition = tgb.best_axis_proposition
 
     def recorded(*args, **kwargs):
         cand = best_axis_proposition(*args, **kwargs)
-        answers.append(cand)
+        single = cand is None or isinstance(cand, tgb.AxisCandidate)
+        answers.extend((cand,) if single else cand)
         return cand
 
     tgb.best_axis_proposition = recorded
@@ -178,7 +185,9 @@ def write_outputs(out: Path) -> None:
     import numpy as np
 
     from obliquerules import cli, lltboost, tgb
-    from obliquerules.datasets import make_oblique, make_rotated_box, make_staircase, write_csv
+    from obliquerules.core import Task
+    from obliquerules.datasets import (Dataset, make_oblique, make_rotated_box, make_staircase,
+                                       write_csv)
     from obliquerules.evaluation import ProtocolConfig, run_benchmark
     from obliquerules.losses import LossKind
 
@@ -234,8 +243,13 @@ def write_outputs(out: Path) -> None:
             fits[f"presort/{key}"] = hashlib.sha256(orders.tobytes()).hexdigest()
     (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))
 
-    datasets = [make_oblique(n=150, d=4, seed=3), make_staircase(n=150, d=4, seed=4)]
-    config = ProtocolConfig(max_rules=4, bootstrap_cap=100, tgb_reg_grid=(0.01, 1.0, 100.0))
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(150, 4))
+    y = np.where(X[:, 0] > 0.3, 1.0, -0.5) + X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=150)
+    regression = Dataset(name="regression", feature_names=("a", "b", "c", "d"), X=X, y=y,
+                         task=Task.REGRESSION)
+    datasets = [make_oblique(n=150, d=4, seed=3), make_staircase(n=150, d=4, seed=4), regression]
+    config = ProtocolConfig(max_rules=4, bootstrap_cap=100)
     run_benchmark(datasets, config).write(out)
     (out / "timing_table.csv").unlink()  # wall clock, never identical
 

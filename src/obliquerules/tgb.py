@@ -5,7 +5,7 @@ exhaustive scan; the rest of the pipeline (fully corrective weight refits,
 staged traces) matches the oblique learner so the two are directly
 comparable at equal rule counts.
 
-The scan never sorts.  ``fit`` sorts every column of the standardized
+The scan never sorts.  A fit sorts every column of the standardized
 features once, stably, into ``orders`` (shape ``(d, n)``; row ``j`` lists
 the row indices in ascending order of feature ``j``, ties in ascending row
 order), and each conjunction filters that array down to the rows still
@@ -35,11 +35,20 @@ than their arithmetic, so the scan takes columns in blocks of about
 ``SCAN_BLOCK_CELLS`` sorted cells and runs each step once per block on a
 ``(columns, rows)`` array, like the column blocks of XGBoost (section 4.1).
 From ``SCAN_BLOCK_CELLS`` active rows up, a block is one column.
+
+``fit_grid`` fits a whole grid of reg strengths in one pass, and ``fit`` is
+``fit_grid`` at one value.  The reg strength enters a fit only through the
+scan's divisors, so fits that have accepted the same propositions so far
+have the same weights, scores and gradients, and scan the same rows in the
+same order.  They share one branch; one scan answers for all of them, and
+only the divisions and argmaxes run per reg strength.  Where their answers
+differ the branch splits, and the traces stay bit for bit those of separate
+fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import NamedTuple
 
@@ -86,13 +95,15 @@ class AxisCandidate(NamedTuple):
         return SparseProposition((self.feature,), (-1.0,), -self.threshold)
 
 
-def best_axis_proposition(active, X, g, orders, reg_strength: float = 0.0) -> AxisCandidate | None:
-    """Exhaustive scan over single-feature threshold conditions.
+def best_axis_proposition(active, X, g, orders,
+                          reg_strengths) -> tuple[AxisCandidate | None, ...]:
+    """Exhaustive scan over single-feature threshold conditions, one answer
+    per value of ``reg_strengths``, in its order.
 
     Candidate thresholds are the midpoints between consecutive distinct
     feature values over the active rows, in both directions.  Ties are
     broken toward the lowest feature index, then the smallest threshold,
-    then ``>=`` before ``<=``.  Returns ``None`` when no feature has two
+    then ``>=`` before ``<=``.  An answer is ``None`` when no feature has two
     distinct values.
 
     ``active`` holds the active row indices in ascending order, and
@@ -104,100 +115,139 @@ def best_axis_proposition(active, X, g, orders, reg_strength: float = 0.0) -> Ax
     The scan works on the ``n_act - 1`` split positions of each column:
     position ``k`` puts the first ``k + 1`` sorted rows below the threshold.
     Its ``<=`` sum is ``cumsum(g[rows])[k]`` and its ``>=`` sum is the rest
-    of ``total``.  The divisors come from one table, ``root[c] =
-    sqrt(reg_strength + c)`` for every count ``c``, read forwards for ``<=``
-    and backwards for ``>=``; the counts are exact in floating point, so the
-    table holds the same bits as a square root per position.  A position
-    between equal values is no threshold; it scores -1, below every real
-    score, which is >= 0, and a column with no other position is skipped.
-    Each direction takes its own first argmax, and ``>=`` wins an equal score
-    unless ``<=`` reaches it at a smaller threshold, which is the tie-break
-    order above.
+    of ``total``.  The divisors come from one table per reg strength,
+    ``root[c] = sqrt(reg_strength + c)`` for every count ``c``, read forwards
+    for ``<=`` and backwards for ``>=``; the counts are exact in floating
+    point, so the table holds the same bits as a square root per position.
+    A position between equal values is no threshold; it scores -1, below
+    every real score, which is >= 0, and a column with no other position is
+    skipped.  Each direction takes its own first argmax, and ``>=`` wins an
+    equal score unless ``<=`` reaches it at a smaller threshold, which is
+    the tie-break order above.
 
     The columns go in blocks of ``max(1, SCAN_BLOCK_CELLS // n_act)``, each
     handled by one set of numpy calls on ``(c, n_act)`` arrays, row ``i`` for
     column ``j0 + i``: one gather of gradients, one flat gather of values,
-    one ``cumsum(axis=1)`` and one argmax per direction.  The ``cumsum`` adds
-    along each row in order, as the 1-d one does, so the bits are the same.
-    Only the choice between the two directions and across columns runs in
-    Python, column by column in ascending order.
+    one ``cumsum(axis=1)``, the tie mask and the absolute sums.  The
+    ``cumsum`` adds along each row in order, as the 1-d one does, so the bits
+    are the same.  None of that depends on the reg strength.  Each reg
+    strength then divides the absolute sums by its table into two buffers
+    allocated once per scan, masks the ties and takes one argmax per
+    direction.  Only the choice between the two directions and across
+    columns runs in Python, column by column in ascending order.
 
-    ``X`` is ``(n, d)`` in either layout; ``fit`` passes it column-major, so
+    ``X`` is ``(n, d)`` in either layout; ``fit_grid`` passes it column-major, so
     that the values of a block of columns are a view of contiguous memory,
     which a C-order ``X`` first copies.
     """
     active = np.asarray(active, dtype=int)
     n_act = active.size
+    best: list[AxisCandidate | None] = [None] * len(reg_strengths)
     if n_act < 2:
-        return None
+        return tuple(best)
     total = float(g[active].sum())
-    root = np.sqrt(reg_strength + np.arange(n_act + 1.0))
-    root_le, root_ge = root[1:n_act], root[n_act - 1:0:-1]
+    counts = np.arange(n_act + 1.0)
+    roots = [np.sqrt(reg + counts) for reg in reg_strengths]
+    divisors = [(root[1:n_act], root[n_act - 1:0:-1]) for root in roots]
     n, d = X.shape
     width = max(1, SCAN_BLOCK_CELLS // n_act)
-    best: AxisCandidate | None = None
+    buf_le = np.empty((min(width, d), n_act - 1))
+    buf_ge = np.empty_like(buf_le)
     for j0 in range(0, d, width):
         rows = orders[j0:j0 + width].astype(np.intp)
         c = rows.shape[0]
-        score_le = np.cumsum(g.take(rows), axis=1)[:, :-1]
+        sum_le = np.cumsum(g.take(rows), axis=1)[:, :-1]
         rows += n * np.arange(c)[:, None]
         sv = X.T[j0:j0 + c].ravel().take(rows)  # row i is column j0 + i, sorted
         tie = sv[:, :-1] >= sv[:, 1:]
-        score_ge = total - score_le
-        np.abs(score_le, out=score_le)
-        np.abs(score_ge, out=score_ge)
-        score_le /= root_le
-        score_ge /= root_ge
-        if tie.any():
-            np.copyto(score_le, -1.0, where=tie)
-            np.copyto(score_ge, -1.0, where=tie)
-        kls = score_le.argmax(axis=1).tolist()
-        kgs = score_ge.argmax(axis=1).tolist()
-        for i, skip in enumerate(tie.all(axis=1).tolist()):
-            if skip:
-                continue
-            kl, kg = kls[i], kgs[i]
-            sl, sg = float(score_le[i, kl]), float(score_ge[i, kg])
-            if sg > sl or (sg == sl and kg <= kl):
-                k, direction, score = kg, ">=", sg
-            else:
-                k, direction, score = kl, "<=", sl
-            if best is None or score > best.score:
-                threshold = float(0.5 * (sv[i, k] + sv[i, k + 1]))
-                best = AxisCandidate(j0 + i, direction, threshold, score)
-    return best
+        sum_ge = total - sum_le
+        np.abs(sum_le, out=sum_le)
+        np.abs(sum_ge, out=sum_ge)
+        tied = tie.any()
+        columns = [i for i, skip in enumerate(tie.all(axis=1).tolist()) if not skip]
+        score_le, score_ge = buf_le[:c], buf_ge[:c]
+        for r, (root_le, root_ge) in enumerate(divisors):
+            np.divide(sum_le, root_le, out=score_le)
+            np.divide(sum_ge, root_ge, out=score_ge)
+            if tied:
+                np.copyto(score_le, -1.0, where=tie)
+                np.copyto(score_ge, -1.0, where=tie)
+            kls = score_le.argmax(axis=1).tolist()
+            kgs = score_ge.argmax(axis=1).tolist()
+            for i in columns:
+                kl, kg = kls[i], kgs[i]
+                sl, sg = float(score_le[i, kl]), float(score_ge[i, kg])
+                if sg > sl or (sg == sl and kg <= kl):
+                    k, direction, score = kg, ">=", sg
+                else:
+                    k, direction, score = kl, "<=", sl
+                if best[r] is None or score > best[r].score:
+                    threshold = float(0.5 * (sv[i, k] + sv[i, k + 1]))
+                    best[r] = AxisCandidate(j0 + i, direction, threshold, score)
+    return tuple(best)
 
 
-def _grow_conjunction(Z, g, orders,
-                      cfg: TGBConfig) -> tuple[list[SparseProposition], np.ndarray] | None:
-    """The conjunction's propositions and its 0/1 cover over all rows, or None.
+def _grow_conjunctions(Z, g, orders, reg_strengths, max_propositions):
+    """One conjunction per value of ``reg_strengths`` on the gradients ``g``,
+    as ``(picked, body, cover)`` triples: the positions in ``reg_strengths``
+    that grew the propositions ``body``, and its 0/1 cover over all rows, or
+    ``None`` for an empty body.
 
-    ``active`` holds the rows inside every accepted proposition, so it is the
-    cover's support.  ``orders`` is filtered to them at the top of the next
-    level, so a conjunction that stops at ``max_propositions`` never filters
-    for a scan that does not come.
+    The conjunctions grow as a tree.  A group holds the reg strengths that
+    accepted the same propositions so far, with the rows inside all of them
+    (``active``, the cover's support) and each one's last score
+    (``current``).  At each level one scan answers for the whole group.  A
+    reg strength whose answer is None or scores at most its own ``current``
+    stops with the body so far; the others go on in groups of equal
+    (feature, direction, threshold), each with one ``activations`` and one
+    filter of ``orders``.
+
+    Pending groups wait on a stack, last in first out.  Each holds its
+    parent's ``orders`` and its own ``inside``, and filters on being popped,
+    so a level's ``orders`` are dropped once no pending sibling needs them;
+    a group that stops at ``max_propositions`` never filters for a scan that
+    does not come.
     """
-    active = np.arange(Z.shape[0])
-    body: list[SparseProposition] = []
-    current = 0.0
-    for level in range(cfg.max_propositions):
-        if level:  # every earlier level accepted; ``inside`` is the last one's
-            orders = np.compress(inside[orders].ravel(), orders).reshape(Z.shape[1], -1)
-        cand = best_axis_proposition(active, Z, g, orders, cfg.reg_strength)
-        if cand is None or cand.score <= current:
-            break
-        prop = cand.to_proposition()
-        inside = prop.activations(Z) >= 0.5
-        if not inside[active].any():
-            break
-        body.append(prop)
-        active = active[inside[active]]
-        current = cand.score
-    if not body:
-        return None
-    cover = np.zeros(Z.shape[0])
-    cover[active] = 1.0
-    return body, cover
+    n, d = Z.shape
+    grown = []
+    k = len(reg_strengths)
+    pending = [(list(range(k)), [0.0] * k, [], np.arange(n), orders, None)]
+    while pending:
+        picked, current, body, active, orders, parent_inside = pending.pop()
+        if parent_inside is not None:
+            orders = np.compress(parent_inside[orders].ravel(), orders).reshape(d, -1)
+        cands = best_axis_proposition(active, Z, g, orders, [reg_strengths[p] for p in picked])
+        stopped, groups = [], {}
+        for p, score, cand in zip(picked, current, cands):
+            if cand is None or cand.score <= score:
+                stopped.append(p)
+            else:
+                groups.setdefault(cand[:3], []).append((p, cand))
+        children = []
+        for chosen in groups.values():
+            prop = chosen[0][1].to_proposition()
+            inside = prop.activations(Z) >= 0.5
+            if not inside[active].any():
+                stopped += [p for p, _ in chosen]
+                continue
+            members = [p for p, _ in chosen]
+            child_body, child_active = body + [prop], active[inside[active]]
+            if len(child_body) == max_propositions:
+                grown.append((members, child_body, child_active))
+            else:
+                scores = [cand.score for _, cand in chosen]
+                children.append((members, scores, child_body, child_active, orders, inside))
+        if stopped:
+            grown.append((sorted(stopped), body, active))
+        pending.extend(reversed(children))
+    out = []
+    for picked, body, active in grown:
+        cover = None
+        if body:
+            cover = np.zeros(n)
+            cover[active] = 1.0
+        out.append((picked, body, cover))
+    return out
 
 
 def _stable_orders(Z) -> np.ndarray:
@@ -226,15 +276,28 @@ def _stable_orders(Z) -> np.ndarray:
     return orders
 
 
-def fit(X, y, cfg: TGBConfig) -> FitTrace:
-    """Boost up to ``cfg.max_rules`` axis-parallel rules, tracing every stage.
+def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
+    """One trace per value of ``reg_strengths``, in its order, each bit for bit
+    the trace of ``fit(X, y, replace(cfg, reg_strength=value))``;
+    ``cfg.reg_strength`` itself is not read.
 
-    Mirrors the oblique learner's loop - standardize, grow one conjunction
-    per round on the current gradients, then refit all weights jointly with
-    a warm start - but uses the exhaustive single-feature scan and no
-    validation carve-out, so training risk is measured on all rows.
+    The fits run as one pass over the grid, as glmnet fits a whole penalty
+    path (Friedman, Hastie & Tibshirani, JSS 33(1), 2010).  Everything but
+    the scan's divisors depends on a fit's accepted propositions alone, so
+    the reg strengths whose fits have accepted the same propositions so far
+    share one branch: one gradient, one presort filter per level, one scan,
+    one refit and one ``FitStage`` per round for all of them.  A branch
+    splits where their conjunctions differ, and a reg strength leaves it
+    when its fit stops.  Branches wait on a stack, last in first out.
+
+    Each trace's ``wall_time_seconds`` is the time of the whole call divided
+    by the number of reg strengths, so that the traces of one call add up to
+    it; with one reg strength it is the fit's own time.
     """
     t_start = perf_counter()
+    regs = [replace(cfg, reg_strength=reg).reg_strength for reg in reg_strengths]
+    if not regs:
+        raise ValueError("reg_strengths must hold at least one value")
     kind = cfg.loss
     X, y, task = training_arrays(X, y, kind)
     n = X.shape[0]
@@ -242,28 +305,51 @@ def fit(X, y, cfg: TGBConfig) -> FitTrace:
     # column-major, so that every gather of the scan and the presort reads one column
     Z = np.asfortranarray(standardizer.transform(X))
     orders = _stable_orders(Z)
-    beta = np.array([init_intercept(kind, y)])
-    scores = np.full(n, beta[0])
-    covers: list[np.ndarray] = []
-    bodies: list[list[SparseProposition]] = []
 
-    def stage() -> FitStage:
+    def stage(bodies, beta, scores) -> FitStage:
         risk = float(np.mean(loss(kind, y, scores)))
         return FitStage.of(bodies, beta, task, standardizer, risk)
 
-    stages = [stage()]
-    for _ in range(cfg.max_rules):
+    beta = np.array([init_intercept(kind, y)])
+    scores = np.full(n, beta[0])
+    traced: list[list[FitStage]] = [[] for _ in regs]
+    # a branch: its positions in ``regs``, their refitted weights and scores,
+    # and their covers, bodies and stages so far
+    pending = [(list(range(len(regs))), beta, scores, [], [], [stage([], beta, scores)])]
+    while pending:
+        members, beta, scores, covers, bodies, stages = pending.pop()
+        if len(bodies) == cfg.max_rules:
+            for m in members:
+                traced[m] = stages
+            continue
         g = gradient(kind, y, scores)
-        grown = _grow_conjunction(Z, g, orders, cfg)
-        if grown is None:
-            break
-        body, cover = grown
-        covers.append(cover)
-        bodies.append(body)
-        design = np.column_stack([np.ones(n)] + covers)
-        warm = np.append(beta, 0.0)
-        beta = corrective_refit(design, y, kind, warm)
-        scores = design @ beta
-        stages.append(stage())
+        grown = _grow_conjunctions(Z, g, orders, [regs[m] for m in members],
+                                   cfg.max_propositions)
+        for picked, body, cover in grown:
+            branch = [members[p] for p in picked]
+            if cover is None:
+                for m in branch:
+                    traced[m] = stages
+                continue
+            branch_covers = covers + [cover]
+            branch_bodies = bodies + [body]
+            design = np.column_stack([np.ones(n)] + branch_covers)
+            branch_beta = corrective_refit(design, y, kind, np.append(beta, 0.0))
+            branch_scores = design @ branch_beta
+            pending.append((branch, branch_beta, branch_scores, branch_covers, branch_bodies,
+                            stages + [stage(branch_bodies, branch_beta, branch_scores)]))
 
-    return FitTrace(stages=tuple(stages), wall_time_seconds=perf_counter() - t_start)
+    seconds = (perf_counter() - t_start) / len(regs)
+    return tuple(FitTrace(stages=tuple(s), wall_time_seconds=seconds) for s in traced)
+
+
+def fit(X, y, cfg: TGBConfig) -> FitTrace:
+    """Boost up to ``cfg.max_rules`` axis-parallel rules, tracing every stage.
+
+    Mirrors the oblique learner's loop - standardize, grow one conjunction
+    per round on the current gradients, then refit all weights jointly with
+    a warm start - but uses the exhaustive single-feature scan and no
+    validation carve-out, so training risk is measured on all rows.  It is
+    ``fit_grid`` at the one reg strength ``cfg.reg_strength``.
+    """
+    return fit_grid(X, y, cfg, (cfg.reg_strength,))[0]

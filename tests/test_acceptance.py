@@ -267,7 +267,7 @@ def test_a5_axis_threshold_search_equals_exhaustive_enumeration(verdict):
         g = rng.integers(-5, 6, size=n).astype(float)
         reg = (0.0, 1.0, 100.0)[trial % 3]
         orders = np.argsort(X.T, axis=1, kind="stable")
-        cand = best_axis_proposition(np.arange(n), X, g, orders, reg_strength=reg)
+        cand = best_axis_proposition(np.arange(n), X, g, orders, (reg,))[0]
         brute = _brute_force_axis(X, g, reg)
         if brute is None:
             ok = cand is None

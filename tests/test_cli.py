@@ -762,6 +762,8 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "master_seed": -1},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "bootstrap_cap": -1},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "max_nonzeros": 0},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": [0.1, 1.0, 0.1]},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": [0.0, -0.0]},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"

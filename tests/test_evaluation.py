@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliquerules import lltboost
+from obliquerules import lltboost, tgb
 from obliquerules.datasets import Dataset, make_oblique
 from obliquerules.core import Task
 from obliquerules.evaluation import (
@@ -262,6 +263,70 @@ def test_failed_fits_record_inf_rows_and_note(monkeypatch):
     assert any("synthetic failure" in n for n in rep.notes)
     # the baseline sweep still produced its rows
     assert [r for r in rep.complexity_rows if r["method"] == "tgb"]
+
+
+def test_a_failing_grid_fit_is_recorded_as_inf_for_every_grid_value(monkeypatch):
+    calls = []
+
+    def boom(X, y, cfg, reg_strengths):
+        calls.append(reg_strengths)
+        raise RuntimeError("synthetic grid failure")
+
+    monkeypatch.setattr(tgb, "fit_grid", boom)
+    data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
+    rep = run_benchmark(data, small_config(methods=("lltboost", "tgb")))
+    assert calls == [(0.01, 1.0)] * 10  # one grid call per repetition
+    for hyper in ("0.01", "1.0"):
+        failed = [n for n in rep.notes if f"tgb[{hyper}] failed: RuntimeError: synthetic grid "
+                  "failure (recorded as inf)" in n]
+        assert len(failed) == 10
+    assert not [r for r in rep.curve_rows if r["method"] == "tgb"]
+    tgb_timing = [r for r in rep.timing_rows if r["method"] == "tgb"]
+    assert [(r["hyper"], r["n_fits"], r["mean_fit_seconds"]) for r in tgb_timing] == [
+        ("0.01", 0, 0.0), ("1.0", 0, 0.0)]
+    # without baseline curves there are no targets, so no table rows at all
+    assert not rep.complexity_rows and not rep.risk_rows
+    assert any("no baseline curves" in n for n in rep.notes)
+
+
+def test_mean_fit_seconds_averages_the_successful_fits_only(monkeypatch):
+    fit_grid = tgb.fit_grid
+    calls = []
+
+    def fails_once(X, y, cfg, reg_strengths):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("synthetic failure in one repetition")
+        return tuple(replace(t, wall_time_seconds=2.0) for t in fit_grid(X, y, cfg, reg_strengths))
+
+    monkeypatch.setattr(tgb, "fit_grid", fails_once)
+    data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
+    rep = run_benchmark(data, small_config())
+    rows = [(r["hyper"], r["n_fits"], r["mean_fit_seconds"]) for r in rep.timing_rows]
+    assert rows == [("0.01", 9, 2.0), ("1.0", 9, 2.0)]
+
+
+def test_grid_fits_share_one_timing_per_repetition(monkeypatch):
+    fit_grid = tgb.fit_grid
+    traces = []
+
+    def recorded(*args):
+        traces.append(fit_grid(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(tgb, "fit_grid", recorded)
+    data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
+    rep = run_benchmark(data, small_config(repetitions=1, tgb_reg_grid=(1.0, 0.01, 100.0)))
+    (grid,) = traces
+    assert len({t.wall_time_seconds for t in grid}) == 1
+    assert [(r["hyper"], r["mean_fit_seconds"]) for r in rep.timing_rows] == [
+        (h, grid[0].wall_time_seconds) for h in ("1.0", "0.01", "100.0")]
+
+
+@pytest.mark.parametrize("grid", [(0.1, 0.1), (1.0, 0.01, 1), (0.0, -0.0)])
+def test_config_rejects_a_repeated_grid_value(grid):
+    with pytest.raises(ValueError, match="tgb_reg_grid must not repeat a value"):
+        ProtocolConfig(tgb_reg_grid=grid)
 
 
 def test_regression_risks_invariant_to_target_scale():

@@ -1,6 +1,7 @@
 """Tests for the axis-parallel boosting baseline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def sorted_rows(active, X):
 
 
 def scan(active, X, g, reg_strength=0.0):
-    return best_axis_proposition(active, X, g, sorted_rows(active, X), reg_strength)
+    return best_axis_proposition(active, X, g, sorted_rows(active, X), (reg_strength,))[0]
 
 
 def test_hand_example():
@@ -149,7 +150,7 @@ def test_filtered_presort_scans_like_a_fresh_sort_under_ties(seed, n, d, decimal
     orders = np.argsort(X.T, axis=1, kind="stable")
     for _ in range(5):
         assert np.array_equal(orders, sorted_rows(active, X))
-        cand = best_axis_proposition(active, X, g, orders, reg)
+        cand = best_axis_proposition(active, X, g, orders, (reg,))[0]
         assert cand == brute_force_scan(active, X, g, reg)
         inside = rng.random(n) < rng.uniform(0.3, 1.0)
         if not inside[active].any():
@@ -185,7 +186,33 @@ def test_block_scan_matches_brute_force_at_every_block_width(seed, n, d, decimal
     for cells in (1, n_act - 1, n_act, n_act * d, 10**6):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tgb, "SCAN_BLOCK_CELLS", cells)
-            assert best_axis_proposition(active, X, g, orders, reg) == expected
+            assert best_axis_proposition(active, X, g, orders, (reg,))[0] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 5),
+       decimals=st.sampled_from([0, 1, 2]), bootstrap=st.booleans(),
+       regs=st.lists(st.sampled_from([0.0, 0.01, 1.0, 3.0, 100.0]), min_size=1, max_size=6))
+@example(seed=0, n=1, d=2, decimals=1, bootstrap=False, regs=[1.0, 0.0])
+@example(seed=3, n=12, d=3, decimals=0, bootstrap=True, regs=[100.0, 0.0, 100.0, 1.0])
+def test_multi_reg_scan_matches_brute_force_per_reg_at_every_block_width(
+        seed, n, d, decimals, bootstrap, regs):
+    # one scan answers for every reg strength, in the order given, repeats
+    # included, as a brute-force scan per reg strength would
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), decimals)
+    if bootstrap:
+        X = X[rng.integers(0, n, size=n)]
+    X = np.asfortranarray(X)
+    g = rng.integers(-5, 6, size=n).astype(float)
+    active = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    orders = sorted_rows(active, X).astype(np.min_scalar_type(n))
+    expected = tuple(brute_force_scan(active, X, g, reg) for reg in regs)
+    n_act = active.size
+    for cells in (1, n_act - 1, n_act, n_act * d, 10**6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tgb, "SCAN_BLOCK_CELLS", cells)
+            assert best_axis_proposition(active, X, g, orders, regs) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,10 +244,10 @@ def test_every_scan_of_a_fit_gets_its_active_rows_in_stable_order(monkeypatch, r
     y = ((X[:, 0] > 0) & (X[:, 1] > -0.5) & (X[:, 2] < 0.5)).astype(float)
     sizes = []
 
-    def checked_scan(active, Z, g, orders, reg_strength):
+    def checked_scan(active, Z, g, orders, reg_strengths):
         assert np.array_equal(orders, sorted_rows(active, Z))
         sizes.append(len(active))
-        return best_axis_proposition(active, Z, g, orders, reg_strength)
+        return best_axis_proposition(active, Z, g, orders, reg_strengths)
 
     monkeypatch.setattr(tgb, "best_axis_proposition", checked_scan)
     fit(X, y, TGBConfig(max_rules=4, max_propositions=5, reg_strength=reg))
@@ -344,6 +371,91 @@ def test_constant_target_stops_immediately():
     trace = fit(X, np.full(30, 2.5), TGBConfig(loss=LossKind.SQUARED))
     assert len(trace.stages) - 1 == 0
     assert trace.final.intercept == pytest.approx(2.5)
+
+
+def assert_same_trace(a, b):
+    """Two traces hold the same stages: risks, complexities, intercepts,
+    weights and every proposition, bit for bit."""
+    assert len(a.stages) == len(b.stages)
+    for sa, sb in zip(a.stages, b.stages):
+        assert sa.train_risk.hex() == sb.train_risk.hex()
+        assert sa.complexity == sb.complexity
+        ea, eb = sa.ensemble, sb.ensemble
+        assert ea.intercept.hex() == eb.intercept.hex()
+        assert len(ea.rules) == len(eb.rules)
+        for ra, rb in zip(ea.rules, eb.rules):
+            assert ra.weight.hex() == rb.weight.hex()
+            assert len(ra.propositions) == len(rb.propositions)
+            for pa, pb in zip(ra.propositions, rb.propositions):
+                assert pa.indices.tobytes() == pb.indices.tobytes()
+                assert pa.weights.tobytes() == pb.weights.tobytes()
+                assert pa.threshold.hex() == pb.threshold.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), d=st.integers(1, 4),
+       decimals=st.sampled_from([None, 0, 1]),
+       kind=st.sampled_from([LossKind.LOGISTIC, LossKind.SQUARED]),
+       max_propositions=st.integers(1, 5), max_rules=st.integers(1, 6),
+       regs=st.lists(st.sampled_from([0.0, 0.0001, 0.01, 1.0, 100.0]), min_size=1,
+                     max_size=7))
+@example(seed=1, n=120, d=3, decimals=1, kind=LossKind.LOGISTIC, max_propositions=5,
+         max_rules=6, regs=[100.0, 0.0001, 0.01, 1.0, 0.0001, 0.0])
+@example(seed=2, n=80, d=2, decimals=0, kind=LossKind.SQUARED, max_propositions=3,
+         max_rules=6, regs=[1.0, 0.0, 1.0])
+def test_grid_fit_equals_one_fit_per_reg_strength(seed, n, d, decimals, kind,
+                                                  max_propositions, max_rules, regs):
+    # unsorted grids with repeats; rounded features tie values, so scans at
+    # different reg strengths agree for some levels and part at others
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    if kind is LossKind.LOGISTIC:
+        y = ((X[:, 0] > 0.2) ^ (X[:, -1] < -0.3) ^ (rng.random(n) < 0.1)).astype(float)
+    else:
+        y = np.where(X[:, 0] > 0, 1.0, -1.0) + X[:, -1] ** 2 + 0.2 * rng.normal(size=n)
+    cfg = TGBConfig(max_rules=max_rules, max_propositions=max_propositions, loss=kind,
+                    reg_strength=7.0)  # fit_grid does not read it
+    traces = tgb.fit_grid(X, y, cfg, regs)
+    assert len(traces) == len(regs)
+    assert len({t.wall_time_seconds for t in traces}) == 1
+    for reg, trace in zip(regs, traces):
+        assert_same_trace(trace, fit(X, y, replace(cfg, reg_strength=reg)))
+
+
+def test_grid_fit_shares_the_work_of_agreeing_reg_strengths(monkeypatch):
+    # 1e-4 and 1e-3 barely change a score of hundreds of rows, so here the
+    # two fits agree on every rule: one scan, one gradient and one refit
+    # serve both, and a repeated value costs nothing
+    data = make_oblique(n=300, d=4, seed=0)
+    counts = {"scan": 0, "refit": 0, "gradient": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tgb, "best_axis_proposition", counted("scan", best_axis_proposition))
+    monkeypatch.setattr(tgb, "corrective_refit", counted("refit", tgb.corrective_refit))
+    monkeypatch.setattr(tgb, "gradient", counted("gradient", tgb.gradient))
+    cfg = TGBConfig(max_rules=5)
+    single = fit(data.X, data.y, replace(cfg, reg_strength=0.001))
+    alone = dict(counts)
+    counts.update(scan=0, refit=0, gradient=0)
+    traces = tgb.fit_grid(data.X, data.y, cfg, (0.0001, 0.001, 0.0001))
+    assert counts == alone
+    for trace in traces:
+        assert_same_trace(trace, single)
+
+
+def test_grid_fit_rejects_an_empty_or_invalid_grid():
+    X, y = np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="at least one"):
+        tgb.fit_grid(X, y, TGBConfig(), ())
+    with pytest.raises(ValueError, match="reg_strength"):
+        tgb.fit_grid(X, y, TGBConfig(), (1.0, -1.0))
 
 
 def test_config_validation():
