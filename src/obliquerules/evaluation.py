@@ -9,9 +9,11 @@ and parallel runs produce identical reports; wall-clock timings are kept in
 a separate table for the same reason.
 
 Each repetition fits the axis-parallel baseline's whole regularization grid
-in one ``tgb.fit_grid`` call, whose traces are bit for bit those of one
-``tgb.fit`` per grid value.  The timing table's seconds of a grid value are
-that call's time divided by the number of grid values, and average over the
+in one ``tgb.fit`` call (``tgb.fit_grid`` underneath), whose traces are bit
+for bit those of one ``tgb.fit`` per grid value.  If that call raises, each
+grid value is fitted on its own, so an error fails only the values whose own
+fit raises it.  The timing table's seconds of a grid value are the grid
+call's time divided by the number of grid values, and average over the
 repetitions whose fit succeeded.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import ModuleType
 from typing import NamedTuple
@@ -132,7 +134,7 @@ def bootstrap_split(n: int, seed, cap: int = 500) -> BootstrapSplit:
 
 class Learner(NamedTuple):
     config: type
-    module: ModuleType  # its ``fit`` (``fit_grid`` for tgb) is looked up on every call
+    module: ModuleType  # its ``fit`` is looked up on every call
 
 
 LEARNERS = {
@@ -205,29 +207,42 @@ def _metrics_for(task: Task) -> list[tuple[str, LossKind]]:
 # ---------------------------------------------------------------------------
 
 
+def _variant_config(method, kind, config, fit_seed):
+    settings = {name: getattr(config, name) for name in LEARNER_FIELDS}
+    return learner_config(method, loss=kind, seed=fit_seed, **settings)
+
+
+def _fit_tgb_grid(X, y, kind, config, fit_seed) -> dict:
+    """The trace of every ``tgb`` grid value, or the error its fit raised, by hyper.
+
+    The grid is one ``tgb.fit`` call; if that raises, each value is fitted on
+    its own, so that an error costs only the values whose own fit raises it.
+    """
+    cfg = _variant_config("tgb", kind, config, fit_seed)
+    grid = config.tgb_reg_grid
+    try:
+        traces = tgb.fit(X, y, cfg, reg_strengths=grid)
+    except Exception:
+        traces = []
+        for reg in grid:
+            try:
+                traces.append(tgb.fit(X, y, replace(cfg, reg_strength=reg)))
+            except Exception as exc:  # raised again by _fit_variant
+                traces.append(exc)
+    return {_fmt_hyper(reg): trace for reg, trace in zip(grid, traces)}
+
+
 def _fit_variant(method, hyper, X, y, kind, config, fit_seed, tgb_traces):
     """The trace of one (method, hyper) variant; raises what its fit raised.
 
-    The first ``tgb`` variant of a repetition fits the whole grid in one
-    ``tgb.fit_grid`` call into ``tgb_traces``, keyed by hyper, or records the
-    error it raised for every grid value; each ``tgb`` variant then takes its
-    own entry from there.
+    ``tgb`` variants take theirs from ``tgb_traces``, the repetition's grid fit.
     """
-    settings = {name: getattr(config, name) for name in LEARNER_FIELDS}
-    cfg = learner_config(method, loss=kind, seed=fit_seed, **settings)
-    if method != "tgb":
-        return LEARNERS[method].module.fit(X, y, cfg)
-    if not tgb_traces:
-        hypers = [_fmt_hyper(reg) for reg in config.tgb_reg_grid]
-        try:
-            traces = tgb.fit_grid(X, y, cfg, config.tgb_reg_grid)
-        except Exception as exc:  # raised again below, for every grid value
-            traces = [exc] * len(hypers)
-        tgb_traces.update(zip(hypers, traces))
-    trace = tgb_traces[hyper]
-    if isinstance(trace, Exception):
-        raise trace
-    return trace
+    if method == "tgb":
+        trace = tgb_traces[hyper]
+        if isinstance(trace, Exception):
+            raise trace
+        return trace
+    return LEARNERS[method].module.fit(X, y, _variant_config(method, kind, config, fit_seed))
 
 
 def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: int):
@@ -253,8 +268,13 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
     metrics = _metrics_for(dataset.task)
 
     fits = {}
-    tgb_traces: dict = {}
+    tgb_traces = {}
+    # stage id -> (stage, (test, train) risk per metric): the traces of grid
+    # values whose fits agreed share stage objects, and each is scored once
+    risks = {}
     for method, hyper in _method_variants(config):
+        if method == "tgb" and not tgb_traces:
+            tgb_traces = _fit_tgb_grid(X_train, y_train, fit_kind, config, fit_seed)
         error = None
         seconds = 0.0
         curves: dict[str, tuple[CurvePoint, ...]] = {name: () for name, _ in metrics}
@@ -263,23 +283,26 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
                                  tgb_traces)
             seconds = trace.wall_time_seconds
             stages = trace.stages[1:]
-            ensembles = [stage.ensemble for stage in stages]
-            staged = list(zip(
-                range(1, len(trace.stages)),
-                [stage.complexity for stage in stages],
-                score_ensembles(ensembles, X_train),
-                score_ensembles(ensembles, X_test),
-            ))
-            for metric_name, metric_kind in metrics:
+            new = [stage for stage in stages if id(stage) not in risks]
+            if new:
+                ensembles = [stage.ensemble for stage in new]
+                for stage, s_tr, s_te in zip(new, score_ensembles(ensembles, X_train),
+                                             score_ensembles(ensembles, X_test)):
+                    risks[id(stage)] = stage, [
+                        (float(np.mean(loss(metric_kind, y_test, s_te))),
+                         float(np.mean(loss(metric_kind, y_train, s_tr))))
+                        for _, metric_kind in metrics
+                    ]
+            for m, (metric_name, _) in enumerate(metrics):
                 curves[metric_name] = tuple(
                     CurvePoint(
-                        complexity=complexity,
-                        test_risk=float(np.mean(loss(metric_kind, y_test, s_te))),
-                        train_risk=float(np.mean(loss(metric_kind, y_train, s_tr))),
+                        complexity=stage.complexity,
+                        test_risk=risks[id(stage)][1][m][0],
+                        train_risk=risks[id(stage)][1][m][1],
                         r=r,
                         hyper=hyper,
                     )
-                    for r, complexity, s_tr, s_te in staged
+                    for r, stage in enumerate(stages, 1)
                 )
         except Exception as exc:  # recorded, never aborts the sweep
             error = f"{type(exc).__name__}: {exc}"

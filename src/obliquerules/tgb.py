@@ -37,7 +37,7 @@ than their arithmetic, so the scan takes columns in blocks of about
 From ``SCAN_BLOCK_CELLS`` active rows up, a block is one column.
 
 ``fit_grid`` fits a whole grid of reg strengths in one pass, and ``fit`` is
-``fit_grid`` at one value.  The reg strength enters a fit only through the
+``fit_grid`` at one value, or at a whole grid given one.  The reg strength enters a fit only through the
 scan's divisors, so fits that have accepted the same propositions so far
 have the same weights, scores and gradients, and scan the same rows in the
 same order.  They share one branch; one scan answers for all of them, and
@@ -343,13 +343,18 @@ def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
     return tuple(FitTrace(stages=tuple(s), wall_time_seconds=seconds) for s in traced)
 
 
-def fit(X, y, cfg: TGBConfig) -> FitTrace:
+def fit(X, y, cfg: TGBConfig, reg_strengths=None) -> FitTrace | tuple[FitTrace, ...]:
     """Boost up to ``cfg.max_rules`` axis-parallel rules, tracing every stage.
 
     Mirrors the oblique learner's loop - standardize, grow one conjunction
     per round on the current gradients, then refit all weights jointly with
     a warm start - but uses the exhaustive single-feature scan and no
     validation carve-out, so training risk is measured on all rows.  It is
-    ``fit_grid`` at the one reg strength ``cfg.reg_strength``.
+    ``fit_grid`` at the one reg strength ``cfg.reg_strength``; given
+    ``reg_strengths``, it returns ``fit_grid(X, y, cfg, reg_strengths)``, so
+    that the protocol's grid fits run inside ``fit`` as well, where a layer
+    tracer that wraps ``tgb.fit`` times them.
     """
+    if reg_strengths is not None:
+        return fit_grid(X, y, cfg, reg_strengths)
     return fit_grid(X, y, cfg, (cfg.reg_strength,))[0]

@@ -275,7 +275,8 @@ def test_a_failing_grid_fit_is_recorded_as_inf_for_every_grid_value(monkeypatch)
     monkeypatch.setattr(tgb, "fit_grid", boom)
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
     rep = run_benchmark(data, small_config(methods=("lltboost", "tgb")))
-    assert calls == [(0.01, 1.0)] * 10  # one grid call per repetition
+    # per repetition: the grid call, then one call per grid value on its own
+    assert calls == [(0.01, 1.0), (0.01,), (1.0,)] * 10
     for hyper in ("0.01", "1.0"):
         failed = [n for n in rep.notes if f"tgb[{hyper}] failed: RuntimeError: synthetic grid "
                   "failure (recorded as inf)" in n]
@@ -291,19 +292,39 @@ def test_a_failing_grid_fit_is_recorded_as_inf_for_every_grid_value(monkeypatch)
 
 def test_mean_fit_seconds_averages_the_successful_fits_only(monkeypatch):
     fit_grid = tgb.fit_grid
-    calls = []
+    grid_calls = []
 
-    def fails_once(X, y, cfg, reg_strengths):
-        calls.append(None)
-        if len(calls) == 4:
+    def fails_in_one_repetition(X, y, cfg, reg_strengths):
+        if len(reg_strengths) > 1:
+            grid_calls.append(reg_strengths)
+        if len(grid_calls) == 4:  # the fourth grid call and the one-value fits after it
             raise RuntimeError("synthetic failure in one repetition")
         return tuple(replace(t, wall_time_seconds=2.0) for t in fit_grid(X, y, cfg, reg_strengths))
 
-    monkeypatch.setattr(tgb, "fit_grid", fails_once)
+    monkeypatch.setattr(tgb, "fit_grid", fails_in_one_repetition)
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
     rep = run_benchmark(data, small_config())
     rows = [(r["hyper"], r["n_fits"], r["mean_fit_seconds"]) for r in rep.timing_rows]
     assert rows == [("0.01", 9, 2.0), ("1.0", 9, 2.0)]
+
+
+def test_a_grid_value_that_fails_alone_fails_only_itself(monkeypatch):
+    data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
+    plain = run_benchmark(data, small_config())
+    fit_grid = tgb.fit_grid
+
+    def fails_at_one(X, y, cfg, reg_strengths):
+        if 1.0 in reg_strengths:
+            raise RuntimeError("synthetic failure at 1.0")
+        return fit_grid(X, y, cfg, reg_strengths)
+
+    monkeypatch.setattr(tgb, "fit_grid", fails_at_one)
+    rep = run_benchmark(data, small_config())
+    failed = [n for n in rep.notes if "failed" in n]
+    assert len(failed) == 10 and all("tgb[1.0] failed" in n for n in failed)
+    kept = [r for r in plain.curve_rows if r["hyper"] != "1.0"]
+    assert rep.curve_rows == kept and kept
+    assert [(r["hyper"], r["n_fits"]) for r in rep.timing_rows] == [("0.01", 10), ("1.0", 0)]
 
 
 def test_grid_fits_share_one_timing_per_repetition(monkeypatch):

@@ -444,8 +444,8 @@ def test_grid_fit_shares_the_work_of_agreeing_reg_strengths(monkeypatch):
     single = fit(data.X, data.y, replace(cfg, reg_strength=0.001))
     alone = dict(counts)
     counts.update(scan=0, refit=0, gradient=0)
-    traces = tgb.fit_grid(data.X, data.y, cfg, (0.0001, 0.001, 0.0001))
-    assert counts == alone
+    traces = fit(data.X, data.y, cfg, reg_strengths=(0.0001, 0.001, 0.0001))  # fit_grid's
+    assert counts == alone and len(traces) == 3
     for trace in traces:
         assert_same_trace(trace, single)
 
