@@ -123,14 +123,17 @@ def _writing(path):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _check_writable_parent(path):
+def _check_writable(path, make_dir=False):
     """Raise the usage error of :func:`_writing` unless the directory of ``path``
-    exists and is writable, so a long run does not end in a failed write."""
-    parent = Path(path).parent
+    (``path`` itself, made with its parents, given ``make_dir``) exists and is
+    writable, so a long run does not end in a failed write."""
+    directory = Path(path) if make_dir else Path(path).parent
     with _writing(path):
-        with os.scandir(parent):  # missing, or not a directory
+        if make_dir:
+            directory.mkdir(parents=True, exist_ok=True)
+        with os.scandir(directory):  # missing, or not a directory
             pass
-        if not os.access(parent, os.W_OK):
+        if not os.access(directory, os.W_OK):  # an existing directory may be read-only
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
@@ -182,7 +185,7 @@ def _cmd_train(args) -> int:
             f"note: skipped {dataset.n_skipped_rows} row(s) with missing cells",
             file=sys.stderr,
         )
-    _check_writable_parent(args.out)
+    _check_writable(args.out)
     try:
         trace = LEARNERS[args.method].module.fit(dataset.X, dataset.y, cfg)
     except Exception as exc:
@@ -306,10 +309,7 @@ def _cmd_benchmark(args) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{args.config}: {exc}") from None
     datasets = [_dataset_from_spec(s, i) for i, s in enumerate(specs)]
-    with _writing(args.out):  # before the protocol runs, not after
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        if not os.access(args.out, os.W_OK):  # an existing directory may be read-only
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    _check_writable(args.out, make_dir=True)  # before the protocol runs, not after
 
     report = run_benchmark(datasets, config)
     with _writing(args.out):

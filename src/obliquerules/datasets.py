@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,6 +79,14 @@ def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
+def _reject_repeated(path, header, names) -> None:
+    """DataError for the first of ``names`` that ``header`` holds more than once."""
+    counts = Counter(header)
+    for name in names:
+        if counts[name] > 1:
+            raise DataError(f"{path}: column {name!r} appears {counts[name]} times in the header")
+
+
 def _parse_floats(path, line_no: int, cells, columns, header) -> list[float]:
     """The finite numbers in ``columns`` of one row's ``cells``."""
     values = []
@@ -134,15 +143,16 @@ def _target_values(path, rows, j, column: str, task: Task, label_names=()):
 def load_csv(path, target_column: str, task) -> Dataset:
     """Read a headered CSV into a Dataset.
 
-    Rows containing any empty cell are skipped (counted in
-    ``n_skipped_rows``); a non-empty cell that is not a finite number is an
-    error reported with its line number.  Classification targets may be
-    arbitrary strings but exactly two distinct values must occur; they map
-    to {0, 1} in sorted order.
+    Header names must be distinct.  Rows containing any empty cell are
+    skipped (counted in ``n_skipped_rows``); a non-empty cell that is not a
+    finite number is an error reported with its line number.  Classification
+    targets may be arbitrary strings but exactly two distinct values must
+    occur; they map to {0, 1} in sorted order.
     """
     task = Task(task)
     path = Path(path)
     header, records = _read_table(path)
+    _reject_repeated(path, header, header)
     if target_column not in header:
         raise DataError(f"{path}: target column {target_column!r} not in header")
     target_idx = header.index(target_column)
@@ -171,14 +181,16 @@ def load_csv(path, target_column: str, task) -> Dataset:
 def load_feature_rows(path, feature_names) -> np.ndarray:
     """Matrix of the ``feature_names`` columns of a CSV, in that order.
 
-    Other columns are ignored.  Every row must have all the named cells, each
-    a finite number, so row ``i`` of the result is data row ``i`` of the file.
+    Other columns are ignored; a named one must be named once.  Every row
+    must have all the named cells, each a finite number, so row ``i`` of the
+    result is data row ``i`` of the file.
     """
     header, records = _read_table(path)
     index_of = {name: j for j, name in enumerate(header)}
     missing = [n for n in feature_names if n not in index_of]
     if missing:
         raise DataError(f"{path}: missing feature column(s) {missing}")
+    _reject_repeated(path, header, feature_names)
     cols = [index_of[n] for n in feature_names]
     rows = []
     for line_no, cells in records:
@@ -195,14 +207,15 @@ def load_feature_rows(path, feature_names) -> np.ndarray:
 def load_targets(path, target_column: str, task, label_names=()) -> np.ndarray:
     """Target of every data row of a CSV, for scoring a model against it.
 
-    Every target cell must be filled.  Regression targets must be finite
-    numbers.  Classification labels map to 0/1 through ``label_names`` (the
-    model's two labels) when it is given, else as in ``load_csv``.
+    The target column must be named once and every cell filled.  Regression
+    targets must be finite numbers.  Classification labels map to 0/1 through
+    ``label_names`` (the model's two labels) when given, else as in ``load_csv``.
     """
     task = Task(task)
     header, records = _read_table(path)
     if target_column not in header:
         raise DataError(f"{path}: target column {target_column!r} not in header")
+    _reject_repeated(path, header, [target_column])
     j = header.index(target_column)
     for line_no, cells in records:
         if cells[j] == "":

@@ -1,23 +1,24 @@
 """Fully corrective rule boosting with sparse oblique propositions.
 
-Each boosting round grows one conjunction of linear-threshold propositions by
-maximizing the gradient-sum objective |<g, q>| and then refits all ensemble
-weights jointly.  Proposition weight vectors come from an L1-regularized
-weighted logistic regression that predicts the gradient signs, with sparsity
-chosen on a held-out validation slice of the training data.
+Each round of ``tgb.boost``, the boosting loop of both learners, grows one
+conjunction of linear-threshold propositions by maximizing the gradient-sum
+objective |<g, q>| and then refits all ensemble weights jointly.  Proposition
+weight vectors come from an L1-regularized weighted logistic regression that
+predicts the gradient signs, with sparsity chosen on a held-out validation
+slice of the training data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from .core import (FitStage, FitTrace, SparseProposition, Standardizer, check_integer_fields,
-                   conjunction_cover)
-from .losses import LossKind, gradient, init_intercept, loss, training_arrays
-from .sparse_logreg import LambdaPath, WeightedBinaryProblem, corrective_refit
+from .core import FitTrace, SparseProposition, check_integer_fields, conjunction_cover
+# gradient, loss and corrective_refit are unused, but perfbench/tracer.py wraps them here
+from .losses import LossKind, gradient, loss  # noqa: F401
+from .sparse_logreg import LambdaPath, WeightedBinaryProblem, corrective_refit  # noqa: F401
+from .tgb import boost
 
 OBJECTIVE_TOLERANCE = 1e-9  # gradient-sum gains at or below this count as none
 
@@ -169,45 +170,19 @@ def _validation_split(n: int, y, stratify: bool, fraction: float, seed: int):
 def fit(X, y, cfg: LLTConfig) -> FitTrace:
     """Fit an ensemble of up to ``cfg.max_rules`` rules, tracing every stage.
 
-    Features are standardized internally (the transform is stored on each
-    ensemble).  A seeded validation slice of the rows feeds only the sparsity
-    acceptance decisions; gradients for fitting and the joint weight refits
-    use the remaining rows.  Stage ``m`` of the returned trace holds the
-    ensemble after ``m`` rounds; training risk is measured on the fit rows
-    and never increases from stage to stage.
+    ``tgb.boost`` with one member, grown by ``fit_conjunction``.  A seeded
+    validation slice of the rows feeds only the sparsity acceptance
+    decisions; the intercept, the weight refits and the training risk use
+    the other rows.  Stage ``m`` of the returned trace holds the ensemble
+    after ``m`` rounds; its training risk never increases.
     """
-    t_start = perf_counter()
-    kind = cfg.loss
-    X, y, task = training_arrays(X, y, kind)
-    n = X.shape[0]
-    standardizer = Standardizer.fit(X)
-    Z = standardizer.transform(X)
-    fit_idx, val_idx = _validation_split(
-        n, y, kind is LossKind.LOGISTIC, cfg.validation_fraction, cfg.seed
-    )
-    y_fit = y[fit_idx]
+    def prepare(Z, y):
+        fit_idx, val_idx = _validation_split(y.size, y, cfg.loss is LossKind.LOGISTIC,
+                                             cfg.validation_fraction, cfg.seed)
 
-    beta = np.array([init_intercept(kind, y_fit)])
-    scores = np.full(n, beta[0])
-    covers: list[np.ndarray] = []  # rule covers over all rows
-    bodies: list[list[SparseProposition]] = []
+        def grow(g, members):
+            body = fit_conjunction(Z, g, cfg, fit_idx, val_idx)
+            return [([0], body, None if body is None else conjunction_cover(body, Z))]
+        return fit_idx, grow
 
-    def stage() -> FitStage:
-        risk = float(np.mean(loss(kind, y_fit, scores[fit_idx])))
-        return FitStage.of(bodies, beta, task, standardizer, risk)
-
-    stages = [stage()]
-    for _ in range(cfg.max_rules):
-        g = gradient(kind, y, scores)
-        body = fit_conjunction(Z, g, cfg, fit_idx, val_idx)
-        if body is None:
-            break
-        covers.append(conjunction_cover(body, Z))
-        bodies.append(body)
-        design = np.column_stack([np.ones(fit_idx.size)] + [c[fit_idx] for c in covers])
-        warm = np.append(beta, 0.0)
-        beta = corrective_refit(design, y_fit, kind, warm)
-        scores = beta[0] + np.column_stack(covers) @ beta[1:]
-        stages.append(stage())
-
-    return FitTrace(stages=tuple(stages), wall_time_seconds=perf_counter() - t_start)
+    return boost(X, y, cfg, prepare)[0]

@@ -1,9 +1,8 @@
 """Axis-parallel threshold boosting baseline.
 
 Rules are conjunctions of single-feature threshold conditions found by
-exhaustive scan; the rest of the pipeline (fully corrective weight refits,
-staged traces) matches the oblique learner so the two are directly
-comparable at equal rule counts.
+exhaustive scan.  The rest is ``boost``, the boosting loop that the oblique
+learner runs too, so the two are directly comparable at equal rule counts.
 
 The scan never sorts.  A fit sorts every column of the standardized
 features once, stably, into ``orders`` (shape ``(d, n)``; row ``j`` lists
@@ -36,14 +35,14 @@ than their arithmetic, so the scan takes columns in blocks of about
 ``(columns, rows)`` array, like the column blocks of XGBoost (section 4.1).
 From ``SCAN_BLOCK_CELLS`` active rows up, a block is one column.
 
-``fit_grid`` fits a whole grid of reg strengths in one pass, and ``fit`` is
-``fit_grid`` at one value, or at a whole grid given one.  The reg strength enters a fit only through the
-scan's divisors, so fits that have accepted the same propositions so far
-have the same weights, scores and gradients, and scan the same rows in the
-same order.  They share one branch; one scan answers for all of them, and
-only the divisions and argmaxes run per reg strength.  Where their answers
-differ the branch splits, and the traces stay bit for bit those of separate
-fits.
+``fit_grid`` fits a whole grid of reg strengths in one pass of ``boost``,
+and ``fit`` is ``fit_grid`` at one value, or at a whole grid given one.  The
+reg strength enters a fit only through the scan's divisors, so fits that
+have accepted the same propositions so far have the same weights, scores
+and gradients, and scan the same rows in the same order.  They share one
+branch; one scan answers for all of them, and only the divisions and
+argmaxes run per reg strength.  Where their answers differ the branch
+splits, and the traces stay bit for bit those of separate fits.
 """
 
 from __future__ import annotations
@@ -276,55 +275,45 @@ def _stable_orders(Z) -> np.ndarray:
     return orders
 
 
-def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
-    """One trace per value of ``reg_strengths``, in its order, each bit for bit
-    the trace of ``fit(X, y, replace(cfg, reg_strength=value))``;
-    ``cfg.reg_strength`` itself is not read.
+def boost(X, y, cfg, prepare, n_members=1) -> tuple[FitTrace, ...]:
+    """The boosting loop of both learners: one trace per member, each of up
+    to ``cfg.max_rules`` rounds under ``cfg.loss``.
 
-    The fits run as one pass over the grid, as glmnet fits a whole penalty
-    path (Friedman, Hastie & Tibshirani, JSS 33(1), 2010).  Everything but
-    the scan's divisors depends on a fit's accepted propositions alone, so
-    the reg strengths whose fits have accepted the same propositions so far
-    share one branch: one gradient, one presort filter per level, one scan,
-    one refit and one ``FitStage`` per round for all of them.  A branch
-    splits where their conjunctions differ, and a reg strength leaves it
-    when its fit stops.  Branches wait on a stack, last in first out.
+    ``prepare(Z, y)``, given the standardized features, returns ``(rows,
+    grow)``: the rows that the intercept, the refits and each stage's
+    ``train_risk`` use, and ``grow(g, members)``, which grows one conjunction
+    per member on the gradients ``g`` over all rows and returns ``(picked,
+    body, cover)`` groups as ``_grow_conjunctions`` does.  Each round refits
+    all weights jointly, warm-started with the new rule's weight at 0.
 
-    Each trace's ``wall_time_seconds`` is the time of the whole call divided
-    by the number of reg strengths, so that the traces of one call add up to
-    it; with one reg strength it is the fit's own time.
+    Members that have grown the same conjunctions share one branch: one
+    gradient, ``grow`` call, refit and ``FitStage`` per round.  It splits
+    where their groups differ.  Branches wait on a stack, last in first out.
+    Each trace's ``wall_time_seconds`` is the call's time over ``n_members``.
     """
     t_start = perf_counter()
-    regs = [replace(cfg, reg_strength=reg).reg_strength for reg in reg_strengths]
-    if not regs:
-        raise ValueError("reg_strengths must hold at least one value")
     kind = cfg.loss
     X, y, task = training_arrays(X, y, kind)
     n = X.shape[0]
     standardizer = Standardizer.fit(X)
-    # column-major, so that every gather of the scan and the presort reads one column
-    Z = np.asfortranarray(standardizer.transform(X))
-    orders = _stable_orders(Z)
+    rows, grow = prepare(standardizer.transform(X), y)
+    y_rows = y[rows]
 
     def stage(bodies, beta, scores) -> FitStage:
-        risk = float(np.mean(loss(kind, y, scores)))
+        risk = float(np.mean(loss(kind, y_rows, scores[rows])))
         return FitStage.of(bodies, beta, task, standardizer, risk)
 
-    beta = np.array([init_intercept(kind, y)])
+    beta = np.array([init_intercept(kind, y_rows)])
     scores = np.full(n, beta[0])
-    traced: list[list[FitStage]] = [[] for _ in regs]
-    # a branch: its positions in ``regs``, their refitted weights and scores,
-    # and their covers, bodies and stages so far
-    pending = [(list(range(len(regs))), beta, scores, [], [], [stage([], beta, scores)])]
+    traced: list[list[FitStage]] = [[] for _ in range(n_members)]
+    # a branch: its members, their refitted weights and scores, and their
+    # covers, bodies and stages so far
+    pending = [(list(range(n_members)), beta, scores, [], [], [stage([], beta, scores)])]
     while pending:
         members, beta, scores, covers, bodies, stages = pending.pop()
-        if len(bodies) == cfg.max_rules:
-            for m in members:
-                traced[m] = stages
-            continue
-        g = gradient(kind, y, scores)
-        grown = _grow_conjunctions(Z, g, orders, [regs[m] for m in members],
-                                   cfg.max_propositions)
+        grown = [(range(len(members)), None, None)]  # at max_rules every member stops
+        if len(bodies) < cfg.max_rules:
+            grown = grow(gradient(kind, y, scores), members)
         for picked, body, cover in grown:
             branch = [members[p] for p in picked]
             if cover is None:
@@ -334,23 +323,45 @@ def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
             branch_covers = covers + [cover]
             branch_bodies = bodies + [body]
             design = np.column_stack([np.ones(n)] + branch_covers)
-            branch_beta = corrective_refit(design, y, kind, np.append(beta, 0.0))
-            branch_scores = design @ branch_beta
+            branch_beta = corrective_refit(design[rows], y_rows, kind, np.append(beta, 0.0))
+            branch_scores = branch_beta[0] + design[:, 1:] @ branch_beta[1:]
             pending.append((branch, branch_beta, branch_scores, branch_covers, branch_bodies,
                             stages + [stage(branch_bodies, branch_beta, branch_scores)]))
 
-    seconds = (perf_counter() - t_start) / len(regs)
+    seconds = (perf_counter() - t_start) / n_members
     return tuple(FitTrace(stages=tuple(s), wall_time_seconds=seconds) for s in traced)
+
+
+def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
+    """One trace per value of ``reg_strengths``, in its order, each bit for bit
+    the trace of ``fit(X, y, replace(cfg, reg_strength=value))``;
+    ``cfg.reg_strength`` itself is not read.
+
+    One ``boost`` pass on all rows, a member per reg strength, fits them all,
+    as glmnet fits a whole penalty path (Friedman, Hastie & Tibshirani, JSS
+    33(1), 2010); members whose fits agree share the scans as well.
+    """
+    regs = [replace(cfg, reg_strength=reg).reg_strength for reg in reg_strengths]
+    if not regs:
+        raise ValueError("reg_strengths must hold at least one value")
+
+    def prepare(Z, y):
+        # column-major, so that every gather of the scan and the presort reads one column
+        Z = np.asfortranarray(Z)
+        orders = _stable_orders(Z)
+        return slice(None), lambda g, members: _grow_conjunctions(
+            Z, g, orders, [regs[m] for m in members], cfg.max_propositions)
+
+    return boost(X, y, cfg, prepare, len(regs))
 
 
 def fit(X, y, cfg: TGBConfig, reg_strengths=None) -> FitTrace | tuple[FitTrace, ...]:
     """Boost up to ``cfg.max_rules`` axis-parallel rules, tracing every stage.
 
-    Mirrors the oblique learner's loop - standardize, grow one conjunction
-    per round on the current gradients, then refit all weights jointly with
-    a warm start - but uses the exhaustive single-feature scan and no
-    validation carve-out, so training risk is measured on all rows.  It is
-    ``fit_grid`` at the one reg strength ``cfg.reg_strength``; given
+    Runs the oblique learner's loop, ``boost``, but grows conjunctions by
+    the exhaustive single-feature scan and carves out no validation rows, so
+    training risk is measured on all rows.  It is ``fit_grid`` at the one
+    reg strength ``cfg.reg_strength``; given
     ``reg_strengths``, it returns ``fit_grid(X, y, cfg, reg_strengths)``, so
     that the protocol's grid fits run inside ``fit`` as well, where a layer
     tracer that wraps ``tgb.fit`` times them.

@@ -433,6 +433,53 @@ def test_predict_missing_feature_column(tmp_path, clf_csv):
     assert code == 3
 
 
+def _with_column_repeated(src, dst, column):
+    """Copy CSV ``src`` to ``dst`` with ``column`` given twice, side by side."""
+    lines = [line.split(",") for line in src.read_text(encoding="utf-8").splitlines()]
+    for cells in lines:
+        cells.insert(column, cells[column])
+    dst.write_text("\n".join(",".join(cells) for cells in lines) + "\n", encoding="utf-8")
+    return dst
+
+
+@pytest.mark.parametrize("method", ["tgb", "lltboost"])
+def test_train_rejects_a_repeated_header_name_before_fitting(tmp_path, clf_csv, method,
+                                                            monkeypatch, capsys):
+    def no_fit(X, y, cfg):
+        raise AssertionError("the data should be rejected before any fit")
+
+    monkeypatch.setattr(cli.LEARNERS[method].module, "fit", no_fit)
+    bad = _with_column_repeated(clf_csv, tmp_path / "bad.csv", 1)  # x1,x2,x2,x3,y
+    out = tmp_path / "m.json"
+    code = main(["train", "--data", str(bad), "--target", "y", "--task", "clf",
+                 "--method", method, "--out", str(out)])
+    assert code == 3
+    assert f"{bad}: column 'x2' appears 2 times in the header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column,name", [(1, "x2"), (3, "y")])
+def test_predict_rejects_a_repeated_column_it_reads(tmp_path, clf_csv, column, name, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    bad = _with_column_repeated(clf_csv, tmp_path / "bad.csv", column)
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model_path), "--data", str(bad), "--target", "y"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert f"{bad}: column '{name}' appears 2 times in the header" in captured.err
+    assert captured.out == ""
+
+
+def test_predict_ignores_a_repeated_column_it_does_not_read(tmp_path, clf_csv, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(clf_csv)]) == 0
+    scores = capsys.readouterr().out
+    extra = _with_column_repeated(clf_csv, tmp_path / "extra.csv", 3)  # y,y: not read
+    assert main(["predict", "--model", str(model_path), "--data", str(extra)]) == 0
+    assert capsys.readouterr().out == scores
+
+
 def test_predict_rejects_bad_model_file(tmp_path, clf_csv):
     bad = tmp_path / "model.json"
     bad.write_text("{}", encoding="utf-8")

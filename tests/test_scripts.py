@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from obliquerules import lltboost, tgb
 from obliquerules.datasets import make_oblique
 
@@ -83,4 +85,18 @@ def test_benchmark_tracer_finds_and_restores_every_name_it_wraps(monkeypatch):
     for span in ("sparse_logreg.l1", "sparse_logreg.path_query", "sparse_logreg.path_solve",
                  "sparse_logreg.refit", "losses.loss", "losses.gradient", "lltboost.fit",
                  "lltboost.proposition", "tgb.fit", "tgb.axis_scan", "core.activation"):
+        assert live.calls[span] > 0, span
+
+
+@pytest.mark.parametrize("learner", [lltboost, tgb])
+def test_benchmark_tracer_sees_each_learners_refits_and_losses_alone(learner, monkeypatch):
+    # one learner's calls must not hide that the other's escape the tracer
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    tracer = load_script("tracer", ROOT / "perfbench")
+    data = make_oblique(n=120, d=3, seed=0)
+    cfg = lltboost.LLTConfig(max_rules=2) if learner is lltboost else tgb.TGBConfig(max_rules=2)
+    with tracer.Tracer() as live:
+        tracer.trace_layers(live)
+        learner.fit(data.X, data.y, cfg)
+    for span in ("sparse_logreg.refit", "losses.gradient", "losses.loss"):
         assert live.calls[span] > 0, span

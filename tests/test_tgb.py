@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obliquerules import tgb
+from obliquerules import lltboost, tgb
 from obliquerules.core import conjunction_cover
 from obliquerules.datasets import make_oblique, make_rotated_box, make_staircase
 from obliquerules.losses import LossKind, loss
@@ -353,6 +353,33 @@ def test_train_risk_never_increases(kind):
         risks = [st.train_risk for st in trace.stages]
         for a, b in zip(risks, risks[1:]):
             assert b <= a + 1e-9
+
+
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.SQUARED])
+@pytest.mark.parametrize("learner", ["lltboost", "tgb"])
+def test_every_stage_risk_is_the_mean_loss_of_its_ensemble_on_its_refit_rows(learner, kind):
+    # boost refits and measures on the rows that the learner's prepare names:
+    # lltboost's fit rows, without the validation slice, and all rows for tgb
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(160, 4))
+    y = X[:, 0] - 0.8 * X[:, 1] + 0.5 * (X[:, 2] > 0.3) + 0.3 * rng.normal(size=160)
+    if kind is LossKind.LOGISTIC:
+        y = (y > 0).astype(float)
+    if learner == "lltboost":
+        cfg = lltboost.LLTConfig(max_rules=5, loss=kind, seed=4)
+        rows, _ = lltboost._validation_split(y.size, y, kind is LossKind.LOGISTIC,
+                                             cfg.validation_fraction, cfg.seed)
+        assert rows.size < y.size
+        traces = [lltboost.fit(X, y, cfg)]
+    else:
+        rows = np.arange(y.size)
+        traces = tgb.fit_grid(X, y, TGBConfig(max_rules=5, loss=kind), (0.0, 1.0, 100.0))
+    for trace in traces:
+        assert len(trace.stages) > 2
+        for stage in trace.stages:
+            scores = stage.ensemble.decision_function(X[rows])
+            expected = float(np.mean(loss(kind, y[rows], scores)))
+            assert stage.train_risk == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_fit_is_deterministic():
