@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .datasets import (
     write_csv,
 )
 from .evaluation import LEARNERS, ProtocolConfig, learner_config, run_benchmark
-from .losses import FIT_LOSS, LossKind, loss
+from .losses import FIT_LOSS, loss
 from .serialize import ModelFile, ModelFormatError, load_model, save_model
 
 EXIT_OK = 0
@@ -192,16 +193,13 @@ def _cmd_train(args) -> int:
         raise FitError(f"{type(exc).__name__}: {exc}") from exc
 
     final = trace.stages[-1]
-    from dataclasses import asdict
-
-    config_doc = {k: (v.value if isinstance(v, LossKind) else v) for k, v in asdict(cfg).items()}
     model = ModelFile(
         ensemble=final.ensemble,
         feature_names=dataset.feature_names,
         metadata={
             "method": args.method,
             "seed": seed,
-            "config": config_doc,
+            "config": asdict(cfg),
             "library_version": __version__,
             "final_train_risk": final.train_risk,
             "label_names": list(dataset.label_names),

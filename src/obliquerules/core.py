@@ -52,8 +52,34 @@ def _project(ZT, rows, weights, out, term) -> np.ndarray:
     return out
 
 
+def _freeze(obj, **fields) -> None:
+    """Set the fields of the frozen value type ``obj``, make its arrays read-only
+    and store its hash, numeric so equal across processes (a bytes hash is
+    salted per process)."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, "_hash", hash(tuple(
+        tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in fields.values())))
+
+
+class _Value:
+    """Base of the frozen value types with array fields: equal when of one type
+    with ``np.array_equal`` fields, hashed by what :func:`_freeze` stored."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__dataclass_fields__)
+
+    def __hash__(self):
+        return self._hash
+
+
 @dataclass(frozen=True, eq=False)
-class Standardizer:
+class Standardizer(_Value):
     """Per-feature affine transform ``(x - mean) / scale`` fitted on training data."""
 
     mean: np.ndarray
@@ -66,12 +92,7 @@ class Standardizer:
             raise ValueError("mean and scale must be 1-d arrays of equal length")
         if not np.all(scale > 0):
             raise ValueError("scale entries must be strictly positive")
-        mean.flags.writeable = False
-        scale.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
-        # numeric, so equal across processes (a bytes hash is salted per process)
-        object.__setattr__(self, "_hash", hash((tuple(mean.tolist()), tuple(scale.tolist()))))
+        _freeze(self, mean=mean, scale=scale)
 
     @classmethod
     def fit(cls, X) -> "Standardizer":
@@ -83,16 +104,6 @@ class Standardizer:
         # zero-variance columns: center only, keep unit scale
         scale = np.where(scale > 0, scale, 1.0)
         return cls(mean, scale)
-
-    def __eq__(self, other):
-        if not isinstance(other, Standardizer):
-            return NotImplemented
-        return np.array_equal(self.mean, other.mean) and np.array_equal(
-            self.scale, other.scale
-        )
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def n_features(self) -> int:
@@ -112,7 +123,7 @@ class Standardizer:
 
 
 @dataclass(frozen=True, eq=False)
-class SparseProposition:
+class SparseProposition(_Value):
     """Half-space indicator ``step{sum_j w_j x_j >= threshold}`` with sparse w.
 
     Weights are stored as a strictly increasing index array plus matching
@@ -143,13 +154,7 @@ class SparseProposition:
             raise ValueError("weights must be finite and nonzero")
         if not np.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        idx.flags.writeable = False
-        wts.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "threshold", float(self.threshold))
-        object.__setattr__(
-            self, "_hash", hash((tuple(idx.tolist()), tuple(wts.tolist()), self.threshold)))
+        _freeze(self, indices=idx, weights=wts, threshold=float(self.threshold))
 
     @classmethod
     def from_dense(cls, w, threshold: float) -> "SparseProposition":
@@ -157,18 +162,6 @@ class SparseProposition:
         w = np.asarray(w, dtype=float)
         idx = np.flatnonzero(w)
         return cls(indices=idx, weights=w[idx], threshold=threshold)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseProposition):
-            return NotImplemented
-        return (
-            np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.weights, other.weights)
-            and self.threshold == other.threshold
-        )
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def nnz(self) -> int:

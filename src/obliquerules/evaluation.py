@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lltboost, tgb
-from .core import Standardizer, Task, check_integer_fields, score_ensembles
+from .core import Task, check_integer_fields, score_ensembles
 from .datasets import Dataset
 from .losses import FIT_LOSS, LossKind, loss
 
@@ -48,7 +48,6 @@ class CurvePoint:
     test_risk: float
     train_risk: float
     r: int
-    hyper: str
 
 
 @dataclass(frozen=True)
@@ -251,10 +250,7 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
     split_seed, fit_seed = (int(v) for v in ss.generate_state(2))
     split = bootstrap_split(dataset.n_rows, split_seed, config.bootstrap_cap)
 
-    X_train = dataset.X[split.train]
-    X_test = dataset.X[split.test]
-    xs = Standardizer.fit(X_train)
-    X_train, X_test = xs.transform(X_train), xs.transform(X_test)
+    X_train, X_test = dataset.X[split.train], dataset.X[split.test]
     y_train, y_test = dataset.y[split.train], dataset.y[split.test]
     if dataset.task is Task.REGRESSION:
         # targets standardized with train statistics; risks are reported on
@@ -300,7 +296,6 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
                         test_risk=risks[id(stage)][1][m][0],
                         train_risk=risks[id(stage)][1][m][1],
                         r=r,
-                        hyper=hyper,
                     )
                     for r, stage in enumerate(stages, 1)
                 )

@@ -366,7 +366,7 @@ def test_a7_protocol_arithmetic_hand_examples(verdict):
     def curve(pairs):
         return MethodCurve(
             points=tuple(
-                CurvePoint(complexity=c, test_risk=r, train_risk=0.0, r=i + 1, hyper="h")
+                CurvePoint(complexity=c, test_risk=r, train_risk=0.0, r=i + 1)
                 for i, (c, r) in enumerate(pairs)
             )
         )

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliquerules import lltboost, tgb
+from obliquerules import evaluation, lltboost, tgb
 from obliquerules.datasets import Dataset, make_oblique
-from obliquerules.core import Task
+from obliquerules.core import Standardizer, Task
 from obliquerules.evaluation import (
     INF,
     _aggregate_cells,
@@ -24,10 +24,10 @@ from obliquerules.evaluation import (
 )
 
 
-def curve(pairs, hyper="h"):
+def curve(pairs):
     return MethodCurve(
         points=tuple(
-            CurvePoint(complexity=c, test_risk=r, train_risk=0.0, r=i + 1, hyper=hyper)
+            CurvePoint(complexity=c, test_risk=r, train_risk=0.0, r=i + 1)
             for i, (c, r) in enumerate(pairs)
         )
     )
@@ -342,6 +342,42 @@ def test_grid_fits_share_one_timing_per_repetition(monkeypatch):
     assert len({t.wall_time_seconds for t in grid}) == 1
     assert [(r["hyper"], r["mean_fit_seconds"]) for r in rep.timing_rows] == [
         (h, grid[0].wall_time_seconds) for h in ("1.0", "0.01", "100.0")]
+
+
+@pytest.mark.parametrize("task", [Task.CLASSIFICATION, Task.REGRESSION])
+def test_a_protocol_fit_is_the_public_fit_on_the_raw_bootstrap_rows(monkeypatch, task):
+    # features far from standardized, so a protocol that standardized them
+    # itself would hand its learners other rows than the bootstrap drew
+    data = make_oblique(n=120, d=3, noise=0.1, seed=2)
+    y = data.y if task is Task.CLASSIFICATION else data.X @ [1.0, -2.0, 0.5]
+    data = replace(data, X=5.0 * data.X + 3.0, y=y, task=task)
+    draw, fit_variant = evaluation.bootstrap_split, evaluation._fit_variant
+    splits, fits = [], []
+
+    def drawn(*args):
+        splits.append(draw(*args))
+        return splits[-1]
+
+    def fitted(method, hyper, X, y, kind, config, fit_seed, tgb_traces):
+        trace = fit_variant(method, hyper, X, y, kind, config, fit_seed, tgb_traces)
+        fits.append((splits[-1], method, hyper, y, kind, config, fit_seed, trace))
+        return trace
+
+    monkeypatch.setattr(evaluation, "bootstrap_split", drawn)
+    monkeypatch.setattr(evaluation, "_fit_variant", fitted)
+    run_benchmark([data], small_config(repetitions=2, max_rules=3, bootstrap_cap=80,
+                                       methods=("lltboost", "tgb")))
+    assert [(method, hyper) for _, method, hyper, *_ in fits] == 2 * [
+        ("lltboost", "default"), ("tgb", "0.01"), ("tgb", "1.0")]
+    for split, method, hyper, y, kind, config, fit_seed, trace in fits:
+        raw = data.X[split.train]
+        assert trace.final.standardizer == Standardizer.fit(raw)
+        cfg = evaluation._variant_config(method, kind, config, fit_seed)
+        if method == "tgb":
+            cfg = replace(cfg, reg_strength=float(hyper))
+        public = evaluation.LEARNERS[method].module.fit(raw, y, cfg)
+        assert [(s.train_risk, s.complexity, s.ensemble) for s in trace.stages] == [
+            (s.train_risk, s.complexity, s.ensemble) for s in public.stages]
 
 
 @pytest.mark.parametrize("grid", [(0.1, 0.1), (1.0, 0.01, 1), (0.0, -0.0)])

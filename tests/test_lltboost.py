@@ -5,7 +5,7 @@ import pytest
 
 from obliquerules import sparse_logreg
 from obliquerules.core import SparseProposition
-from obliquerules.datasets import make_oblique
+from obliquerules.datasets import make_oblique, make_rotated_box, make_staircase
 from obliquerules.losses import LossKind, loss
 from obliquerules.lltboost import (
     LLTConfig,
@@ -214,6 +214,24 @@ def test_train_risk_never_increases(maker, kind):
         risks = [st.train_risk for st in trace.stages]
         for a, b in zip(risks, risks[1:]):
             assert b <= a + 1e-9
+
+
+@pytest.mark.parametrize("make", [make_oblique, make_rotated_box, make_staircase])
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.SQUARED])
+def test_fit_is_invariant_to_positive_per_feature_affine_rescaling(make, kind):
+    # the fit standardizes X' = a * X + c (a > 0) to Z up to a few ulps, and
+    # those ulps flip no cover here, so every stage keeps its train risk and
+    # complexity exactly and the final model scores its own rows bit for bit
+    data = make(n=250, d=4, seed=7)
+    rng = np.random.default_rng(11)
+    a = 10.0 ** rng.uniform(-3, 3, size=4)
+    c = rng.uniform(-5, 5, size=4)
+    inputs = (data.X, a * data.X + c)
+    traces = [fit(X, data.y, LLTConfig(max_rules=5, loss=kind, seed=3)) for X in inputs]
+    stages = [[(s.train_risk, s.complexity) for s in trace.stages] for trace in traces]
+    assert stages[0] == stages[1]
+    scores = [trace.final.decision_function(X) for trace, X in zip(traces, inputs)]
+    assert np.array_equal(scores[0], scores[1])
 
 
 def test_direct_fit_on_20000_rows_keeps_risk_monotone_and_converges(monkeypatch):
