@@ -10,6 +10,7 @@ block by block, and shares their work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,11 +158,23 @@ class SparseProposition(_Value):
         _freeze(self, indices=idx, weights=wts, threshold=float(self.threshold))
 
     @classmethod
+    def _trusted(cls, indices, weights, threshold: float) -> "SparseProposition":
+        """Build unchecked from fields that already pass ``__post_init__``:
+        strictly increasing nonnegative int64 ``indices``, finite nonzero float
+        ``weights`` that no caller holds, and a finite float ``threshold``."""
+        prop = object.__new__(cls)
+        _freeze(prop, indices=indices, weights=weights, threshold=threshold)
+        return prop
+
+    @classmethod
     def from_dense(cls, w, threshold: float) -> "SparseProposition":
         """Build from a dense weight vector, keeping only exact nonzeros."""
         w = np.asarray(w, dtype=float)
         idx = np.flatnonzero(w)
-        return cls(indices=idx, weights=w[idx], threshold=threshold)
+        weights = w[idx]
+        if w.ndim == 1 and idx.size and np.all(np.isfinite(weights)) and math.isfinite(threshold):
+            return cls._trusted(idx, weights, float(threshold))
+        return cls(indices=idx, weights=weights, threshold=threshold)  # raises the checks' error
 
     @property
     def nnz(self) -> int:

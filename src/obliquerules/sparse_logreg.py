@@ -35,6 +35,7 @@ class WeightedBinaryProblem:
 
     ``lam_max`` is :func:`lambda_max` and ``tol`` the KKT tolerance of every
     solve, ``KKT_TOL`` times min(1, lam_max): lam_max is the gradient scale.
+    Features must be finite.
     """
 
     features: np.ndarray
@@ -47,6 +48,8 @@ class WeightedBinaryProblem:
         w = np.asarray(self.sample_weights, dtype=float)
         if X.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
         if z.shape != (X.shape[0],) or w.shape != (X.shape[0],):
             raise ValueError("labels and sample_weights must match the row count")
         if not np.all((z == 0) | (z == 1)):
@@ -61,6 +64,23 @@ class WeightedBinaryProblem:
         self.sample_weights = w * (X.shape[0] / total)
         self.lam_max = lambda_max(self)
         self.tol = KKT_TOL * min(1.0, self.lam_max)
+        self._grad_key, self._grad_at = None, None
+
+    def _grad(self, w, b):
+        """``_smooth_grad`` at (w, b) on this problem, its arrays read-only.
+
+        The last point asked is kept, keyed on the exact bits of (w, b): the
+        path walk, the solve that confirms each knot and the next step of the
+        walk all ask for the same point in turn.  The key holds a copy of w,
+        as callers update w in place.
+        """
+        key = (w.tobytes(), float(b).hex())
+        if key != self._grad_key:
+            self._grad_at = _smooth_grad(self.features, self.labels, self.sample_weights, w, b)
+            for array in self._grad_at[:3]:
+                array.flags.writeable = False
+            self._grad_key = key
+        return self._grad_at
 
     @property
     def n(self) -> int:
@@ -104,13 +124,13 @@ def _hessian(X, D, W):
     A = np.column_stack([X[:, W], np.ones(X.shape[0])])
     H = A.T @ (D[:, None] * A)
     # a ridge for duplicated or constant columns, kept above H's rounding
-    H[np.diag_indices_from(H)] += max(1e-10, 1e-14 * H.diagonal().max())
+    H.flat[::H.shape[0] + 1] += max(1e-10, 1e-14 * H.diagonal().max())
     return A, H
 
 
 def _kkt(w, gw, gb, lam) -> float:
     """Largest first-order violation at w, given the smooth gradient (gw, gb)."""
-    viol = np.where(w != 0, np.abs(gw + lam * np.sign(w)), np.abs(gw) - lam)
+    viol = np.where(w != 0, np.abs(gw + np.copysign(lam, w)), np.abs(gw) - lam)
     return max(abs(gb), float(viol.max(initial=0.0)))
 
 
@@ -142,7 +162,7 @@ def kkt_residual(problem: WeightedBinaryProblem, lam: float, w, b: float) -> flo
     d_j + lam * sign(w_j) = 0; the intercept gradient must vanish.
     """
     w = np.asarray(w, dtype=float)
-    *_, gw, gb = _smooth_grad(problem.features, problem.labels, problem.sample_weights, w, b)
+    *_, gw, gb = problem._grad(w, b)
     return _kkt(w, gw, gb, lam)
 
 
@@ -183,31 +203,36 @@ def fit_weighted_l1(
     ``n_iter`` counts the steps: a start that meets the tolerance returns as it
     is with ``n_iter == 0``.  The solve stops unconverged after ``MAX_ITER``
     steps, or when ``HALVINGS`` halvings find no decrease that
-    ``_smooth_change`` resolves.
+    ``_smooth_change`` resolves.  A NaN ``lam`` or a non-finite warm start is
+    a ``ValueError``; ``lam = inf`` is valid, with w = 0 its solution.
     """
-    if lam < 0:
-        raise ValueError("penalty must be nonnegative")
-    p_hat = problem.weighted_label_mean()
-    if p_hat <= 0.0 or p_hat >= 1.0:
-        # single effective class: no finite minimizer; return the clamped
-        # null-model log-odds, which every caller treats as "cover one side"
-        return _null_solution(problem, lam)
-
-    X, z, omega = problem.features, problem.labels, problem.sample_weights
-    w, b = np.zeros(problem.d), float(np.log(p_hat / (1.0 - p_hat)))
+    if not lam >= 0:
+        raise ValueError(f"penalty must be nonnegative, got {lam!r}")
     if init is not None:
         w, b = np.array(init[0], dtype=float), float(init[1])  # a copy: w is updated in place
         if w.shape != (problem.d,):
             raise ValueError("warm start has wrong width")
+        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+            raise ValueError("warm start must be finite")
+    p_hat = problem.weighted_label_mean()
+    if p_hat <= 0.0 or p_hat >= 1.0 or lam == np.inf:
+        # single effective class: no finite minimizer; return the clamped
+        # null-model log-odds, which every caller treats as "cover one side".
+        # At lam = inf the null model is the solution, from any start.
+        return _null_solution(problem, lam)
+
+    z, omega = problem.labels, problem.sample_weights
+    if init is None:
+        w, b = np.zeros(problem.d), float(np.log(p_hat / (1.0 - p_hat)))
 
     for k in range(MAX_ITER + 1):
-        s, mu, gw, gb = _smooth_grad(X, z, omega, w, b)
+        s, mu, gw, gb = problem._grad(w, b)
         converged = _kkt(w, gw, gb, lam) <= problem.tol
         if converged or k == MAX_ITER:
             break
         W = np.flatnonzero((w != 0) | (np.abs(gw) > lam))
         sign = np.where(w[W] != 0, np.sign(w[W]), -np.sign(gw[W]))
-        A, H = _hessian(X, omega * mu * (1.0 - mu), W)
+        A, H = _hessian(problem.features, omega * mu * (1.0 - mu), W)
         step = np.linalg.solve(H, np.append(gw[W] + lam * sign, gb))
         t = 1.0
         for _ in range(HALVINGS):
@@ -242,6 +267,9 @@ class LambdaPath:
         self._last = _null_solution(problem, problem.lam_max)  # optimal for lam >= lam_max
         self._cache: dict[float, LinearSolution] = {problem.lam_max: self._last}
         self._start: tuple[np.ndarray, float] | None = None  # the walk's prediction
+        # feature and sign of the free events, d with sign -1 and then d with +1
+        self._free_feature = np.tile(np.arange(problem.d), 2)
+        self._free_sign = np.repeat([-1.0, 1.0], problem.d)
 
     def solve(self, lam: float) -> LinearSolution:
         """``fit_weighted_l1`` at ``lam``, warm-started from the walk's prediction."""
@@ -263,29 +291,34 @@ class LambdaPath:
 
     def _next_knot(self, at: LinearSolution) -> LinearSolution:
         """Solution at the next knot below ``at.lam``, or at a path point on the way."""
-        X, z, omega = self.problem.features, self.problem.labels, self.problem.sample_weights
-        d, tol, lam, w, b = self.problem.d, self.problem.tol, at.lam, at.weights, at.intercept
-        _, mu, g, _ = _smooth_grad(X, z, omega, w, b)
+        problem = self.problem
+        X, omega, d, tol = problem.features, problem.sample_weights, problem.d, problem.tol
+        lam, w, b = at.lam, at.weights, at.intercept
+        _, mu, g, _ = problem._grad(w, b)
         D = omega * mu * (1.0 - mu)
         # the support below lam: the nonzeros, and the zeros at |g_j| = lam leaving 0
         A = np.flatnonzero((w != 0) | (np.abs(g) >= lam - tol))
         while True:
             sign = np.where(w[A] != 0, np.sign(w[A]), -np.sign(g[A]))
             P, H = _hessian(X, D, A)
-            v = np.linalg.solve(H, -np.append(sign, 0.0))  # d(w_A, b) / dlam
+            v = np.linalg.solve(H, -np.concatenate((sign, (0.0,))))  # d(w_A, b) / dlam
             if np.all(moving := (w[A] != 0) | (sign * v[:-1] < 0)):
                 break
             A = A[moving]
 
         # the step down in lam to each event: an active weight reaches 0, or a free
         # g_j - dlam * dg_j/dlam meets -sign_j * (lam - dlam) for sign_j = -1, 1
-        free = np.tile(~np.isin(np.arange(d), A), 2)
-        feature = np.concatenate([A, np.tile(np.arange(d), 2)])
-        event_sign = np.concatenate([sign, np.repeat([-1.0, 1.0], d)])
-        sg, c = event_sign[A.size:], np.tile(X.T @ (D * (P @ v)), 2)
+        free = np.ones(d, dtype=bool)
+        free[A] = False
+        free = np.concatenate([free, free])
+        feature = np.concatenate([A, self._free_feature])
+        sg = self._free_sign
+        event_sign = np.concatenate([sign, sg])
+        dg = X.T @ (D * (P @ v))
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.concatenate([np.where(w[A] != 0, w[A] / v[:-1], 0.0), np.where(
-                free, np.maximum(lam + sg * np.tile(g, 2), 0.0) / (1.0 + sg * c), 0.0)])
+                free, np.maximum(lam + sg * np.concatenate([g, g]), 0.0)
+                / (1.0 + sg * np.concatenate([dg, dg])), 0.0)])
         steps[~(steps > tol)] = np.inf  # closer events are below the knots' resolution
         i = int(np.argmin(steps))
         self._start = (w, b)
@@ -301,25 +334,32 @@ class LambdaPath:
         b_k, lam_k = b - dlam * v[-1], lam - dlam
         for _ in range(d + 1):
             j = feature[i]
-            S = A[A != j]
-            R, sign_R = np.append(S, j), np.append(sign[A != j], event_sign[i])
+            rest = A != j
+            S = A[rest]
+            R, sign_R = np.concatenate((S, (j,))), np.concatenate((sign[rest], (event_sign[i],)))
             w_k[j], res = 0.0, np.inf
             for _ in range(MAX_ITER):
-                _, mu, g_k, gb = _smooth_grad(X, z, omega, w_k, b_k)
-                F = np.append(g_k[R] + lam_k * sign_R, gb)
-                if np.abs(F).max() <= tol or not np.abs(F).max() <= res / 2:
+                _, mu, g_k, gb = problem._grad(w_k, b_k)
+                F = np.concatenate((g_k[R] + lam_k * sign_R, (gb,)))
+                F_abs = np.abs(F)
+                F_max = F_abs.max()
+                if F_max <= tol or not F_max <= res / 2:
                     break  # solved, or Newton stopped converging
-                res = np.abs(F).max()
-                _, H = _hessian(X, omega * mu * (1.0 - mu), R)
-                J = np.column_stack([np.delete(H, S.size, axis=1), np.append(sign_R, 0.0)])
+                res = F_max
+                # the Jacobian in (w_S, b, lam): H in (w_R, b) with j's column
+                # replaced by b's, and sign_R's column for lam
+                _, J = _hessian(X, omega * mu * (1.0 - mu), R)
+                J[:, S.size] = J[:, -1]
+                J[:-1, -1], J[-1, -1] = sign_R, 0.0
                 step = np.linalg.lstsq(J, F, rcond=None)[0]
                 w_k[S], b_k, lam_k = w_k[S] - step[:-2], b_k - step[-2], lam_k - step[-1]
-            violation = np.concatenate([np.where(A != j, -sign * w_k[A], -np.inf), np.where(
-                free, -sg * np.tile(g_k, 2) - lam_k - tol, -np.inf)])
+            violation = np.concatenate([np.where(rest, -sign * w_k[A], -np.inf), np.where(
+                free, -sg * np.concatenate([g_k, g_k]) - lam_k - tol, -np.inf)])
             i = int(np.argmax(violation))
-            # a knot, or a near miss's closest point, on A's own path
-            on_path = np.abs(np.delete(F, -2)).max() <= tol
-            if violation[i] < 0 and on_path and self.lam_floor < lam_k < lam:
+            # a knot, or a near miss's closest point, on A's own path: all of F
+            # but j's own equation is solved
+            F_abs[-2] = 0.0
+            if violation[i] < 0 and F_abs.max() <= tol and self.lam_floor < lam_k < lam:
                 self._start = (w_k, b_k)
                 return self.solve(lam_k)
         return self.solve(lam - dlam / 2)  # no knot near the prediction: walk on halfway
@@ -367,6 +407,8 @@ def corrective_refit(
     steps run on those groups until the Newton decrement ``grad . step`` falls
     to the objective's rounding, ``REFIT_DECREMENT_RTOL * max(1, objective)``
     (Boyd & Vandenberghe, Convex Optimization, 2004, section 9.5.1).
+    A non-finite warm start or target, or a non-finite squared-loss design,
+    is a ``ValueError``.
     """
     kind = LossKind(kind)
     design = np.asarray(design, dtype=float)
@@ -379,11 +421,15 @@ def corrective_refit(
         raise ValueError("warm start length must match the design column count")
     if not np.allclose(design[:, 0], 1.0):
         raise ValueError("the first design column must be the all-ones intercept")
+    if not (np.all(np.isfinite(beta0)) and np.all(np.isfinite(y))):
+        raise ValueError("warm start and targets must be finite")
 
     pen = np.full(m1, 2.0 * REFIT_RIDGE)
     pen[0] = 0.0
 
     if kind is LossKind.SQUARED:
+        if not np.all(np.isfinite(design)):
+            raise ValueError("the design must be finite")
         beta = np.linalg.solve(design.T @ design + np.diag(pen), design.T @ y)
         raw, raw_warm = (float(np.sum(loss_value(kind, y, design @ b))) for b in (beta, beta0))
     elif kind is LossKind.LOGISTIC:

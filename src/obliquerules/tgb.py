@@ -89,9 +89,11 @@ class AxisCandidate(NamedTuple):
     score: float
 
     def to_proposition(self) -> SparseProposition:
+        """The condition, built unchecked: a scan's feature and threshold are valid."""
+        feature = np.array([self.feature], dtype=np.int64)
         if self.direction == ">=":
-            return SparseProposition((self.feature,), (1.0,), self.threshold)
-        return SparseProposition((self.feature,), (-1.0,), -self.threshold)
+            return SparseProposition._trusted(feature, np.array([1.0]), float(self.threshold))
+        return SparseProposition._trusted(feature, np.array([-1.0]), -float(self.threshold))
 
 
 def best_axis_proposition(active, X, g, orders,

@@ -88,6 +88,47 @@ def test_from_dense_drops_exact_zeros():
     assert p.nnz == 2
 
 
+@pytest.mark.parametrize("indices, weights, threshold", [
+    ((), (), 0.0), ((0, 1), (1.0, 0.0), 0.0), ((0, 1), (1.0, np.nan), 0.0),
+    ((0, 1), (-np.inf, 1.0), 0.0), ((1, 0), (1.0, 1.0), 0.0), ((0, 0), (1.0, 1.0), 0.0),
+    ((-1,), (1.0,), 0.0), ((0, 1), (1.0,), 0.0), ((0,), (1.0,), np.nan), ((0,), (1.0,), np.inf),
+], ids=["empty", "zero-weight", "nan-weight", "inf-weight", "decreasing", "repeated",
+        "negative-index", "length-mismatch", "nan-threshold", "inf-threshold"])
+def test_proposition_rejects_each_invalid_field(indices, weights, threshold):
+    with pytest.raises(ValueError):
+        SparseProposition(indices=indices, weights=weights, threshold=threshold)
+
+
+@pytest.mark.parametrize("w, threshold", [
+    ([0.0, -0.0], 0.5), ([0.0, np.nan], 0.5), ([np.inf, 1.0], 0.5), ([1.0, 0.0], np.nan),
+    ([1.0, 0.0], -np.inf), ([[1.0, 0.0]], 0.5),
+], ids=["empty", "nan-weight", "inf-weight", "nan-threshold", "inf-threshold", "2-d"])
+def test_from_dense_rejects_what_the_constructor_rejects(w, threshold):
+    with pytest.raises(ValueError):
+        SparseProposition.from_dense(w, threshold)
+
+
+@pytest.mark.parametrize("fit, cfg", [
+    (fit_lltboost, LLTConfig(max_rules=4, seed=0)),
+    (fit_tgb, TGBConfig(max_rules=4, reg_strength=1.0)),
+])
+def test_fit_built_propositions_equal_validated_ones(fit, cfg, monkeypatch):
+    built = []
+    trusted = SparseProposition._trusted
+    monkeypatch.setattr(SparseProposition, "_trusted",
+                        staticmethod(lambda *fields: built.append(trusted(*fields)) or built[-1]))
+    data = make_oblique(n=300, d=6, seed=1)
+    trace = fit(data.X, data.y, cfg)
+    kept = [p for rule in trace.final.rules for p in rule.propositions]
+    assert built and kept
+    for p in built + kept:
+        checked = SparseProposition(p.indices, p.weights, p.threshold)
+        assert p == checked and hash(p) == hash(checked)
+        assert p.indices.dtype == np.int64 and np.all(np.diff(p.indices) > 0)
+        assert p.weights.dtype == np.float64 and type(p.threshold) is float
+        assert not p.indices.flags.writeable and not p.weights.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # rules / conjunctions
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -100,3 +101,56 @@ def test_benchmark_tracer_sees_each_learners_refits_and_losses_alone(learner, mo
         learner.fit(data.X, data.y, cfg)
     for span in ("sparse_logreg.refit", "losses.gradient", "losses.loss"):
         assert live.calls[span] > 0, span
+
+
+def test_bench_pairs_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
+    pairs = load_script("bench_pairs")
+    parent = [10.0, 11.0, 12.0, 10.5, 11.5, 10.0, 12.0, 11.0, 10.8, 11.2]
+    # sorted, the 3rd to 4th and 7th to 8th values are 10.5, 10.8 and 11.2, 11.5
+    assert pairs.quartiles(parent) == pytest.approx((10.575, 11.0, 11.425))
+    faster = [p - 2.0 for p in parent]
+    s = pairs.compare(parent, faster, "lower", 0.25)
+    assert (s["change_wins"], s["parent_wins"], s["claim"], s["beyond_bound"]) == (10, 0, True, False)
+    # 8 wins of 10 fall short, however large the gap
+    eight = faster[:8] + [p + 0.1 for p in parent[8:]]
+    assert pairs.compare(parent, eight, "lower", 0.25)["change_wins"] == 8
+    assert not pairs.compare(parent, eight, "lower", 0.25)["claim"]
+    # 10 wins whose median gap is inside the parent's IQR fall short too
+    close = [p - 0.5 for p in parent]
+    assert pairs.compare(parent, close, "lower", 0.25)["change_wins"] == 10
+    assert not pairs.compare(parent, close, "lower", 0.25)["claim"]
+    # a throughput is better when higher; 30% less of it is beyond a 25% bound
+    s = pairs.compare(parent, [0.7 * p for p in parent], "higher", 0.25)
+    assert (s["change_wins"], s["parent_wins"], s["claim"], s["beyond_bound"]) == (0, 10, False, True)
+    assert pairs.compare(parent, [p + 2.0 for p in parent], "higher", 0.25)["claim"]
+
+
+def test_bench_pairs_alternates_sides_records_runs_and_fails_on_a_failed_gate(tmp_path, capsys):
+    pairs = load_script("bench_pairs")
+    run_py = ("import json, sys\n"
+              "job = {job}\n"
+              "metrics = {{'job_s': {{'value': job, 'unit': 's'}}}}\n"
+              "print('job_s', job)\n"
+              "print(json.dumps({{'correct': {correct}, 'metrics': metrics}}))\n"
+              "sys.exit(0 if {correct} else 1)\n")
+    benchmark = {"end_to_end": [{"name": "job_s", "better": "lower", "bound": 0.25}]}
+    roots = {}
+    for side, job in (("parent", 2.0), ("change", 1.0), ("broken", 1.0)):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        correct = side != "broken"
+        (root / "perfbench" / "run.py").write_text(run_py.format(job=job, correct=correct))
+        (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        roots[side] = str(root)
+    common = ["--workload", "protocol", "--seed", "0", "--seconds", "1", "--pairs", "2"]
+
+    out = tmp_path / "bench.json"
+    assert pairs.main([roots["parent"], roots["change"], *common, "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert [(r["pair"], r["side"], r["order"]) for r in record["runs"]] == [
+        (0, "parent", 0), (0, "change", 1), (1, "change", 0), (1, "parent", 1)]
+    assert record["summary"]["job_s"]["change_wins"] == 2
+    assert "job_s" in capsys.readouterr().out
+
+    assert pairs.main([roots["parent"], roots["broken"], *common, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["summary"] == {}

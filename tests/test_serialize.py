@@ -173,6 +173,18 @@ def test_malformed_fields_raise_model_format_error(path, value):
         model_from_dict(with_field(path, value))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("weights", {}), ("weights", {"x1": 0.0}), ("weights", {"x1": float("nan")}),
+    ("weights", {"x1": float("inf")}), ("threshold", float("nan")), ("threshold", float("-inf")),
+], ids=["empty", "zero-weight", "nan-weight", "inf-weight", "nan-threshold", "inf-threshold"])
+def test_load_model_rejects_each_invalid_proposition_field(tmp_path, field, value):
+    doc = with_field(("rules", 0, "propositions", 0, field), value)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(path)
+
+
 def test_non_integer_complexity_is_rejected_even_when_it_rounds_to_the_truth():
     doc = valid_doc()
     doc["complexity"] = doc["complexity"] + 0.25

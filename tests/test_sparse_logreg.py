@@ -52,6 +52,46 @@ def test_problem_rejects_bad_inputs():
         WeightedBinaryProblem(np.zeros((3, 2)), np.array([0, 1.0]), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_features(bad):
+    X = np.zeros((3, 2))
+    X[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        WeightedBinaryProblem(X, np.array([0, 1, 1.0]), np.ones(3))
+
+
+def test_gradient_reuse_is_exact_and_never_stale(monkeypatch):
+    prob = random_problem(seed)
+    fresh = sparse_logreg._smooth_grad
+    calls = []
+    monkeypatch.setattr(sparse_logreg, "_smooth_grad", lambda *a: calls.append(a) or fresh(*a))
+
+    def bits(grad):
+        return [np.asarray(part).tobytes() for part in grad]
+
+    def expected(w, b):
+        return bits(fresh(prob.features, prob.labels, prob.sample_weights, w, b))
+
+    w, b = np.array([0.5, 0.0, -1.0, 0.0, 0.25]), 0.1
+    first = prob._grad(w, b)
+    assert bits(prob._grad(w.copy(), b)) == bits(first) == expected(w, b)
+    assert len(calls) == 1
+    for array in first[:3]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    w[0] = 0.75  # the walk updates its weights in place
+    assert bits(prob._grad(w, b)) == expected(w, b)
+    assert len(calls) == 2
+    w[1] = -0.0  # equal to 0.0, but not the same bits
+    prob._grad(w, b)
+    prob._grad(w.copy(), b)
+    assert len(calls) == 3
+    prob._grad(w, 0.0)
+    prob._grad(w, -0.0)
+    assert len(calls) == 5
+
+
 # ---------------------------------------------------------------------------
 # lambda_max
 # ---------------------------------------------------------------------------
@@ -237,6 +277,26 @@ def test_solution_objective_matches_dense_grid_search():
     assert abs(value - FROZEN_GRID_MIN) <= 1e-3
     # the solver can only do better than the best grid vertex
     assert value <= FROZEN_GRID_MIN + 1e-12
+
+
+def test_nan_penalty_is_rejected_and_an_infinite_one_gives_the_null_model():
+    prob = random_problem(seed, n=200, d=4)
+    with pytest.raises(ValueError, match="penalty"):
+        fit_weighted_l1(prob, float("nan"))
+    null = fit_weighted_l1(prob, float("inf"))
+    assert null.converged and null.nnz == 0
+    sol = fit_weighted_l1(prob, float("inf"), init=(np.ones(4), 0.5))
+    assert sol.converged and sol.nnz == 0 and sol.intercept == null.intercept
+
+
+@pytest.mark.parametrize("weights,intercept", [
+    ((0.0, 0.0, 0.0, 0.0), np.inf), ((0.0, 0.0, 0.0, 0.0), np.nan),
+    ((0.0, np.nan, 0.0, 0.0), 0.0), ((np.inf, 0.0, 0.0, 0.0), 0.0),
+], ids=["inf-intercept", "nan-intercept", "nan-weight", "inf-weight"])
+def test_non_finite_warm_start_is_rejected(weights, intercept):
+    prob = random_problem(seed, n=200, d=4)
+    with pytest.raises(ValueError, match="warm start"):
+        fit_weighted_l1(prob, 0.1 * prob.lam_max, init=(np.array(weights), intercept))
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +631,24 @@ def test_refit_requires_intercept_column_and_matching_warm_start():
         corrective_refit(good, np.zeros(4), LossKind.SQUARED, np.zeros(3))
     with pytest.raises(ValueError):
         corrective_refit(good, np.zeros(4), LossKind.ZERO_ONE, np.zeros(2))
+
+
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.SQUARED])
+def test_refit_rejects_a_non_finite_warm_start(kind):
+    design = np.column_stack([np.ones(4), np.array([0.0, 1.0, 1.0, 0.0])])
+    with pytest.raises(ValueError, match="finite"):
+        corrective_refit(design, np.array([0.0, 1.0, 0.0, 1.0]), kind, np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_squared_refit_rejects_non_finite_targets_and_design(bad):
+    design = np.column_stack([np.ones(4), np.array([0.0, 1.0, 1.0, 0.0])])
+    y = np.array([0.5, 1.0, -2.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        corrective_refit(design, np.where(np.arange(4) == 2, bad, y), LossKind.SQUARED, np.zeros(2))
+    design[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        corrective_refit(design, y, LossKind.SQUARED, np.zeros(2))
 
 
 def test_solution_exposes_proposition_threshold():
