@@ -323,6 +323,8 @@ def _synthesize(generator: str, **spec) -> Dataset:
         return SYNTHETIC_GENERATORS[generator](**spec)
     except (TypeError, ValueError, DataError) as exc:
         raise UsageError(f"synthetic {generator!r} dataset: {exc}") from None
+    except MemoryError:
+        raise UsageError(f"synthetic {generator!r} dataset: too large to allocate") from None
 
 
 def _cmd_make_synthetic(args) -> int:

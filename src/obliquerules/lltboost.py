@@ -48,8 +48,6 @@ class LLTConfig:
 
 def _weighted_sign_risk(prop: SparseProposition, X, rows, g, sgn) -> float:
     """|g|-weighted 0/1 risk of the proposition predicting gradient signs."""
-    if rows.size == 0:
-        return 0.0
     gv = g[rows]
     labels = sgn * gv >= 0
     pred = prop.activations(X[rows]) >= 0.5
@@ -94,29 +92,21 @@ def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparsePropositi
                     continue
                 prop = SparseProposition.from_dense(sgn * sol.weights, sgn * sol.threshold)
                 risk = _weighted_sign_risk(prop, X, validation, g, sgn)
-                if prev_risk is None:
-                    candidates.append(prop)
-                else:
-                    if prev_risk <= 0.0:
-                        break
-                    if (prev_risk - risk) / prev_risk > cfg.sparsity_accept_delta:
-                        candidates.append(prop)
-                    else:
-                        break
+                if prev_risk is not None and not (
+                        prev_risk > 0.0
+                        and (prev_risk - risk) / prev_risk > cfg.sparsity_accept_delta):
+                    break
+                candidates.append(prop)
                 prev_risk = risk
 
-    best = None
-    best_obj = -1.0
-    best_cover = 0
-    for prop in candidates:  # iteration order realizes the tie-breaking
-        q = prop.activations(Xa)
-        obj = float(abs(ga @ q))  # the gradient-sum objective |<g, q>|
-        better = obj > best_obj or (obj == best_obj and best is not None and prop.nnz < best.nnz)
-        if better:
-            best, best_obj, best_cover = prop, obj, int(q.sum())
-    if best is None or best_obj <= OBJECTIVE_TOLERANCE or best_cover == 0:
-        return None
-    return best
+    # iteration order realizes the tie-breaking; no objective ties the initial -1,
+    # and an empty cover's objective 0 is no gain
+    best, best_obj = None, -1.0
+    for prop in candidates:
+        obj = float(abs(ga @ prop.activations(Xa)))  # the gradient-sum objective |<g, q>|
+        if obj > best_obj or (obj == best_obj and prop.nnz < best.nnz):
+            best, best_obj = prop, obj
+    return None if best_obj <= OBJECTIVE_TOLERANCE else best
 
 
 def fit_conjunction(X, g, cfg: LLTConfig, active, validation) -> list[SparseProposition] | None:
@@ -136,8 +126,7 @@ def fit_conjunction(X, g, cfg: LLTConfig, active, validation) -> list[SparseProp
             break
         body.append(prop)
         active = new_active
-        if validation.size:
-            validation = validation[prop.activations(X[validation]) >= 0.5]
+        validation = validation[prop.activations(X[validation]) >= 0.5]
         current_objective = new_objective
     return body or None
 

@@ -67,13 +67,16 @@ def gradient(kind: LossKind, y, score) -> np.ndarray:
     raise ValueError("zero_one loss has no usable gradient")
 
 
-def init_intercept(kind: LossKind, y) -> float:
-    """Score constant minimizing the total loss: mean target or log-odds.
+def log_odds(p: float, n: int) -> float:
+    """log(p / (1 - p)) of a positive rate over n rows; a single class's rate, exactly
+    0 or 1, is clamped into [1/(2n), 1 - 1/(2n)] first, so it gets a finite value."""
+    if not 0.0 < p < 1.0:
+        p = min(max(p, 1.0 / (2 * n)), 1.0 - 1.0 / (2 * n))
+    return float(np.log(p / (1.0 - p)))
 
-    The logistic case clamps the positive rate into [1/(2n), 1 - 1/(2n)], so
-    a single-class sample gets a finite intercept; a two-class rate already
-    lies inside that range.
-    """
+
+def init_intercept(kind: LossKind, y) -> float:
+    """Score constant minimizing the total loss: mean target or :func:`log_odds`."""
     kind = LossKind(kind)
     y = np.asarray(y, dtype=float)
     if y.size == 0:
@@ -82,9 +85,7 @@ def init_intercept(kind: LossKind, y) -> float:
         return float(np.mean(y))
     if kind is LossKind.LOGISTIC:
         _check_binary(y)
-        lo = 1.0 / (2 * y.size)
-        p = min(max(float(np.mean(y)), lo), 1.0 - lo)
-        return float(np.log(p / (1.0 - p)))
+        return log_odds(float(np.mean(y)), y.size)
     raise ValueError("zero_one loss cannot initialize an intercept")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossKind, logistic, loss as loss_value, softplus
+from .losses import LossKind, log_odds, logistic, loss as loss_value, softplus
 
 MAX_ITER = 1000
 KKT_TOL = 1e-5
@@ -33,9 +33,11 @@ KEY_DIGITS = 52  # 0/1 digits a float key holds exactly
 class WeightedBinaryProblem:
     """A weighted binary labeling task; sample weights are normalized to mean 1.
 
-    ``lam_max`` is :func:`lambda_max` and ``tol`` the KKT tolerance of every
-    solve, ``KKT_TOL`` times min(1, lam_max): lam_max is the gradient scale.
-    Features must be finite.
+    The weighted positive rate p gives ``two_classes`` (0 < p < 1), the null
+    model w = 0 with intercept ``null_intercept``, ``log_odds(p, n)``, and
+    ``lam_max``, the smallest penalty at which it is optimal (0 for a single
+    class).  ``tol`` is the KKT tolerance of every solve, ``KKT_TOL`` times
+    min(1, lam_max): lam_max is the gradient scale.  Features must be finite.
     """
 
     features: np.ndarray
@@ -61,8 +63,11 @@ class WeightedBinaryProblem:
             raise ValueError("sample weights must have positive total")
         self.features = X
         self.labels = z
-        self.sample_weights = w * (X.shape[0] / total)
-        self.lam_max = lambda_max(self)
+        self.sample_weights = w = w * (X.shape[0] / total)
+        p = float(w @ z) / X.shape[0]
+        self.two_classes = 0.0 < p < 1.0
+        self.null_intercept = log_odds(p, X.shape[0])
+        self.lam_max = float(np.max(np.abs(X.T @ (w * (z - p))))) if self.two_classes else 0.0
         self.tol = KKT_TOL * min(1.0, self.lam_max)
         self._grad_key, self._grad_at = None, None
 
@@ -83,15 +88,8 @@ class WeightedBinaryProblem:
         return self._grad_at
 
     @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    def weighted_label_mean(self) -> float:
-        return float(self.sample_weights @ self.labels) / self.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,13 +146,6 @@ def _smooth_change(z, omega, s, mu, delta) -> float:
     return float(omega @ (rows - z * delta))
 
 
-def objective_value(problem: WeightedBinaryProblem, lam: float, w, b: float) -> float:
-    w = np.asarray(w, dtype=float)
-    s = problem.features @ w + b
-    smooth = float(problem.sample_weights @ (softplus(s) - problem.labels * s))
-    return smooth + lam * float(np.abs(w).sum())
-
-
 def kkt_residual(problem: WeightedBinaryProblem, lam: float, w, b: float) -> float:
     """Max violation of the first-order conditions at (w, b).
 
@@ -166,22 +157,9 @@ def kkt_residual(problem: WeightedBinaryProblem, lam: float, w, b: float) -> flo
     return _kkt(w, gw, gb, lam)
 
 
-def lambda_max(problem: WeightedBinaryProblem) -> float:
-    """Smallest penalty at which w = 0 is optimal (0 for degenerate labels)."""
-    p_hat = problem.weighted_label_mean()
-    if p_hat <= 0.0 or p_hat >= 1.0:
-        return 0.0
-    r = problem.sample_weights * (problem.labels - p_hat)
-    return float(np.max(np.abs(problem.features.T @ r)))
-
-
 def _null_solution(problem: WeightedBinaryProblem, lam: float) -> LinearSolution:
-    """w = 0 and the weighted log-odds; a single effective class gets its rate
-    clamped into [1/(2n), 1 - 1/(2n)] first."""
-    p = problem.weighted_label_mean()
-    if not 0.0 < p < 1.0:
-        p = min(max(p, 1.0 / (2 * problem.n)), 1.0 - 1.0 / (2 * problem.n))
-    return LinearSolution(weights=np.zeros(problem.d), intercept=float(np.log(p / (1.0 - p))),
+    """w = 0 and the problem's ``null_intercept``."""
+    return LinearSolution(weights=np.zeros(problem.d), intercept=problem.null_intercept,
                           nnz=0, lam=lam, converged=True, n_iter=0)
 
 
@@ -214,8 +192,7 @@ def fit_weighted_l1(
             raise ValueError("warm start has wrong width")
         if not (np.all(np.isfinite(w)) and np.isfinite(b)):
             raise ValueError("warm start must be finite")
-    p_hat = problem.weighted_label_mean()
-    if p_hat <= 0.0 or p_hat >= 1.0 or lam == np.inf:
+    if not problem.two_classes or lam == np.inf:
         # single effective class: no finite minimizer; return the clamped
         # null-model log-odds, which every caller treats as "cover one side".
         # At lam = inf the null model is the solution, from any start.
@@ -223,7 +200,7 @@ def fit_weighted_l1(
 
     z, omega = problem.labels, problem.sample_weights
     if init is None:
-        w, b = np.zeros(problem.d), float(np.log(p_hat / (1.0 - p_hat)))
+        w, b = np.zeros(problem.d), problem.null_intercept
 
     for k in range(MAX_ITER + 1):
         s, mu, gw, gb = problem._grad(w, b)
@@ -253,7 +230,7 @@ def fit_weighted_l1(
 
 
 class LambdaPath:
-    """The regularization path of one problem, walked down from lambda_max one
+    """The regularization path of one problem, walked down from lam_max one
     knot at a time (Park & Hastie, JRSS-B 69(4), 2007); ``_cache`` maps each lam
     walked to its solution.  Between knots the support A and its signs are
     fixed, and d(w_A, b)/dlam = -H_A^-1 (sign_A, 0), H_A the smooth part's
@@ -272,10 +249,10 @@ class LambdaPath:
         self._free_sign = np.repeat([-1.0, 1.0], problem.d)
 
     def solve(self, lam: float) -> LinearSolution:
-        """``fit_weighted_l1`` at ``lam``, warm-started from the walk's prediction."""
-        if lam not in self._cache:
-            self._cache[lam] = fit_weighted_l1(self.problem, lam, init=self._start)
-        return self._cache[lam]
+        """``fit_weighted_l1`` at ``lam``, below every lam in ``_cache``, warm-started
+        from the walk's prediction."""
+        self._cache[lam] = sol = fit_weighted_l1(self.problem, lam, init=self._start)
+        return sol
 
     def for_sparsity(self, s: int) -> LinearSolution:
         """Knot solution at the smallest lam with exactly ``s`` nonzeros, on the

@@ -102,10 +102,13 @@ def best_axis_proposition(active, X, g, orders,
     per value of ``reg_strengths``, in its order.
 
     Candidate thresholds are the midpoints between consecutive distinct
-    feature values over the active rows, in both directions.  Ties are
-    broken toward the lowest feature index, then the smallest threshold,
-    then ``>=`` before ``<=``.  An answer is ``None`` when no feature has two
-    distinct values.
+    feature values over the active rows, in both directions; where a midpoint
+    rounds onto the value that the rule leaves out, as between neighbouring
+    doubles, the threshold is the value it keeps.  So a rule covers exactly
+    the active rows its score counts, at least one.  Ties are broken toward
+    the lowest feature index, then the smallest threshold, then ``>=``
+    before ``<=``.  An answer is ``None`` when no feature has two distinct
+    values.
 
     ``active`` holds the active row indices in ascending order, and
     ``orders[j]`` holds the same rows in ascending order of ``X[:, j]``,
@@ -183,7 +186,10 @@ def best_axis_proposition(active, X, g, orders,
                 else:
                     k, direction, score = kl, "<=", sl
                 if best[r] is None or score > best[r].score:
-                    threshold = float(0.5 * (sv[i, k] + sv[i, k + 1]))
+                    lo, hi = float(sv[i, k]), float(sv[i, k + 1])
+                    threshold = 0.5 * (lo + hi)  # unless it rounds onto the value left out
+                    if threshold == (lo if direction == ">=" else hi):
+                        threshold = hi if direction == ">=" else lo
                     best[r] = AxisCandidate(j0 + i, direction, threshold, score)
     return tuple(best)
 
@@ -228,9 +234,6 @@ def _grow_conjunctions(Z, g, orders, reg_strengths, max_propositions):
         for chosen in groups.values():
             prop = chosen[0][1].to_proposition()
             inside = prop.activations(Z) >= 0.5
-            if not inside[active].any():
-                stopped += [p for p, _ in chosen]
-                continue
             members = [p for p, _ in chosen]
             child_body, child_active = body + [prop], active[inside[active]]
             if len(child_body) == max_propositions:

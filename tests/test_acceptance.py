@@ -33,10 +33,16 @@ from obliquerules.sparse_logreg import (
     corrective_refit,
     fit_weighted_l1,
     kkt_residual,
-    lambda_max,
-    objective_value,
 )
 from obliquerules.tgb import TGBConfig, best_axis_proposition
+
+
+def objective_value(problem, lam, w, b):
+    """F(w, b) = sum_i omega_i * (softplus(s_i) - z_i * s_i) + lam * ||w||_1, s = Xw + b."""
+    w = np.asarray(w, dtype=float)
+    s = problem.features @ w + b
+    smooth = float(problem.sample_weights @ (softplus(s) - problem.labels * s))
+    return smooth + lam * float(np.abs(w).sum())
 
 
 @pytest.fixture
@@ -157,14 +163,14 @@ def test_a3_solver_kkt_oracle_and_null_threshold(verdict):
     worst_kkt = 0.0
     for _ in range(100):
         problem = random_problem(rng)
-        lam = float(rng.uniform(0.05, 0.8)) * lambda_max(problem)
+        lam = float(rng.uniform(0.05, 0.8)) * problem.lam_max
         sol = fit_weighted_l1(problem, lam)
         worst_kkt = max(worst_kkt, kkt_residual(problem, lam, sol.weights, sol.intercept))
 
     worst_gap = 0.0
     for _ in range(20):
         problem = random_problem(rng, d=2)
-        lam = float(rng.uniform(0.2, 0.6)) * lambda_max(problem)
+        lam = float(rng.uniform(0.2, 0.6)) * problem.lam_max
         sol = fit_weighted_l1(problem, lam)
         oracle = _refined_grid_minimum(problem, lam)
         value = objective_value(problem, lam, sol.weights, sol.intercept)
@@ -173,7 +179,7 @@ def test_a3_solver_kkt_oracle_and_null_threshold(verdict):
     null_ok = True
     for _ in range(20):
         problem = random_problem(rng)
-        lmax = lambda_max(problem)
+        lmax = problem.lam_max
         for lam in (lmax, 1.5 * lmax):
             sol = fit_weighted_l1(problem, lam)
             null_ok = null_ok and not np.any(sol.weights)
@@ -200,7 +206,7 @@ def test_a4_sparsity_search_matches_dense_grid_transitions(verdict):
     detail = []
     for trial in range(20):
         problem = random_problem(rng, n=int(rng.integers(30, 60)), d=int(rng.integers(3, 8)))
-        lmax = lambda_max(problem)
+        lmax = problem.lam_max
         grid = np.geomspace(lmax, 1e-4 * lmax, 400)
         step = grid[0] / grid[1]
         nnz_at = []

@@ -821,6 +821,27 @@ def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["make-synthetic", "benchmark"])
+def test_synthetic_dataset_too_large_to_allocate_is_usage_error(tmp_path, command,
+                                                                monkeypatch, capsys):
+    def too_large(**spec):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.SYNTHETIC_GENERATORS, "oblique", too_large)
+    if command == "make-synthetic":
+        argv = ["make-synthetic", "--generator", "oblique", "--out", str(tmp_path / "a.csv")]
+    else:
+        cfg_path = tmp_path / "protocol.json"
+        cfg_path.write_text(json.dumps({"datasets": [{"synthetic": "oblique"}]}),
+                            encoding="utf-8")
+        argv = ["benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large to allocate" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "a.csv").exists() and not (tmp_path / "o").exists()
+
+
 def test_benchmark_config_errors(tmp_path):
     no_data = tmp_path / "c1.json"
     no_data.write_text(json.dumps({"repetitions": 10}), encoding="utf-8")

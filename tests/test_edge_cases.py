@@ -80,6 +80,6 @@ def test_every_l1_solve_of_a_rare_class_fit_converges(monkeypatch):
     monkeypatch.setattr(lltboost, "LambdaPath", RecordedPath)
     fit, config = LEARNERS["lltboost"]
     fit(*degenerate_data("three_positives", LossKind.LOGISTIC), config(LossKind.LOGISTIC))
-    # every path with a positive lambda_max walks at least one knot
+    # every path with a positive lam_max walks at least one knot
     assert len(kkt) >= sum(path.problem.lam_max > 0 for path in paths) > 0
     assert max(kkt) <= sparse_logreg.KKT_TOL

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquerules import sparse_logreg
 from obliquerules.core import SparseProposition
@@ -125,6 +127,22 @@ def test_nonzero_budget_respected():
             assert prop.nnz <= 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from([0.0, 0.01, 0.5]))
+def test_a_proposition_always_covers_an_active_row(seed, n, d, max_nonzeros, delta):
+    # rounded features tie rows, and some gradients are 0; validation rows are
+    # the rest of the sample, possibly none
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), 1)
+    g = rng.normal(size=n) * (rng.random(n) < 0.8)
+    inside = rng.random(n) < 0.7
+    active, validation = np.flatnonzero(inside), np.flatnonzero(~inside)
+    cfg = LLTConfig(max_nonzeros=max_nonzeros, sparsity_accept_delta=delta)
+    prop = fit_proposition(active, X, g, cfg, validation)
+    assert prop is None or prop.activations(X[active]).any()
+
+
 # ---------------------------------------------------------------------------
 # fit_conjunction
 # ---------------------------------------------------------------------------
@@ -242,7 +260,7 @@ def test_direct_fit_on_20000_rows_keeps_risk_monotone_and_converges(monkeypatch)
 
     def checked(problem, lam, *args, **kwargs):
         sol = solve(problem, lam, *args, **kwargs)
-        tol = sparse_logreg.KKT_TOL * min(1.0, sparse_logreg.lambda_max(problem))
+        tol = sparse_logreg.KKT_TOL * min(1.0, problem.lam_max)
         solves.append((sol.converged, sparse_logreg.kkt_residual(
             problem, lam, sol.weights, sol.intercept) <= tol))
         return sol

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obliquerules import sparse_logreg
-from obliquerules.losses import LossKind, loss
+from obliquerules.losses import LossKind, loss, softplus
 from obliquerules.sparse_logreg import (
     KKT_TOL,
     LambdaPath,
@@ -13,9 +13,16 @@ from obliquerules.sparse_logreg import (
     corrective_refit,
     fit_weighted_l1,
     kkt_residual,
-    lambda_max,
-    objective_value,
 )
+
+
+def objective_value(problem, lam, w, b):
+    """F(w, b) = sum_i omega_i * (softplus(s_i) - z_i * s_i) + lam * ||w||_1, s = Xw + b."""
+    w = np.asarray(w, dtype=float)
+    s = problem.features @ w + b
+    smooth = float(problem.sample_weights @ (softplus(s) - problem.labels * s))
+    return smooth + lam * float(np.abs(w).sum())
+
 
 seed = 42
 
@@ -93,35 +100,35 @@ def test_gradient_reuse_is_exact_and_never_stale(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lambda_max
+# lam_max
 # ---------------------------------------------------------------------------
 
 
 def test_lambda_max_hand_value():
     prob = WeightedBinaryProblem(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), np.ones(2))
-    assert lambda_max(prob) == pytest.approx(1.0)
+    assert prob.lam_max == pytest.approx(1.0)
 
 
 def test_lambda_max_zero_for_single_class():
     prob = WeightedBinaryProblem(np.random.default_rng(0).normal(size=(5, 3)), np.ones(5), np.ones(5))
-    assert lambda_max(prob) == 0.0
+    assert prob.lam_max == 0.0
 
 
 def test_weights_vanish_exactly_at_lambda_max():
     for s in range(20):
         prob = random_problem(s)
-        lm = lambda_max(prob)
+        lm = prob.lam_max
         for lam in (lm, 1.5 * lm):
             sol = fit_weighted_l1(prob, lam)
             assert np.all(sol.weights == 0.0), f"seed {s}"
             # intercept equals the weighted log-odds of the labels
-            p_hat = prob.weighted_label_mean()
+            p_hat = float(prob.sample_weights @ prob.labels) / prob.labels.size
             assert sol.intercept == pytest.approx(np.log(p_hat / (1 - p_hat)), abs=1e-6)
 
 
 def test_just_below_lambda_max_usually_activates_a_feature():
     hits = sum(
-        fit_weighted_l1(random_problem(s), 0.9 * lambda_max(random_problem(s))).nnz >= 1
+        fit_weighted_l1(random_problem(s), 0.9 * random_problem(s).lam_max).nnz >= 1
         for s in range(40)
     )
     assert hits >= 28  # sanity margin, not a strict bound
@@ -136,7 +143,7 @@ def test_objective_nonincreasing_across_iterations(monkeypatch):
     # a solve capped at MAX_ITER = k returns the endpoint of its first k steps
     for s in range(5):
         prob = random_problem(s)
-        lam = 0.05 * lambda_max(prob)
+        lam = 0.05 * prob.lam_max
         history = []
         for k in range(50):
             monkeypatch.setattr(sparse_logreg, "MAX_ITER", k)
@@ -152,7 +159,7 @@ def test_objective_nonincreasing_across_iterations(monkeypatch):
 def test_kkt_residual_small_on_random_problems():
     for s in range(25):
         prob = random_problem(s)
-        lam = 0.1 * lambda_max(prob)
+        lam = 0.1 * prob.lam_max
         sol = fit_weighted_l1(prob, lam)
         assert kkt_residual(prob, lam, sol.weights, sol.intercept) <= 1e-4, f"seed {s}"
 
@@ -179,7 +186,7 @@ def test_warm_start_at_a_solution_takes_no_step():
     for s in range(8):
         prob = random_problem(s)
         for frac in (0.5, 0.1, 0.01):
-            sol = fit_weighted_l1(prob, frac * lambda_max(prob))
+            sol = fit_weighted_l1(prob, frac * prob.lam_max)
             again = fit_weighted_l1(prob, sol.lam, init=(sol.weights, sol.intercept))
             assert again.converged and again.n_iter == 0, f"seed {s}, lam fraction {frac}"
             assert np.array_equal(again.weights, sol.weights)
@@ -189,7 +196,7 @@ def test_warm_start_at_a_solution_takes_no_step():
 def test_solve_from_a_perturbed_start_recovers_the_signs():
     for s in range(8):
         prob = random_problem(s)
-        lam = 0.1 * lambda_max(prob)
+        lam = 0.1 * prob.lam_max
         sol = fit_weighted_l1(prob, lam)
         again = fit_weighted_l1(prob, lam, init=(1.5 * sol.weights, sol.intercept + 0.3))
         assert again.converged and again.n_iter > 0
@@ -215,7 +222,7 @@ def degenerate_problem(design, n=200):
 def test_degenerate_columns_keep_kkt_and_sparsity(design):
     prob = degenerate_problem(design)
     for frac in (0.9, 0.5, 0.1, 0.01, 1e-3):
-        sol = fit_weighted_l1(prob, frac * lambda_max(prob))
+        sol = fit_weighted_l1(prob, frac * prob.lam_max)
         assert sol.converged
         assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL
     path = LambdaPath(prob)
@@ -233,7 +240,7 @@ def test_duplicated_columns_on_a_large_scale_keep_the_newton_system_solvable():
     z = (x + 300 * rng.normal(size=1000) > 0).astype(float)
     prob = WeightedBinaryProblem(np.column_stack([x, x, rng.normal(size=1000)]), z, np.ones(1000))
     for frac in (0.5, 1e-3, 1e-5):
-        sol = fit_weighted_l1(prob, frac * lambda_max(prob))
+        sol = fit_weighted_l1(prob, frac * prob.lam_max)
         assert sol.converged
         assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL
 
@@ -277,6 +284,37 @@ def test_solution_objective_matches_dense_grid_search():
     assert abs(value - FROZEN_GRID_MIN) <= 1e-3
     # the solver can only do better than the best grid vertex
     assert value <= FROZEN_GRID_MIN + 1e-12
+
+
+def test_null_model_clamps_only_a_single_class_rate():
+    # positives weighted 1e-9 give a weighted positive rate near 1e-9, far
+    # below 1/(2n), which is kept: only a rate of exactly 0 or 1 is clamped
+    rng = np.random.default_rng(3)
+    X = rng.normal(100.0, 3.0, size=(200, 2))
+    z = (X[:, 0] > 100.0).astype(float)
+    weights = np.where(z == 1, 1e-9, 1.0)
+    prob = WeightedBinaryProblem(X, z, weights)
+    p = float(weights @ z) / weights.sum()
+    assert 0 < p < 1 / (2 * 200)
+    expected = np.log(p / (1 - p))
+    assert prob.lam_max > 0
+    start = LambdaPath(prob)._cache[prob.lam_max]
+    assert start.nnz == 0 and start.intercept == pytest.approx(expected, rel=1e-12)
+    assert fit_weighted_l1(prob, np.inf).intercept == start.intercept
+    single = WeightedBinaryProblem(X[:100], np.zeros(100), np.ones(100))
+    assert single.lam_max == 0.0
+    assert fit_weighted_l1(single, 1.0).intercept == np.log((1 / 200) / (1 - 1 / 200))
+    assert LambdaPath(single)._cache[0.0].intercept == np.log((1 / 200) / (1 - 1 / 200))
+
+
+def test_a_balanced_problem_with_zero_lam_max_still_iterates_from_a_warm_start():
+    # X.T @ r vanishes at the null model, so lam_max is 0, but both classes
+    # are present: a warm start away from the null model is not a solution
+    prob = WeightedBinaryProblem(np.array([[1.0], [1.0], [-1.0], [-1.0]]),
+                                 np.array([1.0, 0.0, 1.0, 0.0]), np.ones(4))
+    assert prob.lam_max == 0.0
+    sol = fit_weighted_l1(prob, 0.0, init=(np.array([1.0]), 0.3))
+    assert sol.n_iter > 0 and abs(sol.weights[0]) < 1e-6 and abs(sol.intercept) < 1e-6
 
 
 def test_nan_penalty_is_rejected_and_an_infinite_one_gives_the_null_model():
@@ -336,7 +374,7 @@ def test_single_informative_feature_is_selected_at_s1():
 
 def test_sparsity_path_nondecreasing_and_matches_grid_scan():
     prob = random_problem(3, n=60, d=5, informative=3)
-    lm = lambda_max(prob)
+    lm = prob.lam_max
     grid = np.geomspace(1e-6 * lm, lm, 400)
     log_step = np.log(grid[1] / grid[0])
     # scan the grid with warm starts to find each sparsity transition
@@ -409,16 +447,16 @@ def test_mirrored_labels_give_the_mirrored_path():
 
 
 def test_tolerance_follows_the_gradient_scale_of_the_problem():
-    # the positive rows carry so little weight that lambda_max is far below
+    # the positive rows carry so little weight that lam_max is far below
     # KKT_TOL; an absolute tolerance would accept the null model at every lam
     rng = np.random.default_rng(8)
     X = rng.normal(size=(300, 3))
     z = (X[:, 0] + 0.3 * rng.normal(size=300) > 1.5).astype(float)
     prob = WeightedBinaryProblem(X, z, np.where(z == 1, 1e-9, 1.0))
-    assert 0 < lambda_max(prob) < 0.01 * KKT_TOL
+    assert 0 < prob.lam_max < 0.01 * KKT_TOL
     sol = LambdaPath(prob).for_sparsity(1)
     assert sol.nnz == 1 and sol.converged
-    assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL * lambda_max(prob)
+    assert kkt_residual(prob, sol.lam, sol.weights, sol.intercept) <= KKT_TOL * prob.lam_max
 
 
 # ---------------------------------------------------------------------------

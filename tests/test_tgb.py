@@ -87,6 +87,47 @@ def test_direction_to_proposition_semantics():
     assert np.array_equal(le.activations(X), [1.0, 1.0, 0.0])
 
 
+def realized_score(cand, active, X, g, reg_strength=0.0):
+    """|sum g| / sqrt(reg + count) over the active rows that ``cand``'s rule covers."""
+    covered = cand.to_proposition().activations(X[active]) >= 0.5
+    return abs(float(g[active][covered].sum())) / math.sqrt(reg_strength + float(covered.sum()))
+
+
+@pytest.mark.parametrize("direction", [">=", "<="])
+def test_a_threshold_between_neighbouring_doubles_covers_the_scored_rows(direction):
+    # the midpoint of two neighbouring doubles rounds onto one of them: for >=
+    # between 1 and its successor it rounds to 1, for <= between 1's
+    # predecessor and 1 it rounds to 1
+    if direction == ">=":
+        column, g = [0.0, 1.0, np.nextafter(1.0, 2.0), 2.0], [-1.0, -1.0, 1.0, 1.0]
+    else:
+        column, g = [0.0, np.nextafter(1.0, 0.0), 1.0, 2.0], [1.0, 1.0, -1.0, 0.0]
+    X, g = np.array(column)[:, None], np.array(g)
+    active = np.arange(4)
+    cand = scan(active, X, g)
+    assert cand.direction == direction and cand.score == 2.0 / math.sqrt(2.0)
+    assert realized_score(cand, active, X, g) == cand.score
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.sampled_from([0.0, 0.5, 3.0]))
+def test_every_candidate_covers_an_active_row_and_realizes_its_score(seed, n, reg):
+    # small integer columns, with some values moved onto a neighbouring double
+    # of another value in the column; integer gradients make every sum exact
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    for j in range(2):
+        for i in np.flatnonzero(rng.random(n) < 0.4):
+            X[i, j] = np.nextafter(X[rng.integers(n), j], rng.choice([-np.inf, np.inf]))
+    g = rng.integers(-3, 4, size=n).astype(float)
+    active = np.flatnonzero(rng.random(n) < 0.8)
+    cand = scan(active, X, g, reg)
+    if cand is None:
+        return
+    assert cand.to_proposition().activations(X[active]).any()
+    assert realized_score(cand, active, X, g, reg) == cand.score
+
+
 def brute_force_scan(active, X, g, lam):
     """Reference implementation: enumerate every (feature, threshold, direction)."""
     best = None
