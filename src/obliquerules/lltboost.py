@@ -171,7 +171,8 @@ def fit(X, y, cfg: LLTConfig) -> FitTrace:
 
         def grow(g, members):
             body = fit_conjunction(Z, g, cfg, fit_idx, val_idx)
-            return [([0], body, None if body is None else conjunction_cover(body, Z))]
+            inside = None if body is None else np.flatnonzero(conjunction_cover(body, Z))
+            return [([0], body, inside)]
         return fit_idx, grow
 
     return boost(X, y, cfg, prepare)[0]

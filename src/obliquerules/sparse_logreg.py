@@ -26,7 +26,7 @@ LAMBDA_FLOOR_RATIO = 1e-6
 REFIT_RIDGE = 1e-8
 REFIT_MAX_ITER = 100
 REFIT_DECREMENT_RTOL = 1e-14
-KEY_DIGITS = 52  # 0/1 digits a float key holds exactly
+KEY_DIGITS = 52  # 0/1 digits per chunk of the refit's row-group order
 
 
 @dataclass(eq=False)
@@ -347,22 +347,37 @@ class LambdaPath:
 # --------------------------------------------------------------------------
 
 
-def _distinct_rows(digits):
-    """One row index per distinct row of a 0/1 matrix, and that row's count.
+def split_groups(ids, block, digit, k):
+    """Split row groups by ``digit``, the 0/1 digit ``k`` of each row's key:
+    the new ``(ids, block, counts, rows)``, ``rows`` holding one row per group.
 
-    Up to ``KEY_DIGITS`` columns, read as binary digits, make an exact float
-    key.  Wider matrices renumber each chunk's keys into [0, n) and pair them
-    as ``left * n + right``, renumbered in turn.
+    Groups are ordered by key, read in chunks of ``KEY_DIGITS`` digits, the
+    earlier chunk and, within one, the newer digit more significant.  So a
+    digit splits each block of groups that agree on the complete chunks
+    before it (``block[g]`` is the first of ``g``'s) into those with digit 0,
+    then 1: position ``g + block[g] + digit * size`` of ``2 * G``, ranked.
     """
-    n = digits.shape[0]
-    key = None
-    for start in range(0, digits.shape[1], KEY_DIGITS):
-        chunk = digits[:, start:start + KEY_DIGITS]
-        _, part = np.unique(chunk @ 2.0 ** np.arange(chunk.shape[1]), return_inverse=True)
-        key = part if key is None else np.unique(key * n + part, return_inverse=True)[1]
-    counts = np.bincount(key)
-    rows = np.empty(counts.size, dtype=int)
-    rows[key] = np.arange(n)  # the rows of a group are equal, so any one stands for it
+    n_groups = block.size
+    if k % KEY_DIGITS == 0:
+        block = np.arange(n_groups)
+    size = np.bincount(block, minlength=n_groups)[block]
+    key = (np.arange(n_groups) + block)[ids] + digit * size[ids]
+    hist = np.bincount(key, minlength=2 * n_groups)
+    occupied = hist > 0
+    before = np.cumsum(occupied) - occupied  # occupied positions before each one
+    ids, counts = before[key], hist[occupied]
+    rows = np.empty(counts.size, dtype=np.intp)
+    rows[ids] = np.arange(ids.size)  # the rows of a group are equal, so any one stands for it
+    # a block that starts at group s lays its groups out from position 2 * s
+    return ids, before[2 * block[np.flatnonzero(occupied) // 2]], counts, rows
+
+
+def _distinct_rows(digits):
+    """One row index per distinct row of a 0/1 matrix of one or more columns,
+    and that row's count, in the order of ``split_groups`` folded over them."""
+    ids, block = np.zeros(digits.shape[0], dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for k, column in enumerate(digits.T):
+        ids, block, counts, rows = split_groups(ids, block, column == 1, k)
     return rows, counts
 
 
@@ -371,6 +386,7 @@ def corrective_refit(
     y: np.ndarray,
     kind: LossKind,
     warm_start: np.ndarray,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jointly refit all ensemble weights over a [1 | rule covers] design.
 
@@ -384,8 +400,11 @@ def corrective_refit(
     steps run on those groups until the Newton decrement ``grad . step`` falls
     to the objective's rounding, ``REFIT_DECREMENT_RTOL * max(1, objective)``
     (Boyd & Vandenberghe, Convex Optimization, 2004, section 9.5.1).
-    A non-finite warm start or target, or a non-finite squared-loss design,
-    is a ``ValueError``.
+    Rows grouped already come one per group, with their multiplicities as
+    ``counts`` (logistic loss only); on ``_distinct_rows``'s rows and counts
+    the result is bit for bit that of the full rows.  A first column not
+    exactly 1, counts that are not positive integers, a non-finite warm start
+    or target, or a non-finite squared-loss design is a ``ValueError``.
     """
     kind = LossKind(kind)
     design = np.asarray(design, dtype=float)
@@ -396,15 +415,20 @@ def corrective_refit(
         raise ValueError("target length must match the design row count")
     if beta0.shape != (m1,):
         raise ValueError("warm start length must match the design column count")
-    if not np.allclose(design[:, 0], 1.0):
+    if not np.all(design[:, 0] == 1.0):
         raise ValueError("the first design column must be the all-ones intercept")
     if not (np.all(np.isfinite(beta0)) and np.all(np.isfinite(y))):
         raise ValueError("warm start and targets must be finite")
+    c = np.ones(n) if counts is None else np.asarray(counts, dtype=float)
+    if c.shape != (n,) or not np.all(np.isfinite(c) & (c > 0) & (c == np.floor(c))):
+        raise ValueError("counts must hold one positive integer per design row")
 
     pen = np.full(m1, 2.0 * REFIT_RIDGE)
     pen[0] = 0.0
 
     if kind is LossKind.SQUARED:
+        if counts is not None:
+            raise ValueError("counts apply to logistic refits only")
         if not np.all(np.isfinite(design)):
             raise ValueError("the design must be finite")
         beta = np.linalg.solve(design.T @ design + np.diag(pen), design.T @ y)
@@ -413,8 +437,10 @@ def corrective_refit(
         digits = np.column_stack([y, design[:, 1:]])
         if not np.all((digits == 0) | (digits == 1)):
             raise ValueError("logistic refits need labels and rule columns in {0, 1}")
-        rows, counts = _distinct_rows(digits)
-        U, y_g, c = design[rows], y[rows], counts.astype(float)
+        if counts is None:
+            rows, counts = _distinct_rows(digits)
+            design, y, c = design[rows], y[rows], counts.astype(float)
+        U, y_g = np.ascontiguousarray(design), y
         ridge = np.diag(pen + 1e-12)
         halvings = 0.5 ** np.arange(60)
 

@@ -11,9 +11,10 @@ order), and each conjunction filters that array down to the rows still
 inside it - the presorted columns of SLIQ (Mehta, Agrawal & Rissanen, EDBT
 1996) and of exact greedy split finding in XGBoost (Chen & Guestrin, KDD
 2016, section 4.1).  The sort lives in ``fit``, not in the conjunction,
-because the first scan of every conjunction covers all rows.  Filtering
-keeps the stable order of the remaining rows, so every scan sums the same
-gradients in the same order as a fresh stable sort would, bit for bit.
+because the first scan of every conjunction covers all rows; so do that
+scan's sorted values and tie mask.  Filtering keeps the stable order of the
+remaining rows, so every scan sums the same gradients in the same order as a
+fresh stable sort would, bit for bit.
 
 ``_stable_orders`` builds that sort column by column with the fast unstable
 sort, then repairs only columns with equal values: it numbers the groups of
@@ -55,7 +56,7 @@ import numpy as np
 
 from .core import FitStage, FitTrace, SparseProposition, Standardizer, check_integer_fields
 from .losses import LossKind, gradient, init_intercept, loss, training_arrays
-from .sparse_logreg import corrective_refit
+from .sparse_logreg import corrective_refit, split_groups
 
 SCAN_BLOCK_CELLS = 4096  # sorted cells per block of columns the scan processes at once
 
@@ -96,8 +97,8 @@ class AxisCandidate(NamedTuple):
         return SparseProposition._trusted(feature, np.array([-1.0]), -float(self.threshold))
 
 
-def best_axis_proposition(active, X, g, orders,
-                          reg_strengths) -> tuple[AxisCandidate | None, ...]:
+def best_axis_proposition(active, X, g, orders, reg_strengths,
+                          root_values=None) -> tuple[AxisCandidate | None, ...]:
     """Exhaustive scan over single-feature threshold conditions, one answer
     per value of ``reg_strengths``, in its order.
 
@@ -142,7 +143,8 @@ def best_axis_proposition(active, X, g, orders,
 
     ``X`` is ``(n, d)`` in either layout; ``fit_grid`` passes it column-major, so
     that the values of a block of columns are a view of contiguous memory,
-    which a C-order ``X`` first copies.
+    which a C-order ``X`` first copies.  A scan of all rows may pass as
+    ``root_values`` the ``(sv, tie)`` that it would gather and compare, computed once.
     """
     active = np.asarray(active, dtype=int)
     n_act = active.size
@@ -161,9 +163,12 @@ def best_axis_proposition(active, X, g, orders,
         rows = orders[j0:j0 + width].astype(np.intp)
         c = rows.shape[0]
         sum_le = np.cumsum(g.take(rows), axis=1)[:, :-1]
-        rows += n * np.arange(c)[:, None]
-        sv = X.T[j0:j0 + c].ravel().take(rows)  # row i is column j0 + i, sorted
-        tie = sv[:, :-1] >= sv[:, 1:]
+        if root_values is None:
+            rows += n * np.arange(c)[:, None]
+            sv = X.T[j0:j0 + c].ravel().take(rows)  # row i is column j0 + i, sorted
+            tie = sv[:, :-1] >= sv[:, 1:]
+        else:
+            sv, tie = root_values[0][j0:j0 + c], root_values[1][j0:j0 + c]
         sum_ge = total - sum_le
         np.abs(sum_le, out=sum_le)
         np.abs(sum_ge, out=sum_ge)
@@ -194,11 +199,11 @@ def best_axis_proposition(active, X, g, orders,
     return tuple(best)
 
 
-def _grow_conjunctions(Z, g, orders, reg_strengths, max_propositions):
+def _grow_conjunctions(Z, g, orders, root_values, reg_strengths, max_propositions):
     """One conjunction per value of ``reg_strengths`` on the gradients ``g``,
-    as ``(picked, body, cover)`` triples: the positions in ``reg_strengths``
-    that grew the propositions ``body``, and its 0/1 cover over all rows, or
-    ``None`` for an empty body.
+    as ``(picked, body, inside)`` triples: the positions in ``reg_strengths``
+    that grew the propositions ``body``, maybe none, and the rows it covers.
+    The first scan, of all rows, reads ``root_values``.
 
     The conjunctions grow as a tree.  A group holds the reg strengths that
     accepted the same propositions so far, with the rows inside all of them
@@ -223,7 +228,8 @@ def _grow_conjunctions(Z, g, orders, reg_strengths, max_propositions):
         picked, current, body, active, orders, parent_inside = pending.pop()
         if parent_inside is not None:
             orders = np.compress(parent_inside[orders].ravel(), orders).reshape(d, -1)
-        cands = best_axis_proposition(active, Z, g, orders, [reg_strengths[p] for p in picked])
+        cands = best_axis_proposition(active, Z, g, orders, [reg_strengths[p] for p in picked],
+                                      root_values if parent_inside is None else None)
         stopped, groups = [], {}
         for p, score, cand in zip(picked, current, cands):
             if cand is None or cand.score <= score:
@@ -244,14 +250,7 @@ def _grow_conjunctions(Z, g, orders, reg_strengths, max_propositions):
         if stopped:
             grown.append((sorted(stopped), body, active))
         pending.extend(reversed(children))
-    out = []
-    for picked, body, active in grown:
-        cover = None
-        if body:
-            cover = np.zeros(n)
-            cover[active] = 1.0
-        out.append((picked, body, cover))
-    return out
+    return grown
 
 
 def _stable_orders(Z) -> np.ndarray:
@@ -288,13 +287,17 @@ def boost(X, y, cfg, prepare, n_members=1) -> tuple[FitTrace, ...]:
     grow)``: the rows that the intercept, the refits and each stage's
     ``train_risk`` use, and ``grow(g, members)``, which grows one conjunction
     per member on the gradients ``g`` over all rows and returns ``(picked,
-    body, cover)`` groups as ``_grow_conjunctions`` does.  Each round refits
-    all weights jointly, warm-started with the new rule's weight at 0.
+    body, inside)`` groups as ``_grow_conjunctions`` does; members with no
+    body stop.  Each round refits all weights jointly, warm-started with the
+    new rule's weight at 0.
 
     Members that have grown the same conjunctions share one branch: one
     gradient, ``grow`` call, refit and ``FitStage`` per round.  It splits
     where their groups differ.  Branches wait on a stack, last in first out.
     Each trace's ``wall_time_seconds`` is the call's time over ``n_members``.
+    A branch writes each cover into the next column of its design buffer,
+    which its first child takes and the others copy, and under logistic loss
+    splits its refit rows' groups by it, to refit one row per group.
     """
     t_start = perf_counter()
     kind = cfg.loss
@@ -302,7 +305,7 @@ def boost(X, y, cfg, prepare, n_members=1) -> tuple[FitTrace, ...]:
     n = X.shape[0]
     standardizer = Standardizer.fit(X)
     rows, grow = prepare(standardizer.transform(X), y)
-    y_rows = y[rows]
+    fit_rows, y_rows = np.arange(n)[rows], y[rows]
 
     def stage(bodies, beta, scores) -> FitStage:
         risk = float(np.mean(loss(kind, y_rows, scores[rows])))
@@ -310,27 +313,38 @@ def boost(X, y, cfg, prepare, n_members=1) -> tuple[FitTrace, ...]:
 
     beta = np.array([init_intercept(kind, y_rows)])
     scores = np.full(n, beta[0])
+    design = np.ones((n, cfg.max_rules + 1))  # [1 | covers]; each round writes its column
+    groups = None if kind is LossKind.SQUARED else split_groups(  # squared refits all rows
+        np.zeros(y_rows.size, dtype=np.intp), np.zeros(1, dtype=np.intp), y_rows == 1, 0)
     traced: list[list[FitStage]] = [[] for _ in range(n_members)]
-    # a branch: its members, their refitted weights and scores, and their
-    # covers, bodies and stages so far
-    pending = [(list(range(n_members)), beta, scores, [], [], [stage([], beta, scores)])]
+    # a branch: its members, their refitted weights and scores, design buffer,
+    # refit row groups, bodies and stages so far
+    pending = [(list(range(n_members)), beta, scores, design, groups, [],
+                [stage([], beta, scores)])]
     while pending:
-        members, beta, scores, covers, bodies, stages = pending.pop()
+        members, beta, scores, design, groups, bodies, stages = pending.pop()
+        m = len(bodies)
         grown = [(range(len(members)), None, None)]  # at max_rules every member stops
-        if len(bodies) < cfg.max_rules:
+        if m < cfg.max_rules:
             grown = grow(gradient(kind, y, scores), members)
-        for picked, body, cover in grown:
+        for i, (picked, body, inside) in enumerate(grown):
             branch = [members[p] for p in picked]
-            if cover is None:
-                for m in branch:
-                    traced[m] = stages
+            if not body:
+                for member in branch:
+                    traced[member] = stages
                 continue
-            branch_covers = covers + [cover]
+            branch_design = design.copy() if i else design
+            branch_design[:, m + 1] = 0.0
+            branch_design[inside, m + 1] = 1.0
+            used, reps, counts, branch_groups = branch_design[:, :m + 2], fit_rows, None, None
+            if groups is not None:
+                branch_groups = split_groups(*groups[:2], branch_design[rows, m + 1] == 1, m + 1)
+                reps, counts = fit_rows[branch_groups[3]], branch_groups[2]
+            branch_beta = corrective_refit(used[reps], y[reps], kind, np.append(beta, 0.0), counts)
+            branch_scores = branch_beta[0] + used[:, 1:] @ branch_beta[1:]
             branch_bodies = bodies + [body]
-            design = np.column_stack([np.ones(n)] + branch_covers)
-            branch_beta = corrective_refit(design[rows], y_rows, kind, np.append(beta, 0.0))
-            branch_scores = branch_beta[0] + design[:, 1:] @ branch_beta[1:]
-            pending.append((branch, branch_beta, branch_scores, branch_covers, branch_bodies,
+            pending.append((branch, branch_beta, branch_scores, branch_design, branch_groups,
+                            branch_bodies,
                             stages + [stage(branch_bodies, branch_beta, branch_scores)]))
 
     seconds = (perf_counter() - t_start) / n_members
@@ -354,8 +368,10 @@ def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
         # column-major, so that every gather of the scan and the presort reads one column
         Z = np.asfortranarray(Z)
         orders = _stable_orders(Z)
+        values = np.take_along_axis(Z.T, orders, axis=1)
+        root_values = values, values[:, :-1] >= values[:, 1:]
         return slice(None), lambda g, members: _grow_conjunctions(
-            Z, g, orders, [regs[m] for m in members], cfg.max_propositions)
+            Z, g, orders, root_values, [regs[m] for m in members], cfg.max_propositions)
 
     return boost(X, y, cfg, prepare, len(regs))
 

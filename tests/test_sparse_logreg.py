@@ -658,6 +658,74 @@ def test_logistic_refit_equals_the_frozen_loop_bit_for_bit(seed, n, m, pure, boo
     warm = rng.normal(scale=scale, size=m + 1)
     beta = corrective_refit(design, y, LossKind.LOGISTIC, warm)
     assert beta.tobytes() == frozen_logistic_refit(design, y, warm).tobytes()
+    # rows grouped by the caller, one per group with its count, give the same bits
+    rows, counts = sparse_logreg._distinct_rows(np.column_stack([y, design[:, 1:]]))
+    grouped = corrective_refit(design[rows], y[rows], LossKind.LOGISTIC, warm, counts=counts)
+    assert grouped.tobytes() == beta.tobytes()
+
+
+def lexicographic_groups(digits):
+    """The distinct rows of a 0/1 matrix and their counts, sorted by brute
+    force: chunks of KEY_DIGITS columns, an earlier chunk more significant,
+    and within a chunk the newest column most significant."""
+    w = sparse_logreg.KEY_DIGITS
+    counts = {}
+    for row in digits.astype(int).tolist():
+        counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+
+    def key(row):
+        return tuple(d for start in range(0, len(row), w) for d in reversed(row[start:start + w]))
+
+    distinct = sorted(counts, key=key)
+    return np.array(distinct, dtype=float), np.array([counts[r] for r in distinct])
+
+
+def test_row_groups_follow_the_lexicographic_order_at_every_width():
+    # coarse covers through digit 51 leave few groups; the random covers after
+    # it split groups that differ only in the first chunk, where splitting
+    # each group in place (2 * old + cover) would misorder them
+    rng = np.random.default_rng(3)
+    n, width = 400, 70
+    coarse = rng.integers(0, 4, size=n)
+    digits = np.empty((n, width))
+    digits[:, 0] = rng.random(n) < 0.5
+    for k in range(1, 52):
+        digits[:, k] = np.isin(coarse, rng.choice(4, size=2, replace=False))
+    digits[:, 52:] = rng.random((n, width - 52)) < 0.5
+    misordered = 0
+    for m in range(1, width + 1):
+        rows, counts = sparse_logreg._distinct_rows(digits[:, :m])
+        expected, expected_counts = lexicographic_groups(digits[:, :m])
+        assert np.array_equal(digits[rows, :m], expected)
+        assert np.array_equal(counts, expected_counts)
+        in_place = sorted(range(len(expected)), key=lambda g: (
+            tuple(reversed(expected[g, :52])), tuple(expected[g, 52:m])))
+        misordered += in_place != list(range(len(expected)))
+    assert misordered > 0
+
+
+def test_refit_requires_an_exact_intercept_column():
+    design = np.column_stack([np.ones(4), np.array([0.0, 1.0, 1.0, 0.0])])
+    design[1, 0] = 1.000009  # within np.allclose of 1
+    for kind in (LossKind.SQUARED, LossKind.LOGISTIC):
+        with pytest.raises(ValueError, match="intercept"):
+            corrective_refit(design, np.array([0.0, 1.0, 0.0, 1.0]), kind, np.zeros(2))
+
+
+@pytest.mark.parametrize("counts", [[1.0, 2.0, np.inf], [1.0, np.nan, 1.0], [1.0, 0.0, 2.0],
+                                    [1.0, -1.0, 2.0], [1.0, 1.5, 2.0], [1.0, 2.0]])
+def test_refit_rejects_counts_that_are_not_one_positive_integer_per_row(counts):
+    design = np.column_stack([np.ones(3), np.array([0.0, 1.0, 1.0])])
+    with pytest.raises(ValueError, match="counts"):
+        corrective_refit(design, np.array([0.0, 0.0, 1.0]), LossKind.LOGISTIC, np.zeros(2),
+                         counts=np.array(counts))
+
+
+def test_squared_refit_rejects_counts():
+    design = np.column_stack([np.ones(3), np.array([0.0, 1.0, 1.0])])
+    with pytest.raises(ValueError, match="logistic"):
+        corrective_refit(design, np.array([0.5, 0.0, 1.0]), LossKind.SQUARED, np.zeros(2),
+                         counts=np.ones(3))
 
 
 def test_refit_requires_intercept_column_and_matching_warm_start():

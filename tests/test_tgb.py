@@ -285,10 +285,16 @@ def test_every_scan_of_a_fit_gets_its_active_rows_in_stable_order(monkeypatch, r
     y = ((X[:, 0] > 0) & (X[:, 1] > -0.5) & (X[:, 2] < 0.5)).astype(float)
     sizes = []
 
-    def checked_scan(active, Z, g, orders, reg_strengths):
+    def checked_scan(active, Z, g, orders, reg_strengths, root_values=None):
         assert np.array_equal(orders, sorted_rows(active, Z))
         sizes.append(len(active))
-        return best_axis_proposition(active, Z, g, orders, reg_strengths)
+        answers = best_axis_proposition(active, Z, g, orders, reg_strengths, root_values)
+        # a scan of all rows reads the fit's sorted values and tie mask, and
+        # answers as the scan that gathers and compares them itself
+        assert (root_values is not None) == (len(active) == len(Z))
+        if root_values is not None:
+            assert answers == best_axis_proposition(active, Z, g, orders, reg_strengths)
+        return answers
 
     monkeypatch.setattr(tgb, "best_axis_proposition", checked_scan)
     fit(X, y, TGBConfig(max_rules=4, max_propositions=5, reg_strength=reg))
@@ -516,6 +522,32 @@ def test_grid_fit_shares_the_work_of_agreeing_reg_strengths(monkeypatch):
     assert counts == alone and len(traces) == 3
     for trace in traces:
         assert_same_trace(trace, single)
+
+
+def test_grid_branches_that_split_at_several_depths_keep_their_own_designs(monkeypatch):
+    # the grid splits at rounds 1, 2 and 3; a child that wrote into a design
+    # column or group state of a sibling would break the equality with the
+    # separate fits, and carried groups that left the full rows' group order
+    # would break the equality with refits that regroup the full rows
+    data = make_oblique(n=200, d=4, seed=0)
+    X, regs = np.round(data.X, 1), (0.0, 3.0, 30.0, 300.0, 3000.0)
+    cfg = TGBConfig(max_rules=6, max_propositions=3)
+    branches = {}
+    refit = tgb.corrective_refit
+
+    def full_rows(design, y, kind, warm, counts):
+        branches[design.shape[1] - 1] = branches.get(design.shape[1] - 1, 0) + 1
+        repeats = counts.astype(int)
+        return refit(np.repeat(design, repeats, axis=0), np.repeat(y, repeats), kind, warm)
+
+    traces = tgb.fit_grid(X, data.y, cfg, regs)
+    separate = [fit(X, data.y, replace(cfg, reg_strength=reg)) for reg in regs]
+    monkeypatch.setattr(tgb, "corrective_refit", full_rows)
+    regrouped = tgb.fit_grid(X, data.y, cfg, regs)
+    assert [branches[k] for k in sorted(branches)] == [2, 3, 5, 5, 5, 5]
+    for trace, alone, other in zip(traces, separate, regrouped):
+        assert_same_trace(trace, alone)
+        assert_same_trace(trace, other)
 
 
 def test_grid_fit_rejects_an_empty_or_invalid_grid():
