@@ -15,7 +15,10 @@ For each end-to-end metric of ``BENCHMARK.json`` the script prints each
 side's median and quartiles, the pairs each side won, the change of the
 median against the metric's bound, and the verdict of the claim rule: the
 change is better in at least 9 of every 10 pairs, and its median is better
-than the parent's by more than the parent's interquartile range.
+than the parent's by more than the parent's interquartile range.  A metric
+whose parent runs spread wider than its bound (interquartile range over
+median) is marked unresolved, unless every change run beats every parent
+run.
 
 ``--out`` gets every run's result line (the JSON last line of ``run.py``) with
 its side, pair and order, the environment that ``run.py`` recorded for it,
@@ -51,7 +54,10 @@ def compare(parent, change, better: str, bound: float) -> dict:
 
     ``better`` is "lower" or "higher".  ``claim`` is the claim rule's verdict
     and ``beyond_bound`` tells whether the change's median is worse than the
-    parent's by more than the relative ``bound``.
+    parent's by more than the relative ``bound``.  ``unresolved`` tells that
+    the parent's own interquartile range, relative to its median, is wider
+    than ``bound`` and not every change run beats every parent run: the runs
+    then cannot show that the metric stayed within its bound.
     """
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two or more pairs of values")
@@ -60,6 +66,7 @@ def compare(parent, change, better: str, bound: float) -> dict:
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gain = sign * (p_med - c_med)  # positive when the change's median is better
+    separated = all(sign * (p - c) > 0 for p in parent for c in change)
     return {
         "better": better,
         "parent": {"q1": p1, "median": p_med, "q3": p3},
@@ -69,6 +76,7 @@ def compare(parent, change, better: str, bound: float) -> dict:
         "relative_change": (c_med - p_med) / p_med if p_med else 0.0,
         "beyond_bound": -gain > bound * abs(p_med),
         "claim": wins >= CLAIM_WIN_SHARE * len(parent) and gain > p3 - p1,
+        "unresolved": p3 - p1 > bound * abs(p_med) and not separated,
     }
 
 
@@ -160,7 +168,8 @@ def main(argv=None) -> int:
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
               f"{s['relative_change']:+.1%}  wins {s['change_wins']}:{s['parent_wins']}  "
               f"claim {'holds' if s['claim'] else 'fails'}"
-              f"{'  WORSE BEYOND BOUND' if s['beyond_bound'] else ''}")
+              f"{'  WORSE BEYOND BOUND' if s['beyond_bound'] else ''}"
+              f"{'  UNRESOLVED: parent spread wider than the bound' if s['unresolved'] else ''}")
     for run in failed:
         print(f"FAILED: pair {run['pair']} {run['side']} exit {run['exit']}", file=sys.stderr)
     print(f"record: {args.out}")

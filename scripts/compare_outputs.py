@@ -19,16 +19,19 @@ Each tree is imported in its own fresh interpreter, which writes:
   logistic lltboost fit (seed 1) on 500 rows drawn with replacement from
   make_oblique(n=1000, d=6, seed=0), as the protocol draws them; every
   stage also carries the sha256 of its ``decision_function`` scores on a
-  fixed block of 20,000 raw rows from make_oblique (seed 10) of the fit's
+  fixed block of 40,000 raw rows from make_oblique (seed 10) of the fit's
   width, followed by 200 of those rows moved onto the hyperplane of each
   proposition of the fit's final stage.  On a hyperplane the rounding of a
   projection decides the cover, so a projection that rounds differently,
   as a dense oblique one can, changes the hash.  The block is not a
-  multiple of ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary.
+  multiple of ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary,
+  and it holds more than ``core.CUT_MIN_ROWS`` rows, so a tree that tests
+  one-feature conditions by exact cuts on large calls does so here.
   For the two tgb fits whose columns tie (the rounded and the bootstrap
-  one), the key ``presort/<fit key>`` holds the sha256 of
-  ``tgb._stable_orders`` over the standardized training rows, the order of
-  the rows inside each tie that the axis scan reads.  For each lltboost fit,
+  one), the key ``presort/<fit key>`` holds the sha256 of the orders that
+  ``tgb._stable_orders`` returns over the standardized training rows (alone,
+  also where it returns them with the sorted values), the order of the rows
+  inside each tie that the axis scan reads.  For each lltboost fit,
   the key ``l1/<fit key>`` holds the sha256 of every solution that
   ``LambdaPath.for_sparsity`` returned during the fit, with its sparsity
   level, so that a change of an L1 solution shows even where no final model
@@ -80,7 +83,7 @@ from pathlib import Path
 FILES = ("fits.json", "report.json", "complexity_table.csv", "risk_table.csv",
          "curves.csv", "model_lltboost.json", "model_tgb.json",
          "model_lltboost_config.json", "model_tgb_config.json")
-SCORE_ROWS = 20_000  # raw rows of the block every stage scores
+SCORE_ROWS = 40_000  # raw rows of the block every stage scores
 BOUNDARY_ROWS = 200  # of them moved onto each proposition's hyperplane
 TRAIN_CONFIG = {"rules": 3, "propositions": 2, "nonzeros": 2, "reg": 1,
                 "validation_fraction": 0.3, "seed": 4}
@@ -240,6 +243,8 @@ def write_outputs(out: Path) -> None:
         fits[f"scan/{key}"] = _scan_digest(scans)
         if key.startswith(("tied/", "boot/")):
             orders = tgb._stable_orders(trace.final.standardizer.transform(X))
+            if isinstance(orders, tuple):  # a presort that also returns the sorted values
+                orders = orders[0]
             fits[f"presort/{key}"] = hashlib.sha256(orders.tobytes()).hexdigest()
     (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))
 

@@ -4,8 +4,8 @@ A proposition is a sparse half-space indicator ``step{w.x >= t}``; a rule is a
 conjunction of propositions with an output weight; an ensemble sums rule
 outputs on top of an intercept.  Model complexity counts rules, propositions,
 and nonzero proposition weights.  Every score comes from one batch kernel,
-:func:`score_ensembles`, which scores several ensembles on the same rows,
-block by block, and shares their work.
+:func:`score_ensembles`, which scores several ensembles on the same rows, block
+by block, shares their work, and tests one-feature conditions by exact cuts.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class Standardizer(_Value):
         scale = np.atleast_1d(np.asarray(self.scale, dtype=float))
         if mean.shape != scale.shape or mean.ndim != 1:
             raise ValueError("mean and scale must be 1-d arrays of equal length")
-        if not np.all(scale > 0):
-            raise ValueError("scale entries must be strictly positive")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale) & (scale > 0))):
+            raise ValueError("mean and scale entries must be finite, scale entries positive")
         _freeze(self, mean=mean, scale=scale)
 
     @classmethod
@@ -100,8 +100,8 @@ class Standardizer(_Value):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("expected a 2-d feature matrix")
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
+        with np.errstate(over="ignore"):  # an overflowing spread gives inf, refused below
+            mean, scale = X.mean(axis=0), X.std(axis=0)
         # zero-variance columns: center only, keep unit scale
         scale = np.where(scale > 0, scale, 1.0)
         return cls(mean, scale)
@@ -271,6 +271,35 @@ class RuleEnsemble:
 
 
 SCORE_BLOCK_ROWS = 16384  # rows per block of score_ensembles; its buffers stay in cache
+CUT_MIN_ROWS = 32768  # fewest rows for which score_ensembles searches cuts
+_SIGN = np.uint64(1 << 63)  # a double's key: all its bits flipped if negative, else this one
+_LOWEST, _HIGHEST = np.uint64(2**52 - 1), np.uint64(2**64 - 2**52)  # keys of -inf, +inf
+_LADDER = np.array([*range(17), *(1 << b for b in range(6, 64, 6)), 2**64 - 1], dtype=np.uint64)
+_SPAN = np.arange(65, dtype=np.uint64)
+
+
+def _cuts(mean, scale, weight, threshold) -> np.ndarray:
+    """Cut ``c`` of each condition ``fl(fl(fl(x - mean) / scale) * weight) >=
+    threshold`` (arrays): it fires where ``x >= c`` if ``weight > 0``, ``x <= c``
+    if not.  Rounding is monotone, so ``c`` is the first double that fires (on
+    ``-x``, ``-mean`` for ``weight < 0``), never ``-inf``.  Keys 0..16, 64, 64**2,
+    ... from ``mean + scale * threshold / weight`` bracket it, 64 steps a round."""
+    sign = np.sign(weight)
+    m, s, w, t = (a[:, None] for a in (mean * sign, scale, weight * sign, threshold))
+    rows = np.arange(sign.size)
+    with np.errstate(over="ignore"):
+        bits = (m + s * (t / w)).view(np.uint64)
+        start = np.where(bits >= _SIGN, ~bits, bits ^ _SIGN)
+        probes = np.hstack([start - np.minimum(_LADDER[::-1], start - _LOWEST),
+                            start + np.minimum(_LADDER[1:], _HIGHEST - start)])
+        while True:
+            x = np.where(probes >= _SIGN, probes ^ _SIGN, ~probes).view(float)
+            first = ((x - m) / s * w >= t).argmax(axis=1)
+            low, high = probes[rows, first - 1], probes[rows, first]
+            if np.all(high - low <= 1):
+                return sign * x[rows, first]
+            step = ((high - low) >> np.uint64(6)) + np.uint64(1)
+            probes = np.minimum(low[:, None] + step[:, None] * _SPAN, high[:, None])
 
 
 def score_ensembles(ensembles, X) -> list:
@@ -287,15 +316,18 @@ def score_ensembles(ensembles, X) -> list:
     A plan made once per call gives an integer slot to each column that some
     proposition reads, to each distinct proposition and to each distinct
     rule body of two or more propositions, per standardizer, so the stages of
-    one trace share them.  Then the rows are scored in blocks of
-    ``SCORE_BLOCK_ROWS``, through buffers allocated once per call:
+    one trace share them, and from ``CUT_MIN_ROWS`` rows on (where the search
+    pays) each one-feature condition its exact cut, by :func:`_cuts`.  Then the
+    rows are scored in blocks of ``SCORE_BLOCK_ROWS``, through buffers
+    allocated once per call:
 
-    - each used column is standardized, one at a time, as
-      ``(x - mean[j]) / scale[j]`` (elementwise, so the bits of
-      ``transform``), into a row of the ``(u, rows)`` block ``Z``;
-    - each proposition projects its rows of ``Z`` in the fixed order of
-      :func:`_project`, the order ``activations`` uses, so a row's cover does
-      not depend on the block it falls in or on the layout of ``X``;
+    - each used column goes, one at a time, into a row of the ``(u, rows)``
+      block ``Z``: raw if only cuts read it, else standardized as ``(x -
+      mean[j]) / scale[j]`` (elementwise, so the bits of ``transform``);
+    - each cut (found with mean 0 and scale 1 on a standardized row) is
+      compared with its row of ``Z``; each other proposition projects its
+      rows in the fixed order of :func:`_project` that ``activations`` uses,
+      so a row's cover depends on neither its block nor the layout of ``X``;
     - each body is the ``&`` of its propositions' conditions;
     - each ensemble's score slice is its intercept plus ``weight * cover``,
       rule by rule.
@@ -341,6 +373,15 @@ def score_ensembles(ensembles, X) -> list:
                 body_at[body] = cover
             terms.append((rule.weight, cover))
         sums.append((ensemble.intercept, terms))
+    # (fires row, Z row, comparison, cut) of each one-feature condition given a cut
+    cut_tests = [c for c in conditions if len(c[1]) == 1] if n >= CUT_MIN_ROWS else []
+    conditions = [c for c in conditions if len(c[1]) > 1 or not cut_tests]
+    standardized = {k for _, rows, _, _ in conditions for k in rows}  # other rows stay raw
+    if cut_tests:
+        cuts = _cuts(*np.array([((0.0, 1.0) if rows[0] in standardized else columns[rows[0]][1:])
+                                + (w[0], t) for _, rows, w, t in cut_tests]).T).tolist()
+        cut_tests = [(row, rows[0], np.greater_equal if w[0] > 0 else np.less_equal, cut)
+                     for (row, rows, w, _), cut in zip(cut_tests, cuts)]
 
     block_rows = SCORE_BLOCK_ROWS
     width = min(n, block_rows)
@@ -353,9 +394,14 @@ def score_ensembles(ensembles, X) -> list:
         m = stop - start
         Z, fires, proj, term = Z_buf[:, :m], fires_buf[:, :m], proj_buf[:m], term_buf[:m]
         block = X[start:stop]
-        for z, (j, mean, scale) in zip(Z, columns):
-            np.subtract(block[:, j], mean, out=z)
-            np.divide(z, scale, out=z)
+        for k, (z, (j, mean, scale)) in enumerate(zip(Z, columns)):
+            if k in standardized:
+                np.subtract(block[:, j], mean, out=z)
+                np.divide(z, scale, out=z)
+            else:
+                np.copyto(z, block[:, j])
+        for row, k, compare, cut in cut_tests:
+            compare(Z[k], cut, out=fires[row])
         for row, rows, weights, threshold in conditions:
             _project(Z, rows, weights, proj, term)
             np.greater_equal(proj, threshold, out=fires[row])

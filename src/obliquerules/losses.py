@@ -30,9 +30,11 @@ def _check_binary(y: np.ndarray):
 
 
 def logistic(s):
-    """1 / (1 + exp(-s)); for s < -709 exp(-s) overflows to inf and the result is 0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-s))
+    """1 / (1 + exp(-s)); for s < -709.78 exp(-s) overflows to inf and the result is 0."""
+    if np.fmin.reduce(s, axis=None, initial=np.inf) < -709.78:  # skips NaN; cheaper than np.min
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-s))
+    return 1.0 / (1.0 + np.exp(-s))
 
 
 def softplus(s):

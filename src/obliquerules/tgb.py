@@ -253,19 +253,21 @@ def _grow_conjunctions(Z, g, orders, root_values, reg_strengths, max_proposition
     return grown
 
 
-def _stable_orders(Z) -> np.ndarray:
-    """``np.argsort(Z.T, axis=1, kind="stable")`` in the smallest unsigned
-    type that holds ``n``, built one column at a time.
+def _stable_orders(Z) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(Z.T, axis=1, kind="stable")`` in the smallest unsigned type
+    that holds ``n``, built one column at a time, and the sorted values.
 
     Each column is sorted by the fast unstable sort.  Only if it has equal
     values is the order repaired: the sorted values are numbered by group
     of equal values, ascending, and the positions sorted again by the key
     ``group * n + row``.  The keys are distinct and order first by value,
     then by row, which is the stable order.  ``-0.0`` and ``0.0`` compare
-    equal in both sorts, so they share a group.
+    equal in both sorts, so they share a group, and sit where the stable
+    order puts them once a repaired column's values are gathered again.
     """
     n, d = Z.shape
     orders = np.empty((d, n), dtype=np.min_scalar_type(n))
+    values = np.empty((d, n))
     for j in range(d):
         z = Z[:, j]
         order = np.argsort(z)
@@ -275,8 +277,9 @@ def _stable_orders(Z) -> np.ndarray:
             group = np.zeros(n, dtype=np.int64)
             np.cumsum(~tie, out=group[1:])
             order = np.sort(group * n + order) % n
-        orders[j] = order
-    return orders
+            sv = z[order]
+        orders[j], values[j] = order, sv
+    return orders, values
 
 
 def boost(X, y, cfg, prepare, n_members=1) -> tuple[FitTrace, ...]:
@@ -367,8 +370,7 @@ def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
     def prepare(Z, y):
         # column-major, so that every gather of the scan and the presort reads one column
         Z = np.asfortranarray(Z)
-        orders = _stable_orders(Z)
-        values = np.take_along_axis(Z.T, orders, axis=1)
+        orders, values = _stable_orders(Z)
         root_values = values, values[:, :-1] >= values[:, 1:]
         return slice(None), lambda g, members: _grow_conjunctions(
             Z, g, orders, root_values, [regs[m] for m in members], cfg.max_propositions)

@@ -486,18 +486,25 @@ def test_predict_rejects_bad_model_file(tmp_path, clf_csv):
     assert main(["predict", "--model", str(bad), "--data", str(clf_csv)]) == 3
 
 
+# a model whose standardizer is not finite would score its intercept on every row;
+# json writes and reads such values as NaN and Infinity
+@pytest.mark.parametrize("field, value", [
+    ("scale", 0.0), ("mean", float("nan")), ("scale", float("inf")),
+], ids=["zero-scale", "nan-mean", "inf-scale"])
 @pytest.mark.parametrize("command", ["predict", "print"])
-def test_malformed_model_exits_with_data_error(tmp_path, clf_csv, command, capsys):
+def test_malformed_model_exits_with_data_error(tmp_path, clf_csv, command, field, value,
+                                               capsys):
     model_path = trained_model(tmp_path, clf_csv)
     doc = json.loads(model_path.read_text(encoding="utf-8"))
-    doc["standardizer"]["scale"][0] = 0.0
+    doc["standardizer"][field][0] = value
     model_path.write_text(json.dumps(doc), encoding="utf-8")
     argv = [command, "--model", str(model_path)]
     if command == "predict":
         argv += ["--data", str(clf_csv)]
     capsys.readouterr()
     assert main(argv) == 3
-    assert "scale" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("target", [None, "y"])

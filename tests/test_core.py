@@ -238,15 +238,21 @@ def random_stages(rng, d):
     """Ensembles of 0..r rules under one standardizer, as the stages of a trace:
     stage m holds the first m rule bodies, refitted weights of either sign.
     Bodies draw from a small pool, so propositions repeat within and across
-    bodies, and the pool reads only some of the ``d`` columns."""
+    bodies.  The pool's general propositions read only some of the ``d``
+    columns; its ``tgb``-style ones (one feature, weight +-1) read any, so a
+    column may be read by one-feature conditions only, by wider ones only,
+    or by both."""
     std = Standardizer(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
     columns = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
     pool = []
     for _ in range(int(rng.integers(1, 6))):
-        k = int(rng.integers(1, columns.size + 1))
-        w = rng.normal(size=k)
-        w[w == 0] = 1.0
-        idx = np.sort(rng.choice(columns, size=k, replace=False))
+        if rng.random() < 0.4:
+            idx, w = [int(rng.integers(d))], [float(rng.choice([-1.0, 1.0]))]
+        else:
+            k = int(rng.integers(1, columns.size + 1))
+            w = rng.normal(size=k)
+            w[w == 0] = 1.0
+            idx = np.sort(rng.choice(columns, size=k, replace=False))
         pool.append(SparseProposition(indices=idx, weights=w, threshold=0.5 * rng.normal()))
     bodies = [tuple(pool[i] for i in rng.choice(len(pool), size=int(rng.integers(1, 4))))
               for _ in range(int(rng.integers(0, 6)))]
@@ -262,16 +268,28 @@ def random_stages(rng, d):
     return stages, pool
 
 
+def cut_sides(n):
+    """``CUT_MIN_ROWS`` values that put a call of ``n`` rows on each side: one-feature
+    conditions compared with cuts, then every condition projected."""
+    return (n, n + 1)
+
+
 def check_scoring_matches_reference(s):
     rng = np.random.default_rng(s)
     d = int(rng.integers(1, 9))
     stages, pool = random_stages(rng, d)
     X = rng.normal(size=(int(rng.integers(1, 200)), d)) * 1.5 + 0.5
-    for got, ensemble in zip(score_ensembles(stages, X), stages):
-        assert np.array_equal(got, reference_scores(ensemble, X))
-    for got, ensemble in zip(score_ensembles(stages, X[0]), stages):
-        assert np.ndim(got) == 0
-        assert got == reference_scores(ensemble, X[:1])[0]
+    for least in cut_sides(X.shape[0]):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "CUT_MIN_ROWS", least)
+            for got, ensemble in zip(score_ensembles(stages, X), stages):
+                assert np.array_equal(got, reference_scores(ensemble, X))
+    for least in cut_sides(1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "CUT_MIN_ROWS", least)
+            for got, ensemble in zip(score_ensembles(stages, X[0]), stages):
+                assert np.ndim(got) == 0
+                assert got == reference_scores(ensemble, X[:1])[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,11 +318,15 @@ def test_a_row_on_a_hyperplane_scores_alone_as_in_its_batch(s):
     stages, pool = random_stages(rng, d)
     final = stages[-1]
     X = on_hyperplanes(rng, pool, final.standardizer, n_per=int(rng.integers(1, 40)))
-    batch = final.decision_function(X)
-    assert np.array_equal(final.decision_function(np.asfortranarray(X)), batch)
-    for i in range(X.shape[0]):
-        assert final.decision_function(X[i]) == batch[i]
-        assert final.decision_function(X[i:i + 1])[0] == batch[i]
+    assert np.array_equal(final.decision_function(X), reference_scores(final, X))
+    for least in (0, X.shape[0] + 1):  # every call with cuts, then every call without
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "CUT_MIN_ROWS", least)
+            batch = final.decision_function(X)
+            assert np.array_equal(final.decision_function(np.asfortranarray(X)), batch)
+            for i in range(X.shape[0]):
+                assert final.decision_function(X[i]) == batch[i]
+                assert final.decision_function(X[i:i + 1])[0] == batch[i]
     # the fitting side sees the same covers as scoring
     Z = final.standardizer.transform(X)
     for p in pool:
@@ -328,14 +350,62 @@ def test_every_block_size_scores_the_reference_bits(s):
     X = np.vstack([X, on_hyperplanes(rng, pool, std, n_per=3)])
     n = X.shape[0]
     expected = [reference_scores(e, X).tobytes() for e in ensembles]
-    for block in (1, 7, n - 1, n, n + 1):
+    for block, least in zip((1, 7, n - 1, n, n + 1), (1, n + 1, n, 0, n + 1)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "SCORE_BLOCK_ROWS", block)
+            # the batch has cuts at least 1, n and 0, the single rows at 1 and 0
+            patch.setattr(core, "CUT_MIN_ROWS", least)
             got = score_ensembles(ensembles, X)
             assert [g.tobytes() for g in got] == expected
             for g, e in zip(score_ensembles(ensembles, X[-1]), ensembles):
                 assert np.ndim(g) == 0
                 assert np.float64(g).tobytes() == reference_scores(e, X[-1:]).tobytes()
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+one_feature_conditions = st.tuples(
+    finite,  # mean
+    st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),  # scale
+    st.sampled_from([1.0, -1.0]) | finite.filter(lambda w: w != 0.0),  # weight
+    finite,  # threshold
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(one_feature_conditions, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_a_cut_decides_each_row_as_its_standardized_condition(conditions, s):
+    mean, scale, weight, threshold = map(np.array, zip(*conditions))
+    cuts = core._cuts(mean, scale, weight, threshold)
+    rng = np.random.default_rng(s)
+    for m, sc, w, t, cut in zip(mean, scale, weight, threshold, cuts):
+        spread = 10.0 ** rng.uniform(-3, 3, size=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.concatenate([
+                [cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf),
+                 0.0, -0.0, np.inf, -np.inf, np.nan],
+                m + sc * t / w + sc * spread * rng.normal(size=20),  # near the boundary
+                rng.normal(size=20) * 10.0 ** rng.uniform(-320, 300, size=20),
+            ])
+            standardized = (x - m) / sc * w >= t  # transform, then project
+        raw = x >= cut if w > 0 else x <= cut
+        assert np.array_equal(raw, standardized), (m, sc, w, t, cut)
+
+
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_the_row_count_decides_whether_a_call_searches_cuts(side, monkeypatch):
+    searches = []
+    search = core._cuts
+    monkeypatch.setattr(core, "_cuts", lambda *a: searches.append(a) or search(*a))
+    rng = np.random.default_rng(3)
+    stages, _ = random_stages(rng, 6)
+    rules = [Rule(propositions=(make_prop((j,), (w,), 0.3 * j - 0.5),), weight=1.0 + j)
+             for j, w in enumerate((1.0, -1.0, 0.5, -2.0))]
+    rules.append(Rule(propositions=(make_prop((0, 4), (1.0, -0.5), 0.1),), weight=-1.5))
+    ensemble = RuleEnsemble(0.2, tuple(rules), Task.REGRESSION, stages[0].standardizer)
+    n = core.CUT_MIN_ROWS - (side == "below")
+    X = rng.normal(size=(n, 6)) * 1.5 + 0.5
+    assert np.array_equal(ensemble.decision_function(X), reference_scores(ensemble, X))
+    assert len(searches) == (side == "at")
 
 
 @pytest.mark.parametrize("fit, cfg", [
@@ -446,6 +516,29 @@ def test_standardizer_zero_variance_column_centers_only():
 def test_standardizer_rejects_nonpositive_scale():
     with pytest.raises(ValueError):
         Standardizer(mean=np.zeros(2), scale=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("mean, scale", [
+    ([np.nan, 0.0], [1.0, 1.0]), ([0.0, -np.inf], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0]),
+])
+def test_standardizer_rejects_non_finite_entries(mean, scale):
+    with pytest.raises(ValueError, match="must be finite"):
+        Standardizer(mean=np.array(mean), scale=np.array(scale))
+
+
+@pytest.mark.parametrize("fit, cfg", [
+    (fit_lltboost, LLTConfig(max_rules=2, seed=0)),
+    (fit_tgb, TGBConfig(max_rules=2)),
+])
+def test_a_fit_whose_feature_spread_overflows_is_refused(fit, cfg):
+    # finite features whose variance overflows: scale inf would standardize
+    # the column to 0 everywhere, and the fit would find no rule
+    X = np.column_stack([np.tile([1e200, -1e200], 25), np.linspace(-1.0, 1.0, 50)])
+    y = (X[:, 0] > 0).astype(float)
+    with pytest.raises(ValueError, match="mean and scale entries must be finite"):
+        Standardizer.fit(X)
+    with pytest.raises(ValueError, match="mean and scale entries must be finite"):
+        fit(X, y, cfg)
 
 
 def test_core_types_are_immutable():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from obliquerules import losses
 from obliquerules.core import Task
 from obliquerules.losses import (FIT_LOSS, LossKind, gradient, init_intercept, logistic, loss,
                                  training_arrays)
@@ -50,6 +51,32 @@ def test_logistic_matches_the_closed_form_without_warnings():
     # below s = -709 the exact value is subnormal or zero
     np.testing.assert_allclose(p, closed, rtol=1e-15, atol=1e-300)
     assert p[0] == 0.0 and p[-1] == 1.0 and np.all((p >= 0.0) & (p <= 1.0))
+
+
+def test_logistic_silences_overflow_only_for_scores_that_overflow(monkeypatch):
+    quiet = []
+    errstate = np.errstate
+
+    def counted(**kwargs):
+        quiet.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(losses.np, "errstate", counted)
+    edge = -np.log(np.finfo(float).max)  # exp(-edge) is the largest finite double
+    s = np.array([-800.0, np.nextafter(edge, -np.inf), edge, -709.0, 0.0, 30.0])
+    inputs = [(s, 1), (s[1:], 1), (s[2:], 1), (s[3:], 0), (s.reshape(2, 3), 1), (np.array([]), 0),
+              (np.array(-800.0), 1), (np.float64(3.0), 0), (-800.0, 1), (np.zeros((0, 2)), 0),
+              (np.array([np.nan, -800.0]), 1), (np.array([np.nan, 1.0]), 0)]
+    for x, entries in inputs:
+        quiet.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logistic(x)
+        with errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-np.asarray(x)))
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert len(quiet) == entries
 
 
 def test_classification_losses_reject_nonbinary_targets():

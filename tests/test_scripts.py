@@ -125,6 +125,23 @@ def test_bench_pairs_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iq
     assert pairs.compare(parent, [p + 2.0 for p in parent], "higher", 0.25)["claim"]
 
 
+def test_bench_pairs_marks_a_metric_unresolved_when_the_parent_spreads_wider_than_its_bound():
+    pairs = load_script("bench_pairs")
+    # an IQR of 0.0625 around a median of 0.22: 28% of the median
+    parent = [0.17, 0.19, 0.20, 0.21, 0.22, 0.22, 0.25, 0.27, 0.27, 0.30]
+    assert pairs.quartiles(parent) == pytest.approx((0.2025, 0.22, 0.265))
+    same = pairs.compare(parent, list(parent), "lower", 0.25)
+    assert (same["unresolved"], same["beyond_bound"], same["claim"]) == (True, False, False)
+    # a bound wider than the spread resolves it
+    assert not pairs.compare(parent, list(parent), "lower", 0.30)["unresolved"]
+    # so does a change whose every run beats every parent run
+    assert not pairs.compare(parent, [0.16] * 10, "lower", 0.25)["unresolved"]
+    assert pairs.compare(parent, [0.16] * 9 + [0.18], "lower", 0.25)["unresolved"]
+    # higher is better for a throughput
+    assert not pairs.compare(parent, [0.31] * 10, "higher", 0.25)["unresolved"]
+    assert pairs.compare(parent, [0.16] * 10, "higher", 0.25)["unresolved"]
+
+
 def test_bench_pairs_alternates_sides_records_runs_and_fails_on_a_failed_gate(tmp_path, capsys):
     pairs = load_script("bench_pairs")
     run_py = ("import json, sys\n"
@@ -150,6 +167,7 @@ def test_bench_pairs_alternates_sides_records_runs_and_fails_on_a_failed_gate(tm
     assert [(r["pair"], r["side"], r["order"]) for r in record["runs"]] == [
         (0, "parent", 0), (0, "change", 1), (1, "change", 0), (1, "parent", 1)]
     assert record["summary"]["job_s"]["change_wins"] == 2
+    assert record["summary"]["job_s"]["unresolved"] is False
     assert "job_s" in capsys.readouterr().out
 
     assert pairs.main([roots["parent"], roots["broken"], *common, "--out", str(out)]) == 1

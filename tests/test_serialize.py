@@ -159,6 +159,8 @@ def with_field(path, value):
 
 @pytest.mark.parametrize("path,value", [
     (("standardizer", "scale"), [0.0, 1.0]),
+    (("standardizer", "mean"), [float("nan"), 0.0]),
+    (("standardizer", "scale"), [1.0, float("inf")]),
     (("standardizer", "mean"), ["a", 0.0]),
     (("standardizer", "mean"), [0.0, 0.0, 0.0]),
     (("feature_names",), 3),
@@ -166,8 +168,8 @@ def with_field(path, value):
     (("complexity",), "abc"),
     (("complexity",), 0.5),
     (("rules", 0, "weight"), 10**400),
-], ids=["zero-scale", "text-mean", "width-mismatch", "int-names", "list-metadata",
-        "text-complexity", "fractional-complexity", "overflowing-weight"])
+], ids=["zero-scale", "nan-mean", "inf-scale", "text-mean", "width-mismatch", "int-names",
+        "list-metadata", "text-complexity", "fractional-complexity", "overflowing-weight"])
 def test_malformed_fields_raise_model_format_error(path, value):
     with pytest.raises(ModelFormatError):
         model_from_dict(with_field(path, value))

@@ -273,9 +273,11 @@ def test_presort_equals_a_stable_argsort(seed, n, d, decimals, bootstrap, signed
         X[:, 0] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
     if constant:
         X[:, -1] = 1.5
-    orders = tgb._stable_orders(X)
+    orders, values = tgb._stable_orders(X)
     assert orders.dtype == np.min_scalar_type(n)
     assert np.array_equal(orders, np.argsort(X.T, axis=1, kind="stable"))
+    # the sorted values bit for bit, -0.0 and 0.0 included
+    assert values.tobytes() == np.take_along_axis(X.T, orders, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("reg", [0.01, 100.0])
