@@ -270,7 +270,9 @@ class RuleEnsemble:
         return self.n_rules + sum(r.complexity() for r in self.rules)
 
 
-SCORE_BLOCK_ROWS = 16384  # rows per block of score_ensembles; its buffers stay in cache
+# rows per block of score_ensembles; what stays cached of a block of wide rows (5.2 MB
+# at d = 40) is each row's 64-byte line (1 MB) holding the next columns, in feature order
+SCORE_BLOCK_ROWS = 16384
 CUT_MIN_ROWS = 32768  # fewest rows for which score_ensembles searches cuts
 _SIGN = np.uint64(1 << 63)  # a double's key: all its bits flipped if negative, else this one
 _LOWEST, _HIGHEST = np.uint64(2**52 - 1), np.uint64(2**64 - 2**52)  # keys of -inf, +inf
@@ -323,7 +325,12 @@ def score_ensembles(ensembles, X) -> list:
 
     - each used column goes, one at a time, into a row of the ``(u, rows)``
       block ``Z``: raw if only cuts read it, else standardized as ``(x -
-      mean[j]) / scale[j]`` (elementwise, so the bits of ``transform``);
+      mean[j]) / scale[j]`` (elementwise, so the bits of ``transform``).
+      The columns are read in feature order, so the reads of a row-major
+      ``X`` only move forward and each 64-byte line of a row is used up
+      while it is still cached (Drepper, "What every programmer should know
+      about memory", 2007); the order in which propositions first name the
+      columns jumps back to lines that a block of wide rows has evicted;
     - each cut (found with mean 0 and scale 1 on a standardized row) is
       compared with its row of ``Z``; each other proposition projects its
       rows in the fixed order of :func:`_project` that ``activations`` uses,
@@ -382,6 +389,7 @@ def score_ensembles(ensembles, X) -> list:
                                 + (w[0], t) for _, rows, w, t in cut_tests]).T).tolist()
         cut_tests = [(row, rows[0], np.greater_equal if w[0] > 0 else np.less_equal, cut)
                      for (row, rows, w, _), cut in zip(cut_tests, cuts)]
+    fills = sorted((j, k, mean, scale) for k, (j, mean, scale) in enumerate(columns))
 
     block_rows = SCORE_BLOCK_ROWS
     width = min(n, block_rows)
@@ -394,7 +402,8 @@ def score_ensembles(ensembles, X) -> list:
         m = stop - start
         Z, fires, proj, term = Z_buf[:, :m], fires_buf[:, :m], proj_buf[:m], term_buf[:m]
         block = X[start:stop]
-        for k, (z, (j, mean, scale)) in enumerate(zip(Z, columns)):
+        for j, k, mean, scale in fills:
+            z = Z[k]
             if k in standardized:
                 np.subtract(block[:, j], mean, out=z)
                 np.divide(z, scale, out=z)

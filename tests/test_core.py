@@ -241,10 +241,12 @@ def random_stages(rng, d):
     bodies.  The pool's general propositions read only some of the ``d``
     columns; its ``tgb``-style ones (one feature, weight +-1) read any, so a
     column may be read by one-feature conditions only, by wider ones only,
-    or by both."""
+    or by both.  The first proposition named, if any, reads the last column,
+    so a call that reads two or more columns names them out of feature order."""
     std = Standardizer(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
     columns = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
-    pool = []
+    pool = [SparseProposition(indices=(d - 1,), weights=(float(rng.choice([-1.0, 1.0])),),
+                              threshold=0.5 * rng.normal())]
     for _ in range(int(rng.integers(1, 6))):
         if rng.random() < 0.4:
             idx, w = [int(rng.integers(d))], [float(rng.choice([-1.0, 1.0]))]
@@ -256,6 +258,8 @@ def random_stages(rng, d):
         pool.append(SparseProposition(indices=idx, weights=w, threshold=0.5 * rng.normal()))
     bodies = [tuple(pool[i] for i in rng.choice(len(pool), size=int(rng.integers(1, 4))))
               for _ in range(int(rng.integers(0, 6)))]
+    if bodies:
+        bodies[0] = (pool[0],) + bodies[0][1:]
     stages = [
         RuleEnsemble(
             intercept=rng.normal(),
@@ -349,14 +353,18 @@ def test_every_block_size_scores_the_reference_bits(s):
     X = rng.normal(size=(n, d)) * 1.5 + 0.5
     X = np.vstack([X, on_hyperplanes(rng, pool, std, n_per=3)])
     n = X.shape[0]
-    expected = [reference_scores(e, X).tobytes() for e in ensembles]
+    expected = [reference_scores(e, X) for e in ensembles]
+    # the bits depend on no layout of X: C and Fortran order, strided columns, reversed rows
+    layouts = [(X, expected), (np.asfortranarray(X), expected),
+               (np.repeat(X, 2, axis=1)[:, ::2], expected), (X[::-1], [e[::-1] for e in expected])]
     for block, least in zip((1, 7, n - 1, n, n + 1), (1, n + 1, n, 0, n + 1)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "SCORE_BLOCK_ROWS", block)
             # the batch has cuts at least 1, n and 0, the single rows at 1 and 0
             patch.setattr(core, "CUT_MIN_ROWS", least)
-            got = score_ensembles(ensembles, X)
-            assert [g.tobytes() for g in got] == expected
+            for layout, want in layouts:
+                got = score_ensembles(ensembles, layout)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
             for g, e in zip(score_ensembles(ensembles, X[-1]), ensembles):
                 assert np.ndim(g) == 0
                 assert np.float64(g).tobytes() == reference_scores(e, X[-1:]).tobytes()
