@@ -22,8 +22,9 @@ run.
 
 ``--out`` gets every run's result line (the JSON last line of ``run.py``) with
 its side, pair and order, the environment that ``run.py`` recorded for it,
-the load average before it, and the summary.  Timings compare only on the
-machine that wrote them.
+the load average before it, and the summary, and names each tree by a hash
+of its ``src`` and, if it is a checkout of its own, its ``git describe``.
+Timings compare only on the machine that wrote them.
 
 Exit status: 0 when every run held its gates, 1 when a run failed a gate or
 failed outright, 2 on unusable arguments.
@@ -32,6 +33,7 @@ failed outright, 2 on unusable arguments.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -108,10 +110,24 @@ def end_to_end_metrics(root: Path) -> list[dict]:
     return json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def revision(root: Path) -> str | None:
-    done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
-                          capture_output=True, text=True)
-    return done.stdout.strip() or None
+def revision(root: Path) -> dict:
+    """What names the tree ``root``: ``src_sha256``, a sha256 over the sorted
+    relative paths and the bytes of its ``src/**/*.py``, and ``git``, its ``git
+    describe`` if ``root`` is the top level of its own checkout, else null (a
+    copy inside another checkout would get that checkout's)."""
+    digest = hashlib.sha256()
+    for name in sorted(p.relative_to(root).as_posix() for p in root.glob("src/**/*.py")):
+        data = (root / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+
+    def git(*command) -> str:
+        done = subprocess.run(["git", *command], cwd=root, capture_output=True, text=True)
+        return done.stdout.strip()
+
+    top = git("rev-parse", "--show-toplevel")
+    own = bool(top) and Path(top).resolve() == root.resolve()
+    return {"src_sha256": digest.hexdigest(),
+            "git": (git("describe", "--always", "--dirty") or None) if own else None}
 
 
 def parse_args(argv):

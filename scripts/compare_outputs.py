@@ -25,8 +25,8 @@ Each tree is imported in its own fresh interpreter, which writes:
   projection decides the cover, so a projection that rounds differently,
   as a dense oblique one can, changes the hash.  The block is not a
   multiple of ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary,
-  and it holds more than ``core.CUT_MIN_ROWS`` rows, so a tree that tests
-  one-feature conditions by exact cuts on large calls does so here.
+  and a tree that tests one-feature conditions by exact cuts only on
+  large calls (from 32768 rows) does so here.
   For the two tgb fits whose columns tie (the rounded and the bootstrap
   one), the key ``presort/<fit key>`` holds the sha256 of the orders that
   ``tgb._stable_orders`` returns over the standardized training rows (alone,

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -266,27 +266,27 @@ def _cmd_print(args) -> int:
 def _dataset_from_spec(spec: dict, position: int) -> Dataset:
     if not isinstance(spec, dict):
         raise UsageError(f"datasets[{position}] must be a JSON object")
-    if "synthetic" in spec:
+    synthetic = "synthetic" in spec
+    extra = set(spec) - ({"synthetic", "n", "d", "noise", "seed"} if synthetic
+                         else {"path", "target", "task", "name"})
+    if extra:
+        raise UsageError(f"datasets[{position}]: unknown keys {sorted(extra)}")
+    if synthetic:
         name = spec["synthetic"]
         if not isinstance(name, str) or name not in SYNTHETIC_GENERATORS:
             raise UsageError(
                 f"datasets[{position}]: unknown synthetic generator {name!r}; "
                 f"available: {sorted(SYNTHETIC_GENERATORS)}"
             )
-        kwargs = {k: spec[k] for k in ("n", "d", "noise", "seed") if k in spec}
-        extra = set(spec) - {"synthetic", "n", "d", "noise", "seed"}
-        if extra:
-            raise UsageError(f"datasets[{position}]: unknown keys {sorted(extra)}")
-        return _synthesize(name, **kwargs)
+        return _synthesize(name, **{k: v for k, v in spec.items() if k != "synthetic"})
     for key in ("path", "target", "task"):
         if key not in spec:
             raise UsageError(f"datasets[{position}]: missing key {key!r}")
+    for key in ("path", "target", "name"):
+        if not isinstance(spec.get(key, ""), str):
+            raise UsageError(f"datasets[{position}]: {key!r} must be a string")
     dataset = load_csv(spec["path"], spec["target"], _parse_task(spec["task"]))
-    if "name" in spec:
-        from dataclasses import replace
-
-        dataset = replace(dataset, name=str(spec["name"]))
-    return dataset
+    return replace(dataset, name=spec["name"]) if "name" in spec else dataset
 
 
 def _cmd_benchmark(args) -> int:

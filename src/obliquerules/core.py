@@ -273,7 +273,6 @@ class RuleEnsemble:
 # rows per block of score_ensembles; what stays cached of a block of wide rows (5.2 MB
 # at d = 40) is each row's 64-byte line (1 MB) holding the next columns, in feature order
 SCORE_BLOCK_ROWS = 16384
-CUT_MIN_ROWS = 32768  # fewest rows for which score_ensembles searches cuts
 _SIGN = np.uint64(1 << 63)  # a double's key: all its bits flipped if negative, else this one
 _LOWEST, _HIGHEST = np.uint64(2**52 - 1), np.uint64(2**64 - 2**52)  # keys of -inf, +inf
 _LADDER = np.array([*range(17), *(1 << b for b in range(6, 64, 6)), 2**64 - 1], dtype=np.uint64)
@@ -318,10 +317,9 @@ def score_ensembles(ensembles, X) -> list:
     A plan made once per call gives an integer slot to each column that some
     proposition reads, to each distinct proposition and to each distinct
     rule body of two or more propositions, per standardizer, so the stages of
-    one trace share them, and from ``CUT_MIN_ROWS`` rows on (where the search
-    pays) each one-feature condition its exact cut, by :func:`_cuts`.  Then the
-    rows are scored in blocks of ``SCORE_BLOCK_ROWS``, through buffers
-    allocated once per call:
+    one trace share them, and each one-feature condition its exact cut, by
+    :func:`_cuts`.  Then the rows are scored in blocks of
+    ``SCORE_BLOCK_ROWS``, through buffers allocated once per call:
 
     - each used column goes, one at a time, into a row of the ``(u, rows)``
       block ``Z``: raw if only cuts read it, else standardized as ``(x -
@@ -342,7 +340,8 @@ def score_ensembles(ensembles, X) -> list:
     X, single = _as_row_matrix(X)
     n = X.shape[0]
     columns = []  # (j, mean[j], scale[j]) of each row of Z
-    conditions = []  # (fires row, Z rows, weights, threshold) of each proposition
+    conditions = []  # (fires row, Z rows, weights, threshold) of each wider proposition
+    cut_tests = []  # the same of each one-feature one, then (fires row, Z row, comparison, cut)
     conjunctions = []  # (fires row, fires rows of its propositions) of each body
     sums = []  # (intercept, ((weight, fires row of its cover), ...)) of each ensemble
     slots = {}  # standardizer -> its column, proposition and body slots
@@ -369,7 +368,8 @@ def score_ensembles(ensembles, X) -> list:
                             rows.append(column_at[j])
                         row = proposition_at[p] = n_fires
                         n_fires += 1
-                        conditions.append((row, rows, p.weights.tolist(), p.threshold))
+                        (conditions if len(rows) > 1 else cut_tests).append(
+                            (row, rows, p.weights.tolist(), p.threshold))
                     parts.append(row)
                 if len(parts) == 1:
                     cover = parts[0]
@@ -380,9 +380,6 @@ def score_ensembles(ensembles, X) -> list:
                 body_at[body] = cover
             terms.append((rule.weight, cover))
         sums.append((ensemble.intercept, terms))
-    # (fires row, Z row, comparison, cut) of each one-feature condition given a cut
-    cut_tests = [c for c in conditions if len(c[1]) == 1] if n >= CUT_MIN_ROWS else []
-    conditions = [c for c in conditions if len(c[1]) > 1 or not cut_tests]
     standardized = {k for _, rows, _, _ in conditions for k in rows}  # other rows stay raw
     if cut_tests:
         cuts = _cuts(*np.array([((0.0, 1.0) if rows[0] in standardized else columns[rows[0]][1:])

@@ -26,7 +26,6 @@ LAMBDA_FLOOR_RATIO = 1e-6
 REFIT_RIDGE = 1e-8
 REFIT_MAX_ITER = 100
 REFIT_DECREMENT_RTOL = 1e-14
-KEY_DIGITS = 52  # 0/1 digits per chunk of the refit's row-group order
 
 
 @dataclass(eq=False)
@@ -347,37 +346,29 @@ class LambdaPath:
 # --------------------------------------------------------------------------
 
 
-def split_groups(ids, block, digit, k):
-    """Split row groups by ``digit``, the 0/1 digit ``k`` of each row's key:
-    the new ``(ids, block, counts, rows)``, ``rows`` holding one row per group.
+def split_groups(ids, digit):
+    """Split the row groups ``ids``, numbered from 0, by a 0/1 ``digit`` per
+    row: the new ``(ids, counts, rows)``, ``rows`` holding one row per group.
 
-    Groups are ordered by key, read in chunks of ``KEY_DIGITS`` digits, the
-    earlier chunk and, within one, the newer digit more significant.  So a
-    digit splits each block of groups that agree on the complete chunks
-    before it (``block[g]`` is the first of ``g``'s) into those with digit 0,
-    then 1: position ``g + block[g] + digit * size`` of ``2 * G``, ranked.
+    The new groups are ranked by ``ids + digit * G``, for any ``G`` above
+    every id (here the row count), so the newest digit is the most significant.
     """
-    n_groups = block.size
-    if k % KEY_DIGITS == 0:
-        block = np.arange(n_groups)
-    size = np.bincount(block, minlength=n_groups)[block]
-    key = (np.arange(n_groups) + block)[ids] + digit * size[ids]
-    hist = np.bincount(key, minlength=2 * n_groups)
+    key = ids + digit * ids.size
+    hist = np.bincount(key)
     occupied = hist > 0
     before = np.cumsum(occupied) - occupied  # occupied positions before each one
     ids, counts = before[key], hist[occupied]
     rows = np.empty(counts.size, dtype=np.intp)
     rows[ids] = np.arange(ids.size)  # the rows of a group are equal, so any one stands for it
-    # a block that starts at group s lays its groups out from position 2 * s
-    return ids, before[2 * block[np.flatnonzero(occupied) // 2]], counts, rows
+    return ids, counts, rows
 
 
 def _distinct_rows(digits):
     """One row index per distinct row of a 0/1 matrix of one or more columns,
     and that row's count, in the order of ``split_groups`` folded over them."""
-    ids, block = np.zeros(digits.shape[0], dtype=np.intp), np.zeros(1, dtype=np.intp)
-    for k, column in enumerate(digits.T):
-        ids, block, counts, rows = split_groups(ids, block, column == 1, k)
+    ids = np.zeros(digits.shape[0], dtype=np.intp)
+    for column in digits.T:
+        ids, counts, rows = split_groups(ids, column == 1)
     return rows, counts
 
 

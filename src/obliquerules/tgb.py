@@ -318,7 +318,7 @@ def boost(X, y, cfg, prepare, n_members=1) -> tuple[FitTrace, ...]:
     scores = np.full(n, beta[0])
     design = np.ones((n, cfg.max_rules + 1))  # [1 | covers]; each round writes its column
     groups = None if kind is LossKind.SQUARED else split_groups(  # squared refits all rows
-        np.zeros(y_rows.size, dtype=np.intp), np.zeros(1, dtype=np.intp), y_rows == 1, 0)
+        np.zeros(y_rows.size, dtype=np.intp), y_rows == 1)[0]
     traced: list[list[FitStage]] = [[] for _ in range(n_members)]
     # a branch: its members, their refitted weights and scores, design buffer,
     # refit row groups, bodies and stages so far
@@ -341,8 +341,8 @@ def boost(X, y, cfg, prepare, n_members=1) -> tuple[FitTrace, ...]:
             branch_design[inside, m + 1] = 1.0
             used, reps, counts, branch_groups = branch_design[:, :m + 2], fit_rows, None, None
             if groups is not None:
-                branch_groups = split_groups(*groups[:2], branch_design[rows, m + 1] == 1, m + 1)
-                reps, counts = fit_rows[branch_groups[3]], branch_groups[2]
+                branch_groups, counts, reps = split_groups(groups, branch_design[rows, m + 1] == 1)
+                reps = fit_rows[reps]
             branch_beta = corrective_refit(used[reps], y[reps], kind, np.append(beta, 0.0), counts)
             branch_scores = branch_beta[0] + used[:, 1:] @ branch_beta[1:]
             branch_bodies = bodies + [body]

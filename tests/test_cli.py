@@ -818,6 +818,10 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "max_nonzeros": 0},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": [0.1, 1.0, 0.1]},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": [0.0, -0.0]},
+    {"datasets": [{"path": 5, "target": "y", "task": "classification"}]},
+    {"datasets": [{"path": "a.csv", "target": ["y"], "task": "classification"}]},
+    {"datasets": [{"path": "a.csv", "target": "y", "task": "classification", "name": None}]},
+    {"datasets": [{"path": "a.csv", "target": "y", "task": "classification", "nmae": "a"}]},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"

@@ -272,28 +272,16 @@ def random_stages(rng, d):
     return stages, pool
 
 
-def cut_sides(n):
-    """``CUT_MIN_ROWS`` values that put a call of ``n`` rows on each side: one-feature
-    conditions compared with cuts, then every condition projected."""
-    return (n, n + 1)
-
-
 def check_scoring_matches_reference(s):
     rng = np.random.default_rng(s)
     d = int(rng.integers(1, 9))
     stages, pool = random_stages(rng, d)
     X = rng.normal(size=(int(rng.integers(1, 200)), d)) * 1.5 + 0.5
-    for least in cut_sides(X.shape[0]):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "CUT_MIN_ROWS", least)
-            for got, ensemble in zip(score_ensembles(stages, X), stages):
-                assert np.array_equal(got, reference_scores(ensemble, X))
-    for least in cut_sides(1):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "CUT_MIN_ROWS", least)
-            for got, ensemble in zip(score_ensembles(stages, X[0]), stages):
-                assert np.ndim(got) == 0
-                assert got == reference_scores(ensemble, X[:1])[0]
+    for got, ensemble in zip(score_ensembles(stages, X), stages):
+        assert np.array_equal(got, reference_scores(ensemble, X))
+    for got, ensemble in zip(score_ensembles(stages, X[0]), stages):
+        assert np.ndim(got) == 0
+        assert got == reference_scores(ensemble, X[:1])[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,14 +311,11 @@ def test_a_row_on_a_hyperplane_scores_alone_as_in_its_batch(s):
     final = stages[-1]
     X = on_hyperplanes(rng, pool, final.standardizer, n_per=int(rng.integers(1, 40)))
     assert np.array_equal(final.decision_function(X), reference_scores(final, X))
-    for least in (0, X.shape[0] + 1):  # every call with cuts, then every call without
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "CUT_MIN_ROWS", least)
-            batch = final.decision_function(X)
-            assert np.array_equal(final.decision_function(np.asfortranarray(X)), batch)
-            for i in range(X.shape[0]):
-                assert final.decision_function(X[i]) == batch[i]
-                assert final.decision_function(X[i:i + 1])[0] == batch[i]
+    batch = final.decision_function(X)
+    assert np.array_equal(final.decision_function(np.asfortranarray(X)), batch)
+    for i in range(X.shape[0]):
+        assert final.decision_function(X[i]) == batch[i]
+        assert final.decision_function(X[i:i + 1])[0] == batch[i]
     # the fitting side sees the same covers as scoring
     Z = final.standardizer.transform(X)
     for p in pool:
@@ -357,11 +342,9 @@ def test_every_block_size_scores_the_reference_bits(s):
     # the bits depend on no layout of X: C and Fortran order, strided columns, reversed rows
     layouts = [(X, expected), (np.asfortranarray(X), expected),
                (np.repeat(X, 2, axis=1)[:, ::2], expected), (X[::-1], [e[::-1] for e in expected])]
-    for block, least in zip((1, 7, n - 1, n, n + 1), (1, n + 1, n, 0, n + 1)):
+    for block in (1, 7, n - 1, n, n + 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "SCORE_BLOCK_ROWS", block)
-            # the batch has cuts at least 1, n and 0, the single rows at 1 and 0
-            patch.setattr(core, "CUT_MIN_ROWS", least)
             for layout, want in layouts:
                 got = score_ensembles(ensembles, layout)
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -399,21 +382,22 @@ def test_a_cut_decides_each_row_as_its_standardized_condition(conditions, s):
         assert np.array_equal(raw, standardized), (m, sc, w, t, cut)
 
 
-@pytest.mark.parametrize("side", ["below", "at"])
-def test_the_row_count_decides_whether_a_call_searches_cuts(side, monkeypatch):
-    searches = []
+def test_every_call_searches_the_cuts_of_its_one_feature_conditions_once(monkeypatch):
+    searches = []  # the number of conditions each search is given
     search = core._cuts
-    monkeypatch.setattr(core, "_cuts", lambda *a: searches.append(a) or search(*a))
+    monkeypatch.setattr(core, "_cuts", lambda *a: searches.append(a[0].size) or search(*a))
     rng = np.random.default_rng(3)
     stages, _ = random_stages(rng, 6)
     rules = [Rule(propositions=(make_prop((j,), (w,), 0.3 * j - 0.5),), weight=1.0 + j)
              for j, w in enumerate((1.0, -1.0, 0.5, -2.0))]
     rules.append(Rule(propositions=(make_prop((0, 4), (1.0, -0.5), 0.1),), weight=-1.5))
     ensemble = RuleEnsemble(0.2, tuple(rules), Task.REGRESSION, stages[0].standardizer)
-    n = core.CUT_MIN_ROWS - (side == "below")
-    X = rng.normal(size=(n, 6)) * 1.5 + 0.5
-    assert np.array_equal(ensemble.decision_function(X), reference_scores(ensemble, X))
-    assert len(searches) == (side == "at")
+    X = rng.normal(size=(5, 6)) * 1.5 + 0.5
+    for call, rows in ((X[0], X[:1]), (X, X)):  # a single row, then a few
+        searches.clear()
+        got = np.atleast_1d(ensemble.decision_function(call))
+        assert np.array_equal(got, reference_scores(ensemble, rows))
+        assert searches == [4]
 
 
 @pytest.mark.parametrize("fit, cfg", [

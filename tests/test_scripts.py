@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -172,3 +174,31 @@ def test_bench_pairs_alternates_sides_records_runs_and_fails_on_a_failed_gate(tm
 
     assert pairs.main([roots["parent"], roots["broken"], *common, "--out", str(out)]) == 1
     assert json.loads(out.read_text())["summary"] == {}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_pairs_names_each_tree_by_its_sources_and_its_own_checkout_only(tmp_path):
+    pairs = load_script("bench_pairs")
+
+    def tree(root, files):
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        return root
+
+    files = {"src/pkg/a.py": "A = 1\n", "src/pkg/sub/b.py": "B = 2\n", "README.md": "x\n"}
+    checkout = tree(tmp_path / "checkout", files)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for command in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "c"]):
+        subprocess.run(git + command, cwd=checkout, check=True, capture_output=True)
+    inner = tree(checkout / "copy", files)  # a copy inside another checkout
+    plain = tree(tmp_path / "plain", {**files, "README.md": "y\n", "src/pkg/c.txt": "z\n"})
+    named = {root.name: pairs.revision(root) for root in (checkout, inner, plain)}
+    assert named["checkout"]["git"]
+    assert named["copy"]["git"] is None and named["plain"]["git"] is None
+    # only the sources' paths and bytes count
+    assert len({r["src_sha256"] for r in named.values()}) == 1
+    (plain / "src/pkg/sub/b.py").rename(plain / "src/pkg/b.py")
+    moved = pairs.revision(plain)["src_sha256"]
+    (plain / "src/pkg/b.py").write_text("B = 3\n")
+    assert len({named["plain"]["src_sha256"], moved, pairs.revision(plain)["src_sha256"]}) == 3

@@ -645,7 +645,7 @@ def frozen_logistic_refit(design, y, warm):
 def test_logistic_refit_equals_the_frozen_loop_bit_for_bit(seed, n, m, pure, bootstrap, scale):
     # pure: the first rule column holds only positive rows, a separable cover;
     # bootstrap: rows drawn with replacement, so groups have counts above 1;
-    # m = 60: more rule columns than one 52-digit key holds
+    # m = 60: more rule columns than a double's 52-digit mantissa holds
     rng = np.random.default_rng(seed)
     cols = (rng.random((n, m)) < rng.uniform(0.1, 0.9)).astype(float)
     y = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(float)
@@ -666,24 +666,19 @@ def test_logistic_refit_equals_the_frozen_loop_bit_for_bit(seed, n, m, pure, boo
 
 def lexicographic_groups(digits):
     """The distinct rows of a 0/1 matrix and their counts, sorted by brute
-    force: chunks of KEY_DIGITS columns, an earlier chunk more significant,
-    and within a chunk the newest column most significant."""
-    w = sparse_logreg.KEY_DIGITS
+    force with the newest column the most significant."""
     counts = {}
     for row in digits.astype(int).tolist():
         counts[tuple(row)] = counts.get(tuple(row), 0) + 1
-
-    def key(row):
-        return tuple(d for start in range(0, len(row), w) for d in reversed(row[start:start + w]))
-
-    distinct = sorted(counts, key=key)
+    distinct = sorted(counts, key=lambda row: row[::-1])
     return np.array(distinct, dtype=float), np.array([counts[r] for r in distinct])
 
 
 def test_row_groups_follow_the_lexicographic_order_at_every_width():
     # coarse covers through digit 51 leave few groups; the random covers after
-    # it split groups that differ only in the first chunk, where splitting
-    # each group in place (2 * old + cover) would misorder them
+    # it split groups that differ only in older digits, where splitting each
+    # group in place (2 * old + cover, the oldest digit most significant)
+    # would misorder them
     rng = np.random.default_rng(3)
     n, width = 400, 70
     coarse = rng.integers(0, 4, size=n)
@@ -698,8 +693,7 @@ def test_row_groups_follow_the_lexicographic_order_at_every_width():
         expected, expected_counts = lexicographic_groups(digits[:, :m])
         assert np.array_equal(digits[rows, :m], expected)
         assert np.array_equal(counts, expected_counts)
-        in_place = sorted(range(len(expected)), key=lambda g: (
-            tuple(reversed(expected[g, :52])), tuple(expected[g, 52:m])))
+        in_place = sorted(range(len(expected)), key=lambda g: tuple(expected[g, :m]))
         misordered += in_place != list(range(len(expected)))
     assert misordered > 0
 

@@ -552,6 +552,24 @@ def test_grid_branches_that_split_at_several_depths_keep_their_own_designs(monke
         assert_same_trace(trace, other)
 
 
+def test_carried_groups_past_52_rules_refit_as_the_full_rows_do(monkeypatch):
+    # each round's cover is a digit of the rows' group key; past 52 rules a key
+    # holds more digits than a double's mantissa, and the carried groups must
+    # still keep the order in which the full rows' refit groups them
+    data = make_oblique(n=600, d=6, noise=0.2, seed=3)
+    cfg = TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0)
+    refit = tgb.corrective_refit
+
+    def full_rows(design, y, kind, warm, counts):
+        repeats = counts.astype(int)
+        return refit(np.repeat(design, repeats, axis=0), np.repeat(y, repeats), kind, warm)
+
+    trace = fit(data.X, data.y, cfg)
+    monkeypatch.setattr(tgb, "corrective_refit", full_rows)
+    assert len(trace.stages) - 1 >= 56
+    assert_same_trace(trace, fit(data.X, data.y, cfg))
+
+
 def test_grid_fit_rejects_an_empty_or_invalid_grid():
     X, y = np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="at least one"):
