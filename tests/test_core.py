@@ -400,6 +400,27 @@ def test_every_call_searches_the_cuts_of_its_one_feature_conditions_once(monkeyp
         assert searches == [4]
 
 
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_the_row_count_decides_whether_a_call_searches_cuts(side, monkeypatch):
+    """32768 rows once split calls that searched cuts from calls that projected every
+    condition; the row count no longer decides it: a call on either side of that
+    count searches the cuts of its one-feature conditions once and scores the
+    reference bits."""
+    searches = []
+    search = core._cuts
+    monkeypatch.setattr(core, "_cuts", lambda *a: searches.append(a[0].size) or search(*a))
+    rng = np.random.default_rng(3)
+    stages, _ = random_stages(rng, 6)
+    rules = [Rule(propositions=(make_prop((j,), (w,), 0.3 * j - 0.5),), weight=1.0 + j)
+             for j, w in enumerate((1.0, -1.0, 0.5, -2.0))]
+    rules.append(Rule(propositions=(make_prop((0, 4), (1.0, -0.5), 0.1),), weight=-1.5))
+    ensemble = RuleEnsemble(0.2, tuple(rules), Task.REGRESSION, stages[0].standardizer)
+    n = 32768 - (side == "below")
+    X = rng.normal(size=(n, 6)) * 1.5 + 0.5
+    assert np.array_equal(ensemble.decision_function(X), reference_scores(ensemble, X))
+    assert searches == [4]
+
+
 @pytest.mark.parametrize("fit, cfg", [
     (fit_lltboost, LLTConfig(max_rules=5, seed=0)),
     (fit_tgb, TGBConfig(max_rules=6, reg_strength=1.0)),
