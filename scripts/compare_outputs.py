@@ -12,7 +12,7 @@ Each tree is imported in its own fresh interpreter, which writes:
   column; one on make_oblique(n=1000, d=6, seed=2) at reg 100 with up to
   8 propositions per rule, so that rules are scanned up to 8 levels deep;
   one of 60 rules on make_oblique(n=2000, d=6, noise=0.2, seed=3), so that
-  the logistic refit keys its rows on more than 52 binary digits; and one
+  the logistic refit splits its row groups by up to 60 covers; and one
   on a bootstrap resample of make_staircase(n=2000, d=8) with a constant
   ninth column appended, so that duplicated rows tie every column of the
   presort and one feature offers no threshold at all; and of one more
@@ -24,9 +24,7 @@ Each tree is imported in its own fresh interpreter, which writes:
   proposition of the fit's final stage.  On a hyperplane the rounding of a
   projection decides the cover, so a projection that rounds differently,
   as a dense oblique one can, changes the hash.  The block is not a
-  multiple of ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary,
-  and a tree that tests one-feature conditions by exact cuts only on
-  large calls (from 32768 rows) does so here.
+  multiple of ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary.
   For the two tgb fits whose columns tie (the rounded and the bootstrap
   one), the key ``presort/<fit key>`` holds the sha256 of the orders that
   ``tgb._stable_orders`` returns over the standardized training rows (alone,

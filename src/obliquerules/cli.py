@@ -200,7 +200,6 @@ def _cmd_train(args) -> int:
             "method": args.method,
             "seed": seed,
             "config": asdict(cfg),
-            "library_version": __version__,
             "final_train_risk": final.train_risk,
             "label_names": list(dataset.label_names),
         },
@@ -314,7 +313,19 @@ def _cmd_benchmark(args) -> int:
         report.write(args.out)
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
-    print(f"report written to {args.out}")
+    print(f"report written to {args.out}\n\n"
+          "median minimum complexity to reach the baseline's mean test risk\n"
+          "(0/1 or squared metric; in brackets the (4th, 7th) order-statistic interval, "
+          "65.6% coverage):\n")
+    header = f"{'dataset':<14} {'method':<10} {'median':>8} {'interval':>16}"
+    print(f"{header}\n{'-' * len(header)}")
+    for row in report.complexity_rows:
+        if row["metric"] in ("zero_one", "squared"):
+            # the interval cells are blank unless there are 10 repetitions
+            low, high = ("" if row[k] == "" else _fmt(row[k], 3)
+                         for k in ("ci47_low", "ci47_high"))
+            print(f"{row['dataset']:<14} {row['method']:<10} "
+                  f"{_fmt(row['median'], 3):>8} {f'[{low}, {high}]':>16}")
     return EXIT_OK
 
 

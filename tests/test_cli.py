@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -776,6 +777,31 @@ def test_benchmark_command_writes_report(tmp_path, capsys):
     }
     doc = json.loads((out_dir / "report.json").read_text())
     assert {d["name"] for d in doc["datasets"]} == {"oblique", "fromfile"}
+
+
+@pytest.mark.parametrize("repetitions", [10, 3])  # with 3 the intervals are blank
+def test_quick_benchmark_run_labels_the_interval_by_its_coverage(tmp_path, capsys, repetitions):
+    cfg = {"datasets": [{"synthetic": "oblique", "n": 120, "d": 3, "noise": 0.05, "seed": 0}],
+           "max_rules": 3, "bootstrap_cap": 80, "tgb_reg_grid": [0.01, 1.0],
+           "repetitions": repetitions}
+    cfg_path = tmp_path / "protocol.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert main(["benchmark", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    # P(X(4) <= median <= X(7)) for 10 draws is 672/1024
+    assert "(4th, 7th) order-statistic interval, 65.6% coverage" in out
+    assert "90%" not in out
+    # each printed median and interval is its 0/1 row of complexity_table.csv
+    with open(out_dir / "complexity_table.csv", encoding="utf-8", newline="") as handle:
+        table = [[row[k] for k in ("method", "median", "ci47_low", "ci47_high")]
+                 for row in csv.DictReader(handle) if row["metric"] == "zero_one"]
+    printed = [line.split(maxsplit=3)[1:] for line in out.splitlines()
+               if line.startswith("oblique ")]
+    assert [p[0] for p in printed] == [t[0] for t in table] == ["lltboost", "tgb"]
+    for (_, median, interval), (_, *cells) in zip(printed, table):
+        low, high = interval.strip().removeprefix("[").removesuffix("]").split(", ")
+        assert [v and float(v) for v in (median, low, high)] == [v and float(v) for v in cells]
 
 
 @pytest.mark.parametrize("task,column,cell", [("clf", 1, "nan"), ("clf", 0, "1e400"),

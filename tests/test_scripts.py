@@ -14,24 +14,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def load_script(name="run_oblique_benchmark", folder=SCRIPTS):
+def load_script(name="compare_outputs", folder=SCRIPTS):
     spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_quick_benchmark_run_labels_the_interval_by_its_coverage(tmp_path, capsys):
-    assert load_script().main(["--quick", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    # P(X(4) <= median <= X(7)) for 10 draws is 672/1024
-    assert "(4th, 7th) order-statistic interval, 65.6% coverage" in out
-    assert "90%" not in out
-    assert (tmp_path / "report.json").is_file()
-
-
 def test_compare_outputs_reports_the_largest_relative_difference():
-    compare = load_script("compare_outputs")
+    compare = load_script()
     before = {"w": ["1.0", "-2.0"], "t": 4.0, "name": "a", "gone": 1}
     after = {"w": ["1.0", "-2.000002"], "t": 4.0000004, "name": "b"}
     diffs = compare._json_diffs(before, after)
@@ -44,7 +35,7 @@ def test_compare_outputs_reports_the_largest_relative_difference():
 
 
 def test_compare_outputs_counts_differing_values_by_path():
-    compare = load_script("compare_outputs")
+    compare = load_script()
     before = {"curves": [{"complexity": 4, "risk": 0.5}, {"complexity": 6, "risk": 0.4}],
               "rules": [{"w": [1.0, 2.0]}, {"w": [3.0]}], "seed": 1}
     after = {"curves": [{"complexity": 3, "risk": 0.5}, {"complexity": 5, "risk": 0.4}],
@@ -56,7 +47,7 @@ def test_compare_outputs_counts_differing_values_by_path():
 
 
 def test_compare_outputs_summarizes_changed_final_stages():
-    compare = load_script("compare_outputs")
+    compare = load_script()
 
     def fit(*stages):
         return [{"train_risk": repr(risk), "complexity": cx, "rules": []} for risk, cx in stages]
