@@ -24,8 +24,7 @@ from .datasets import (
     DataError,
     Dataset,
     load_csv,
-    load_feature_rows,
-    load_targets,
+    load_rows,
     write_csv,
 )
 from .evaluation import LEARNERS, ProtocolConfig, learner_config, run_benchmark
@@ -232,10 +231,8 @@ def _model_labels(model: ModelFile) -> tuple[str, ...]:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ens = model.ensemble
-    X = load_feature_rows(args.data, model.feature_names)
-    y = None
-    if args.target:
-        y = load_targets(args.data, args.target, ens.task, _model_labels(model))
+    X, y = load_rows(args.data, model.feature_names, args.target or None, ens.task,
+                     _model_labels(model))
     scores = ens.decision_function(X)
     out_lines = [repr(float(s)) for s in scores]
     if args.out:
@@ -306,6 +303,9 @@ def _cmd_benchmark(args) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{args.config}: {exc}") from None
     datasets = [_dataset_from_spec(s, i) for i, s in enumerate(specs)]
+    names = [d.name for d in datasets]
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise UsageError(f"{args.config}: dataset names must be unique, repeated: {repeated}")
     _check_writable(args.out, make_dir=True)  # before the protocol runs, not after
 
     report = run_benchmark(datasets, config)

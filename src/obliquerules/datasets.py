@@ -178,12 +178,14 @@ def load_csv(path, target_column: str, task) -> Dataset:
     )
 
 
-def load_feature_rows(path, feature_names) -> np.ndarray:
-    """Matrix of the ``feature_names`` columns of a CSV, in that order.
+def load_rows(path, feature_names, target_column=None, task=None, label_names=()):
+    """``(X, y)`` from one read of a CSV: its ``feature_names`` columns in that
+    order and its ``target_column``, or ``None`` without one.
 
-    Other columns are ignored; a named one must be named once.  Every row
-    must have all the named cells, each a finite number, so row ``i`` of the
-    result is data row ``i`` of the file.
+    Other columns are ignored; a column read must be named once and have every
+    cell, so row ``i`` is data row ``i``.  Features, checked first, and
+    regression targets must be finite numbers.  Labels map to 0/1 through
+    ``label_names`` (the model's two labels) when given, else as in ``load_csv``.
     """
     header, records = _read_table(path)
     index_of = {name: j for j, name in enumerate(header)}
@@ -201,29 +203,20 @@ def load_feature_rows(path, feature_names) -> np.ndarray:
         rows.append(_parse_floats(path, line_no, cells, cols, header))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
-
-
-def load_targets(path, target_column: str, task, label_names=()) -> np.ndarray:
-    """Target of every data row of a CSV, for scoring a model against it.
-
-    The target column must be named once and every cell filled.  Regression
-    targets must be finite numbers.  Classification labels map to 0/1 through
-    ``label_names`` (the model's two labels) when given, else as in ``load_csv``.
-    """
-    task = Task(task)
-    header, records = _read_table(path)
+    X = np.asarray(rows, dtype=float)
+    if target_column is None:
+        return X, None
     if target_column not in header:
         raise DataError(f"{path}: target column {target_column!r} not in header")
     _reject_repeated(path, header, [target_column])
-    j = header.index(target_column)
+    j = index_of[target_column]
     for line_no, cells in records:
         if cells[j] == "":
             raise DataError(
                 f"{path}:{line_no}: missing cell; rows given to predict must be complete"
             )
-    y, _ = _target_values(path, records, j, target_column, task, label_names)
-    return y
+    y, _ = _target_values(path, records, j, target_column, Task(task), label_names)
+    return X, y
 
 
 def write_csv(dataset: Dataset, path, target_column: str = "target"):

@@ -414,9 +414,9 @@ def _aggregate_cells(values, repetitions):
 def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
     """Run the full protocol over the given datasets.
 
-    With ``config.jobs > 1`` the (dataset, repetition) work units run in a
-    process pool; the report assembly is a deterministic reduction over the
-    sorted unit keys, so the output is identical to a serial run.
+    The (dataset, repetition) units run in a pool of ``config.jobs`` processes,
+    never more than the units, or in this process when that is one; the report
+    is a reduction over the sorted unit keys, so it is identical to a serial run.
     """
     datasets = list(datasets)
     names = [d.name for d in datasets]
@@ -428,8 +428,9 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
         for d_idx, dataset in enumerate(datasets)
         for rep in range(config.repetitions)
     ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_repetition, *zip(*tasks)))
     else:
         raw = [_run_repetition(*args) for args in tasks]

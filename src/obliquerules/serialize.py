@@ -79,7 +79,7 @@ def model_from_dict(doc: dict) -> ModelFile:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = _require(doc, "format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported format_version {version!r}; this library reads "
             f"version {FORMAT_VERSION}"

@@ -363,15 +363,6 @@ def split_groups(ids, digit):
     return ids, counts, rows
 
 
-def _distinct_rows(digits):
-    """One row index per distinct row of a 0/1 matrix of one or more columns,
-    and that row's count, in the order of ``split_groups`` folded over them."""
-    ids = np.zeros(digits.shape[0], dtype=np.intp)
-    for column in digits.T:
-        ids, counts, rows = split_groups(ids, column == 1)
-    return rows, counts
-
-
 def corrective_refit(
     design: np.ndarray,
     y: np.ndarray,
@@ -385,20 +376,19 @@ def corrective_refit(
     (intercept unpenalized).  Guaranteed not to increase the unpenalized
     training loss relative to the warm start.
 
-    Squared loss is solved in closed form.  Logistic loss needs 0/1 rule
-    columns: rows with the same design row and label collapse into one row
-    weighted by their count (the grouped binomial form), and damped Newton
-    steps run on those groups until the Newton decrement ``grad . step`` falls
-    to the objective's rounding, ``REFIT_DECREMENT_RTOL * max(1, objective)``
-    (Boyd & Vandenberghe, Convex Optimization, 2004, section 9.5.1).
-    Rows grouped already come one per group, with their multiplicities as
-    ``counts`` (logistic loss only); on ``_distinct_rows``'s rows and counts
-    the result is bit for bit that of the full rows.  A first column not
-    exactly 1, counts that are not positive integers, a non-finite warm start
-    or target, or a non-finite squared-loss design is a ``ValueError``.
+    Squared loss is solved in closed form.  Logistic loss needs labels and
+    rule columns in {0, 1}; row i stands for ``counts[i]`` equal rows (one
+    each by default), so a caller that groups the rows with the same design
+    row and label, as ``boost`` does with ``split_groups``, refits the
+    grouped binomial form.  Damped Newton steps run until the Newton
+    decrement ``grad . step`` falls to the objective's rounding,
+    ``REFIT_DECREMENT_RTOL * max(1, objective)`` (Boyd & Vandenberghe, Convex
+    Optimization, 2004, section 9.5.1).  A first column not exactly 1,
+    counts that are not positive integers, a non-finite warm start or
+    target, or a non-finite squared-loss design is a ``ValueError``.
     """
     kind = LossKind(kind)
-    design = np.asarray(design, dtype=float)
+    design = np.ascontiguousarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     beta0 = np.asarray(warm_start, dtype=float)
     n, m1 = design.shape
@@ -428,16 +418,12 @@ def corrective_refit(
         digits = np.column_stack([y, design[:, 1:]])
         if not np.all((digits == 0) | (digits == 1)):
             raise ValueError("logistic refits need labels and rule columns in {0, 1}")
-        if counts is None:
-            rows, counts = _distinct_rows(digits)
-            design, y, c = design[rows], y[rows], counts.astype(float)
-        U, y_g = np.ascontiguousarray(design), y
         ridge = np.diag(pen + 1e-12)
         halvings = 0.5 ** np.arange(60)
 
         def objective(beta):  # the logistic loss of ``loss_value``, on checked labels
-            s = U @ beta
-            raw = float(c @ (softplus(s) - y_g * s))
+            s = design @ beta
+            raw = float(c @ (softplus(s) - y * s))
             return raw + REFIT_RIDGE * float(beta[1:] @ beta[1:]), raw, s
 
         beta = beta0.copy()
@@ -445,8 +431,8 @@ def corrective_refit(
         raw = raw_warm
         for _ in range(REFIT_MAX_ITER):
             mu = logistic(s)
-            grad = U.T @ (c * (mu - y_g)) + pen * beta
-            H = U.T @ ((c * mu * (1.0 - mu))[:, None] * U) + ridge
+            grad = design.T @ (c * (mu - y)) + pen * beta
+            H = design.T @ ((c * mu * (1.0 - mu))[:, None] * design) + ridge
             step = np.linalg.solve(H, grad)
             if grad @ step <= REFIT_DECREMENT_RTOL * max(1.0, obj):
                 break  # no line search could resolve a decrease this small

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from obliquerules import cli, tgb
+from obliquerules import cli, datasets, tgb
 from obliquerules.cli import TRAIN_FIELDS, main, print_rules
 from obliquerules.core import Rule, RuleEnsemble, SparseProposition, Standardizer, Task
 from obliquerules.datasets import load_csv, make_oblique, write_csv
@@ -481,6 +481,21 @@ def test_predict_ignores_a_repeated_column_it_does_not_read(tmp_path, clf_csv, c
     assert capsys.readouterr().out == scores
 
 
+def test_predict_target_reads_its_csv_once(tmp_path, clf_csv, monkeypatch, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    reads = []
+    read_table = datasets._read_table
+
+    def counted(path):
+        reads.append(path)
+        return read_table(path)
+
+    monkeypatch.setattr(datasets, "_read_table", counted)
+    assert main(["predict", "--model", str(model_path), "--data", str(clf_csv),
+                 "--target", "y"]) == 0
+    assert reads == [str(clf_csv)]
+
+
 def test_predict_rejects_bad_model_file(tmp_path, clf_csv):
     bad = tmp_path / "model.json"
     bad.write_text("{}", encoding="utf-8")
@@ -848,6 +863,8 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"path": "a.csv", "target": ["y"], "task": "classification"}]},
     {"datasets": [{"path": "a.csv", "target": "y", "task": "classification", "name": None}]},
     {"datasets": [{"path": "a.csv", "target": "y", "task": "classification", "nmae": "a"}]},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3},
+                  {"synthetic": "oblique", "n": 50, "d": 3, "seed": 1}]},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"
@@ -896,6 +913,23 @@ def test_benchmark_config_errors(tmp_path):
         json.dumps({"datasets": [{"synthetic": "cubes"}]}), encoding="utf-8"
     )
     assert main(["benchmark", "--config", str(bad_gen), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_benchmark_names_a_repeated_dataset_name(tmp_path, clf_csv, capsys):
+    # two CSVs with one stem and no "name" are two datasets called "train"
+    other = tmp_path / "other"
+    other.mkdir()
+    twin = other / clf_csv.name
+    twin.write_bytes(clf_csv.read_bytes())
+    spec = {"target": "y", "task": "clf"}
+    cfg_path = tmp_path / "protocol.json"
+    cfg_path.write_text(json.dumps({"datasets": [{"path": str(clf_csv), **spec},
+                                                 {"path": str(twin), **spec}]}),
+                        encoding="utf-8")
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "dataset names must be unique, repeated: ['train']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "make-synthetic", "benchmark"])

@@ -7,8 +7,7 @@ from obliquerules.datasets import (
     DataError,
     Dataset,
     load_csv,
-    load_feature_rows,
-    load_targets,
+    load_rows,
     make_oblique,
     make_rotated_box,
     make_staircase,
@@ -57,18 +56,19 @@ def test_rows_with_missing_cells_are_skipped_and_counted(tmp_path):
 
 def test_feature_rows_follow_the_requested_column_order(tmp_path):
     p = write(tmp_path, "a,b,note\n1,2,\n3,4,x\n")
-    assert load_feature_rows(p, ("b", "a")).tolist() == [[2.0, 1.0], [4.0, 3.0]]
+    X, y = load_rows(p, ("b", "a"))
+    assert X.tolist() == [[2.0, 1.0], [4.0, 3.0]] and y is None
     with pytest.raises(DataError, match=r":3: missing cell"):
-        load_feature_rows(write(tmp_path, "a,b\n1,2\n,4\n", "holed.csv"), ("a", "b"))
+        load_rows(write(tmp_path, "a,b\n1,2\n,4\n", "holed.csv"), ("a", "b"))
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
 def test_feature_rows_reject_non_finite_cells_with_line_number(tmp_path, cell):
     p = write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
     with pytest.raises(DataError, match=rf":3: non-finite value '{cell}' in column 'b'"):
-        load_feature_rows(p, ("a", "b"))
+        load_rows(p, ("a", "b"))
     # a non-finite cell in an ignored column does not matter
-    assert load_feature_rows(p, ("a",)).tolist() == [[1.0], [3.0]]
+    assert load_rows(p, ("a",))[0].tolist() == [[1.0], [3.0]]
 
 
 def test_byte_order_mark_does_not_rename_the_first_column(tmp_path):
@@ -78,7 +78,7 @@ def test_byte_order_mark_does_not_rename_the_first_column(tmp_path):
     data = load_csv(p, "y", Task.CLASSIFICATION)
     assert data.feature_names == ("a", "b")
     assert data.X.tolist() == load_csv(write(tmp_path, text), "y", Task.CLASSIFICATION).X.tolist()
-    assert load_feature_rows(p, ("a",)).tolist() == [[1.0], [3.0]]
+    assert load_rows(p, ("a",))[0].tolist() == [[1.0], [3.0]]
 
 
 def test_target_only_csv_is_a_data_error(tmp_path):
@@ -93,7 +93,7 @@ def test_undecodable_csv_is_a_data_error(tmp_path):
     with pytest.raises(DataError):
         load_csv(p, "y", Task.CLASSIFICATION)
     with pytest.raises(DataError):
-        load_feature_rows(p, ("a",))
+        load_rows(p, ("a",))
 
 
 def test_non_numeric_feature_cell_raises_with_line_number(tmp_path):
@@ -143,14 +143,14 @@ def test_classification_needs_exactly_two_labels(tmp_path):
 
 def test_targets_map_through_the_given_labels(tmp_path):
     p = write(tmp_path, "a,y\n1,yes\n2,yes\n3,no\n")
-    assert load_targets(p, "y", Task.CLASSIFICATION, ("no", "yes")).tolist() == [1, 1, 0]
-    assert load_targets(p, "y", Task.CLASSIFICATION).tolist() == [1, 1, 0]
+    assert load_rows(p, ("a",), "y", Task.CLASSIFICATION, ("no", "yes"))[1].tolist() == [1, 1, 0]
+    assert load_rows(p, ("a",), "y", Task.CLASSIFICATION)[1].tolist() == [1, 1, 0]
     with pytest.raises(DataError, match=r"data.csv:4: label 'no' in column 'y' is not one of"):
-        load_targets(p, "y", Task.CLASSIFICATION, ("maybe", "yes"))
+        load_rows(p, ("a",), "y", Task.CLASSIFICATION, ("maybe", "yes"))
     one = write(tmp_path, "a,y\n1,yes\n2,yes\n", name="one.csv")
-    assert load_targets(one, "y", Task.CLASSIFICATION, ("no", "yes")).tolist() == [1, 1]
+    assert load_rows(one, ("a",), "y", Task.CLASSIFICATION, ("no", "yes"))[1].tolist() == [1, 1]
     with pytest.raises(DataError, match="exactly 2"):
-        load_targets(one, "y", Task.CLASSIFICATION)
+        load_rows(one, ("a",), "y", Task.CLASSIFICATION)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "1e400", ""])
@@ -158,7 +158,13 @@ def test_targets_reject_a_missing_or_non_finite_regression_cell(tmp_path, cell):
     p = write(tmp_path, f"a,y\n1,0.5\n2,{cell}\n")
     message = "missing cell" if cell == "" else f"non-finite target '{cell}' in column 'y'"
     with pytest.raises(DataError, match=f"data.csv:3: {message}"):
-        load_targets(p, "y", Task.REGRESSION)
+        load_rows(p, ("a",), "y", Task.REGRESSION)
+
+
+def test_rows_report_a_feature_fault_before_a_target_fault(tmp_path):
+    p = write(tmp_path, "a,y\n1,\n2,0.5\nx,0.5\n")
+    with pytest.raises(DataError, match=r"data.csv:4: non-numeric value 'x' in column 'a'"):
+        load_rows(p, ("a",), "y", Task.REGRESSION)
 
 
 def test_round_trip_preserves_arrays(tmp_path):

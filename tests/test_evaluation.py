@@ -426,6 +426,38 @@ def test_serial_and_parallel_reports_identical(tmp_path):
         assert out[1][name] == out[2][name], f"{name} differs"
 
 
+def test_protocol_opens_at_most_one_worker_per_work_unit(monkeypatch):
+    # a pool that starts its processes by fork starts every worker at its first
+    # submit, so workers beyond the (dataset, repetition) units would sit idle
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
+    serial = run_benchmark(data, small_config(repetitions=3)).to_json_dict()
+    assert pools == []
+    for jobs, workers in ((2, [2]), (3, [3]), (64, [3])):
+        pools.clear()
+        report = run_benchmark(data, small_config(repetitions=3, jobs=jobs))
+        assert pools == workers
+        assert report.to_json_dict() == serial
+    pools.clear()
+    run_benchmark(data, small_config(repetitions=1, jobs=64))
+    assert pools == []  # one unit runs in this process
+
+
 def test_same_seed_same_report_different_seed_differs(tmp_path):
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
     reports = [run_benchmark(data, small_config()) for _ in range(2)]

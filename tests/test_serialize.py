@@ -100,8 +100,9 @@ def test_document_shape(tmp_path):
 
 
 def test_rejects_unknown_version():
-    with pytest.raises(ModelFormatError, match="format_version"):
-        model_from_dict({"format_version": 99})
+    for version in (99, True, 1.0, "1"):  # true and 1.0 equal 1 under ==, but are no int
+        with pytest.raises(ModelFormatError, match="format_version"):
+            model_from_dict({"format_version": version})
 
 
 def test_rejects_unknown_feature_name():

@@ -603,13 +603,12 @@ def test_refit_stops_on_the_newton_decrement(monkeypatch):
     assert calls == 4
 
 
-def frozen_logistic_refit(design, y, warm):
+def frozen_logistic_refit(U, y_g, warm, counts):
     """The logistic refit loop as it ran through ``losses.loss``, rebuilding
     its ridge matrix and halving factors at every Newton step."""
-    pen = np.full(design.shape[1], 2.0 * sparse_logreg.REFIT_RIDGE)
+    pen = np.full(U.shape[1], 2.0 * sparse_logreg.REFIT_RIDGE)
     pen[0] = 0.0
-    rows, counts = sparse_logreg._distinct_rows(np.column_stack([y, design[:, 1:]]))
-    U, y_g, c = design[rows], y[rows], counts.astype(float)
+    c = counts.astype(float)
 
     def objective(beta):
         s = U @ beta
@@ -656,12 +655,11 @@ def test_logistic_refit_equals_the_frozen_loop_bit_for_bit(seed, n, m, pure, boo
         rows = rng.integers(0, n, size=n)
         design, y = design[rows], y[rows]
     warm = rng.normal(scale=scale, size=m + 1)
-    beta = corrective_refit(design, y, LossKind.LOGISTIC, warm)
-    assert beta.tobytes() == frozen_logistic_refit(design, y, warm).tobytes()
-    # rows grouped by the caller, one per group with its count, give the same bits
-    rows, counts = sparse_logreg._distinct_rows(np.column_stack([y, design[:, 1:]]))
-    grouped = corrective_refit(design[rows], y[rows], LossKind.LOGISTIC, warm, counts=counts)
-    assert grouped.tobytes() == beta.tobytes()
+    # one row per (label, cover pattern) group with its count, as boost passes them
+    distinct, counts = lexicographic_groups(np.column_stack([y, design[:, 1:]]))
+    y_g, U = distinct[:, 0], np.column_stack([np.ones(len(distinct)), distinct[:, 1:]])
+    beta = corrective_refit(U, y_g, LossKind.LOGISTIC, warm, counts=counts)
+    assert beta.tobytes() == frozen_logistic_refit(U, y_g, warm, counts).tobytes()
 
 
 def lexicographic_groups(digits):
@@ -688,8 +686,9 @@ def test_row_groups_follow_the_lexicographic_order_at_every_width():
         digits[:, k] = np.isin(coarse, rng.choice(4, size=2, replace=False))
     digits[:, 52:] = rng.random((n, width - 52)) < 0.5
     misordered = 0
+    ids = np.zeros(n, dtype=np.intp)
     for m in range(1, width + 1):
-        rows, counts = sparse_logreg._distinct_rows(digits[:, :m])
+        ids, counts, rows = sparse_logreg.split_groups(ids, digits[:, m - 1] == 1)
         expected, expected_counts = lexicographic_groups(digits[:, :m])
         assert np.array_equal(digits[rows, :m], expected)
         assert np.array_equal(counts, expected_counts)

@@ -526,6 +526,17 @@ def test_grid_fit_shares_the_work_of_agreeing_reg_strengths(monkeypatch):
         assert_same_trace(trace, single)
 
 
+def regrouped_full_rows(design, y, counts):
+    """The full rows behind refit groups, grouped again by ``np.unique``: one
+    row per group and its count, ordered by the reversed (label, covers)
+    digits, so that the newest cover is the most significant."""
+    repeats = counts.astype(int)
+    design, y = np.repeat(design, repeats, axis=0), np.repeat(y, repeats)
+    digits = np.column_stack([y, design[:, 1:]])
+    _, rows, counts = np.unique(digits[:, ::-1], axis=0, return_index=True, return_counts=True)
+    return design[rows], y[rows], counts
+
+
 def test_grid_branches_that_split_at_several_depths_keep_their_own_designs(monkeypatch):
     # the grid splits at rounds 1, 2 and 3; a child that wrote into a design
     # column or group state of a sibling would break the equality with the
@@ -539,8 +550,8 @@ def test_grid_branches_that_split_at_several_depths_keep_their_own_designs(monke
 
     def full_rows(design, y, kind, warm, counts):
         branches[design.shape[1] - 1] = branches.get(design.shape[1] - 1, 0) + 1
-        repeats = counts.astype(int)
-        return refit(np.repeat(design, repeats, axis=0), np.repeat(y, repeats), kind, warm)
+        design, y, counts = regrouped_full_rows(design, y, counts)
+        return refit(design, y, kind, warm, counts)
 
     traces = tgb.fit_grid(X, data.y, cfg, regs)
     separate = [fit(X, data.y, replace(cfg, reg_strength=reg)) for reg in regs]
@@ -555,14 +566,14 @@ def test_grid_branches_that_split_at_several_depths_keep_their_own_designs(monke
 def test_carried_groups_past_52_rules_refit_as_the_full_rows_do(monkeypatch):
     # each round's cover is a digit of the rows' group key; past 52 rules a key
     # holds more digits than a double's mantissa, and the carried groups must
-    # still keep the order in which the full rows' refit groups them
+    # still keep the order in which np.unique groups the full rows
     data = make_oblique(n=600, d=6, noise=0.2, seed=3)
     cfg = TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0)
     refit = tgb.corrective_refit
 
     def full_rows(design, y, kind, warm, counts):
-        repeats = counts.astype(int)
-        return refit(np.repeat(design, repeats, axis=0), np.repeat(y, repeats), kind, warm)
+        design, y, counts = regrouped_full_rows(design, y, counts)
+        return refit(design, y, kind, warm, counts)
 
     trace = fit(data.X, data.y, cfg)
     monkeypatch.setattr(tgb, "corrective_refit", full_rows)
