@@ -20,7 +20,6 @@ from .tgb import TGBConfig  # noqa: E402
 from .tgb import fit as fit_tgb  # noqa: E402
 from .evaluation import (  # noqa: E402
     INF,
-    MethodCurve,
     ProtocolConfig,
     run_benchmark,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "INF",
     "LLTConfig",
     "LossKind",
-    "MethodCurve",
     "ModelFile",
     "ProtocolConfig",
     "Rule",

@@ -133,7 +133,7 @@ class SparseProposition(_Value):
 
     >>> p = SparseProposition(indices=(0, 2), weights=(1.0, -0.5), threshold=0.25)
     >>> p.activations([[1.0, 9.9, 1.0], [0.0, 0.0, 1.0]]).tolist()
-    [1.0, 0.0]
+    [True, False]
     """
 
     indices: np.ndarray
@@ -188,20 +188,17 @@ class SparseProposition(_Value):
             )
 
     def activations(self, X) -> np.ndarray:
-        """0/1 array of the indicator over the rows of ``X`` (standardized scale)."""
+        """Boolean indicator over the rows of ``X`` (standardized scale)."""
         X, _ = _as_row_matrix(X)
         self._check_width(X.shape[1])
         proj, term = np.empty((2, X.shape[0]))
         _project(X.T, self.indices, self.weights, proj, term)
-        return (proj >= self.threshold).astype(float)
+        return proj >= self.threshold
 
 
 def conjunction_cover(propositions, X) -> np.ndarray:
-    """0/1 array: rows of ``X`` where every one of ``propositions`` fires."""
-    out = propositions[0].activations(X)
-    for p in propositions[1:]:
-        out *= p.activations(X)
-    return out
+    """Boolean mask: rows of ``X`` where every one of ``propositions`` fires."""
+    return np.logical_and.reduce([p.activations(X) for p in propositions])
 
 
 @dataclass(frozen=True)
@@ -309,7 +306,7 @@ def score_ensembles(ensembles, X) -> list:
     Returns one score array per ensemble, or one scalar each for a 1-d ``X``.
     The scores are the bits of ``intercept + sum_i weight_i * cover_i`` over
     ``standardizer.transform(X)``, summed in rule order, with each cover the
-    product of its propositions' :meth:`SparseProposition.activations`.  The
+    AND of its propositions' :meth:`SparseProposition.activations`.  The
     work is shared across the whole call, in the manner of QuickScorer
     (Lucchese et al., SIGIR 2015), which tests each distinct condition of an
     additive ensemble once over a whole block of rows.

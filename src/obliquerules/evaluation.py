@@ -50,11 +50,6 @@ class CurvePoint:
     r: int
 
 
-@dataclass(frozen=True)
-class MethodCurve:
-    points: tuple[CurvePoint, ...]
-
-
 def _median(values) -> float:
     """Midpoint-of-central-order-statistics median; inf-aware, any length."""
     vals = sorted(float(v) for v in values)
@@ -64,19 +59,19 @@ def _median(values) -> float:
     return (vals[(k - 1) // 2] + vals[k // 2]) / 2.0
 
 
-def min_complexity_to_risk_target(curve: MethodCurve, risk_target: float) -> float:
-    """Smallest complexity reaching test risk <= target; inf if never."""
+def min_complexity_to_risk_target(points, risk_target: float) -> float:
+    """Smallest complexity of the ``CurvePoint``s reaching test risk <= target; inf if never."""
     best = INF
-    for p in curve.points:
+    for p in points:
         if p.test_risk <= risk_target and p.complexity < best:
             best = float(p.complexity)
     return best
 
 
-def risk_at_complexity_target(curve: MethodCurve, complexity_target: float) -> float:
-    """Test risk of the point with greatest complexity <= target; inf if none."""
+def risk_at_complexity_target(points, complexity_target: float) -> float:
+    """Test risk of the ``CurvePoint`` with greatest complexity <= target; inf if none."""
     chosen = None
-    for p in curve.points:
+    for p in points:
         if p.complexity <= complexity_target and (
             chosen is None or p.complexity >= chosen.complexity
         ):
@@ -85,14 +80,15 @@ def risk_at_complexity_target(curve: MethodCurve, complexity_target: float) -> f
 
 
 def derive_targets(curves) -> tuple[float, float]:
-    """Risk target and complexity target from the baseline's curves.
+    """Risk target and complexity target from the baseline's curves, one tuple
+    of ``CurvePoint``s per repetition.
 
     The risk target is the mean test risk over every point of every
     repetition; the complexity target is the median over repetitions of the
     minimum complexity reaching that risk target (midpoint-of-5th/6th rule
     for 10 repetitions).
     """
-    risks = [p.test_risk for c in curves for p in c.points]
+    risks = [p.test_risk for c in curves for p in c]
     if not risks:
         raise ValueError("cannot derive targets from curves with no points")
     risk_target = float(np.mean(risks))
@@ -175,9 +171,13 @@ class ProtocolConfig:
         unknown = set(self.methods) - set(LEARNERS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if not self.methods:
+            raise ValueError("methods must name at least one learner")
         grid = tuple(tgb.TGBConfig(reg_strength=v).reg_strength for v in self.tgb_reg_grid)
         if len(set(grid)) != len(grid):  # 0.0 == -0.0, so the two are one value
             raise ValueError(f"tgb_reg_grid must not repeat a value, got {self.tgb_reg_grid!r}")
+        if not grid and "tgb" in self.methods:  # the baseline's grid: the targets come from it
+            raise ValueError("tgb_reg_grid must hold at least one value when tgb is a method")
         object.__setattr__(self, "tgb_reg_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -416,7 +416,8 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
 
     The (dataset, repetition) units run in a pool of ``config.jobs`` processes,
     never more than the units, or in this process when that is one; the report
-    is a reduction over the sorted unit keys, so it is identical to a serial run.
+    is a reduction over the units in the order they were made, so it is
+    identical to a serial run.
     """
     datasets = list(datasets)
     names = [d.name for d in datasets]
@@ -434,7 +435,6 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
             raw = list(pool.map(_run_repetition, *zip(*tasks)))
     else:
         raw = [_run_repetition(*args) for args in tasks]
-    by_key = {(r["d_idx"], r["rep"]): r for r in raw}
 
     notes: list[str] = []
     curve_rows: list[dict] = []
@@ -444,7 +444,7 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
     targets: dict = {}
 
     for d_idx, dataset in enumerate(datasets):
-        reps = [by_key[(d_idx, rep)] for rep in range(config.repetitions)]
+        reps = raw[d_idx * config.repetitions:(d_idx + 1) * config.repetitions]
         for unit in reps:
             if unit["redraws"]:
                 notes.append(
@@ -493,18 +493,15 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
 
         targets[dataset.name] = {}
         for metric_name, _ in metrics:
-            curves_of = {
-                variant: [MethodCurve(points=u["fits"][variant]["curves"][metric_name])
-                          for u in reps]
-                for variant in variants
-            }
+            curves_of = {variant: [u["fits"][variant]["curves"][metric_name] for u in reps]
+                         for variant in variants}
             # oracle baseline hyperparameter: the grid value whose mean test
             # risk over all points of all repetitions is lowest
             mean_by_reg = {}
             for method, hyper in variants:
                 if method != "tgb":
                     continue
-                risks = [p.test_risk for c in curves_of[(method, hyper)] for p in c.points]
+                risks = [p.test_risk for c in curves_of[(method, hyper)] for p in c]
                 mean_by_reg[hyper] = float(np.mean(risks)) if risks else INF
             if not mean_by_reg or min(mean_by_reg.values()) == INF:
                 notes.append(

@@ -50,8 +50,7 @@ def _weighted_sign_risk(prop: SparseProposition, X, rows, g, sgn) -> float:
     """|g|-weighted 0/1 risk of the proposition predicting gradient signs."""
     gv = g[rows]
     labels = sgn * gv >= 0
-    pred = prop.activations(X[rows]) >= 0.5
-    return float(np.abs(gv)[pred != labels].sum())
+    return float(np.abs(gv)[prop.activations(X[rows]) != labels].sum())
 
 
 def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparseProposition | None:
@@ -119,14 +118,13 @@ def fit_conjunction(X, g, cfg: LLTConfig, active, validation) -> list[SparseProp
         prop = fit_proposition(active, X, g, cfg, validation)
         if prop is None:
             break
-        keep = prop.activations(X[active]) >= 0.5
-        new_active = active[keep]
+        inside = prop.activations(X)
+        new_active = active[inside[active]]
         new_objective = float(abs(g[new_active] @ np.ones(new_active.size)))
         if new_objective <= current_objective + OBJECTIVE_TOLERANCE:
             break
         body.append(prop)
-        active = new_active
-        validation = validation[prop.activations(X[validation]) >= 0.5]
+        active, validation = new_active, validation[inside[validation]]
         current_objective = new_objective
     return body or None
 
@@ -134,21 +132,12 @@ def fit_conjunction(X, g, cfg: LLTConfig, active, validation) -> list[SparseProp
 def _validation_split(n: int, y, stratify: bool, fraction: float, seed: int):
     """Seeded carve-out of validation rows; stratified for classification."""
     rng = np.random.default_rng(seed)
-    if stratify:
-        val_parts, fit_parts = [], []
-        for c in (0.0, 1.0):
-            cls = np.flatnonzero(y == c)
-            cls = cls[rng.permutation(cls.size)]
-            k = int(round(fraction * cls.size))
-            val_parts.append(cls[:k])
-            fit_parts.append(cls[k:])
-        val = np.concatenate(val_parts)
-        fit = np.concatenate(fit_parts)
-    else:
-        perm = rng.permutation(n)
-        k = int(round(fraction * n))
-        val, fit = perm[:k], perm[k:]
-    val, fit = list(val), list(fit)
+    val, fit = [], []
+    for group in [np.flatnonzero(y == c) for c in (0.0, 1.0)] if stratify else [np.arange(n)]:
+        group = group[rng.permutation(group.size)]
+        k = int(round(fraction * group.size))
+        val.extend(group[:k])
+        fit.extend(group[k:])
     while len(val) < 1 and len(fit) > 2:
         val.append(fit.pop())
     while len(fit) < 2 and val:

@@ -48,6 +48,20 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float if JSON read it as a number (an integer too, a boolean not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    """The JSON list ``values`` of numbers, as floats."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a JSON list of numbers, got {values!r}")
+    return np.array([_number(v, what) for v in values], dtype=float)
+
+
 def model_to_dict(model: ModelFile) -> dict:
     ens = model.ensemble
     rules = []
@@ -86,12 +100,14 @@ def model_from_dict(doc: dict) -> ModelFile:
         )
     try:
         task = Task(_require(doc, "task"))
-        feature_names = [str(n) for n in _require(doc, "feature_names")]
+        feature_names = _require(doc, "feature_names")
+        if not isinstance(feature_names, list) or not all(isinstance(n, str) for n in feature_names):
+            raise ValueError(f"feature_names must be a JSON list of strings, got {feature_names!r}")
         index_of = {name: j for j, name in enumerate(feature_names)}
         std_doc = _require(doc, "standardizer")
         standardizer = Standardizer(
-            mean=np.asarray(_require(std_doc, "mean"), dtype=float),
-            scale=np.asarray(_require(std_doc, "scale"), dtype=float),
+            mean=_numbers(_require(std_doc, "mean"), "standardizer mean"),
+            scale=_numbers(_require(std_doc, "scale"), "standardizer scale"),
         )
         rules = []
         for rule_doc in _require(doc, "rules"):
@@ -101,20 +117,21 @@ def model_from_dict(doc: dict) -> ModelFile:
                 for name, w in _require(prop_doc, "weights").items():
                     if name not in index_of:
                         raise ModelFormatError(f"unknown feature name {name!r}")
-                    pairs.append((index_of[name], float(w)))
+                    pairs.append((index_of[name], _number(w, "proposition weight")))
                 pairs.sort()
                 props.append(
                     SparseProposition(
                         indices=tuple(j for j, _ in pairs),
                         weights=tuple(w for _, w in pairs),
-                        threshold=float(_require(prop_doc, "threshold")),
+                        threshold=_number(_require(prop_doc, "threshold"), "threshold"),
                     )
                 )
             rules.append(
-                Rule(propositions=tuple(props), weight=float(_require(rule_doc, "weight")))
+                Rule(propositions=tuple(props),
+                     weight=_number(_require(rule_doc, "weight"), "rule weight"))
             )
         ensemble = RuleEnsemble(
-            intercept=float(_require(doc, "intercept")),
+            intercept=_number(_require(doc, "intercept"), "intercept"),
             rules=tuple(rules),
             task=task,
             standardizer=standardizer,

@@ -239,7 +239,7 @@ def _grow_conjunctions(Z, g, orders, root_values, reg_strengths, max_proposition
         children = []
         for chosen in groups.values():
             prop = chosen[0][1].to_proposition()
-            inside = prop.activations(Z) >= 0.5
+            inside = prop.activations(Z)
             members = [p for p, _ in chosen]
             child_body, child_active = body + [prop], active[inside[active]]
             if len(child_body) == max_propositions:

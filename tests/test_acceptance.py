@@ -17,7 +17,6 @@ from obliquerules.datasets import make_oblique
 from obliquerules.evaluation import (
     INF,
     CurvePoint,
-    MethodCurve,
     ProtocolConfig,
     _aggregate_cells,
     min_complexity_to_risk_target,
@@ -370,12 +369,8 @@ def test_a6_train_risk_monotone_and_squared_refit_matches_ridge(verdict):
 
 def test_a7_protocol_arithmetic_hand_examples(verdict):
     def curve(pairs):
-        return MethodCurve(
-            points=tuple(
-                CurvePoint(complexity=c, test_risk=r, train_risk=0.0, r=i + 1)
-                for i, (c, r) in enumerate(pairs)
-            )
-        )
+        return tuple(CurvePoint(complexity=c, test_risk=r, train_risk=0.0, r=i + 1)
+                     for i, (c, r) in enumerate(pairs))
 
     c = curve([(3, 0.5), (5, 0.3), (9, 0.1)])
     checks = [

@@ -13,7 +13,8 @@ from obliquerules.cli import TRAIN_FIELDS, main, print_rules
 from obliquerules.core import Rule, RuleEnsemble, SparseProposition, Standardizer, Task
 from obliquerules.datasets import load_csv, make_oblique, write_csv
 from obliquerules.losses import LossKind, loss
-from obliquerules.serialize import ModelFile, load_model, save_model
+from obliquerules.serialize import (
+    ModelFile, ModelFormatError, load_model, model_from_dict, save_model)
 
 
 @pytest.fixture()
@@ -523,6 +524,57 @@ def test_malformed_model_exits_with_data_error(tmp_path, clf_csv, command, field
     assert field in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["text", True], ids=["string", "bool"])
+@pytest.mark.parametrize("field", ["intercept", "rule-weight", "proposition-weight",
+                                   "threshold", "mean", "scale"])
+def test_model_file_takes_numbers_only_as_json_numbers(tmp_path, clf_csv, field, value, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    rule = doc["rules"][0]
+    prop = rule["propositions"][0]
+    parent, key = {
+        "intercept": (doc, "intercept"),
+        "rule-weight": (rule, "weight"),
+        "proposition-weight": (prop["weights"], next(iter(prop["weights"]))),
+        "threshold": (prop, "threshold"),
+        "mean": (doc["standardizer"]["mean"], 0),
+        "scale": (doc["standardizer"]["scale"], 0),
+    }[field]
+    parent[key] = repr(parent[key]) if value == "text" else value  # the number as text
+    with pytest.raises(ModelFormatError, match="must be a JSON number"):
+        model_from_dict(doc)
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(clf_csv)]) == 3
+    captured = capsys.readouterr()
+    assert "must be a JSON number" in captured.err and captured.out == ""
+
+
+def test_model_file_takes_feature_names_only_as_strings(tmp_path, clf_csv, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    text = model_path.read_text(encoding="utf-8")
+    doc = json.loads(text.replace('"x1"', '"7"'))  # a name that reads as a number ...
+    doc["feature_names"][0] = 7  # ... given as one
+    with pytest.raises(ModelFormatError, match="feature_names must be a JSON list of strings"):
+        model_from_dict(doc)
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["predict", "--model", str(model_path), "--data", str(clf_csv)]) == 3
+
+
+def test_model_file_takes_json_integers_as_numbers(tmp_path, clf_csv):
+    model_path = trained_model(tmp_path, clf_csv)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    doc["intercept"] = 1
+    doc["rules"][0]["weight"] = -2
+    doc["rules"][0]["propositions"][0]["threshold"] = 0
+    doc["standardizer"]["mean"] = [0, 0, 0]
+    doc["standardizer"]["scale"] = [1, 2, 3]
+    ensemble = model_from_dict(doc).ensemble
+    assert (ensemble.intercept, ensemble.rules[0].weight) == (1.0, -2.0)
+    assert ensemble.rules[0].propositions[0].threshold == 0.0
+    assert ensemble.standardizer.scale.tolist() == [1.0, 2.0, 3.0]
+
+
 @pytest.mark.parametrize("target", [None, "y"])
 def test_predict_rejects_incomplete_rows(tmp_path, clf_csv, target, capsys):
     model_path = trained_model(tmp_path, clf_csv)
@@ -865,6 +917,8 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"path": "a.csv", "target": "y", "task": "classification", "nmae": "a"}]},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3},
                   {"synthetic": "oblique", "n": 50, "d": 3, "seed": 1}]},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": []},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": []},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"

@@ -14,7 +14,6 @@ from obliquerules.evaluation import (
     INF,
     _aggregate_cells,
     CurvePoint,
-    MethodCurve,
     ProtocolConfig,
     bootstrap_split,
     derive_targets,
@@ -25,12 +24,8 @@ from obliquerules.evaluation import (
 
 
 def curve(pairs):
-    return MethodCurve(
-        points=tuple(
-            CurvePoint(complexity=c, test_risk=r, train_risk=0.0, r=i + 1)
-            for i, (c, r) in enumerate(pairs)
-        )
-    )
+    return tuple(CurvePoint(complexity=c, test_risk=r, train_risk=0.0, r=i + 1)
+                 for i, (c, r) in enumerate(pairs))
 
 
 finite_or_inf = st.one_of(
@@ -59,7 +54,7 @@ def test_risk_at_complexity_hand_examples():
 
 
 def test_operators_on_empty_curve():
-    empty = MethodCurve(points=())
+    empty = ()
     assert min_complexity_to_risk_target(empty, 1.0) == INF
     assert risk_at_complexity_target(empty, 100.0) == INF
 
@@ -95,7 +90,7 @@ def test_risk_at_complexity_selected_point_monotone(pairs, t1, t2):
 
     def chosen_complexity(target):
         best = -1
-        for p in c.points:
+        for p in c:
             if p.complexity <= target:
                 best = max(best, p.complexity)
         return best
@@ -171,7 +166,7 @@ def test_derive_targets_pools_points_across_repetitions():
 
 def test_derive_targets_rejects_empty():
     with pytest.raises(ValueError):
-        derive_targets([MethodCurve(points=())])
+        derive_targets([()])
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +506,16 @@ def test_config_validation():
     {"max_rules": True},
     {"sparsity_accept_delta": float("nan")},
     {"tgb_reg_grid": (float("nan"),)},
+    {"methods": ()},
+    {"tgb_reg_grid": ()},  # with tgb among the methods: its grid gives the targets
 ])
 def test_config_rejects_non_integer_counts_and_out_of_range_fields(field):
     with pytest.raises(ValueError):
         ProtocolConfig(**field)
+
+
+def test_config_takes_an_empty_grid_without_tgb():
+    assert ProtocolConfig(methods=("lltboost",), tgb_reg_grid=()).tgb_reg_grid == ()
 
 
 def test_config_defaults_match_protocol_constants():

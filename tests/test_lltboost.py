@@ -202,6 +202,50 @@ def test_split_keeps_two_fit_rows():
     assert fit_idx.size + val_idx.size == 3
 
 
+def reference_split(y, stratify, fraction, seed):
+    """(fit, val) of slices of seeded permutations: per class in class order if
+    ``stratify``, else of all rows; then rows move from the end of fit to val
+    while val is empty and fit has more than 2, and back while fit has fewer."""
+    rng = np.random.default_rng(seed)
+    if stratify:
+        zeros, ones = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
+        zeros, ones = zeros[rng.permutation(zeros.size)], ones[rng.permutation(ones.size)]
+        k0, k1 = round(fraction * zeros.size), round(fraction * ones.size)
+        val = zeros[:k0].tolist() + ones[:k1].tolist()
+        fit = zeros[k0:].tolist() + ones[k1:].tolist()
+    else:
+        perm = rng.permutation(y.size)
+        k = round(fraction * y.size)
+        val, fit = perm[:k].tolist(), perm[k:].tolist()
+    while not val and len(fit) > 2:
+        val.append(fit.pop())
+    while len(fit) < 2 and val:
+        fit.append(val.pop())
+    return sorted(fit), sorted(val)
+
+
+@pytest.mark.parametrize("y, stratify, fraction, seed, moved", [
+    ((np.arange(40) % 2).astype(float), True, 0.25, 3, False),
+    ((np.arange(30) < 7).astype(float), True, 0.25, 11, False),
+    (np.random.default_rng(0).normal(size=50), False, 0.2, 7, False),
+    (np.zeros(120), False, 0.25, 0, False),
+    (np.zeros(4), False, 0.1, 5, True),  # no row rounds into val: one moves there
+    (np.array([0.0, 1.0, 0.0]), True, 0.1, 2, True),
+    (np.zeros(3), False, 0.9, 0, True),  # every row rounds into val: two move back
+    (np.array([0.0, 1.0]), True, 0.9, 4, True),
+    (np.ones(2), True, 0.5, 1, True),
+], ids=["stratified-balanced", "stratified-skewed", "plain", "plain-large",
+        "plain-empty-val", "stratified-empty-val", "plain-short-fit",
+        "stratified-short-fit", "one-class-short-fit"])
+def test_split_returns_the_rows_of_seeded_permutation_slices(y, stratify, fraction, seed, moved):
+    fit_idx, val_idx = _validation_split(y.size, y, stratify, fraction, seed)
+    want_fit, want_val = reference_split(y, stratify, fraction, seed)
+    assert fit_idx.tolist() == want_fit and val_idx.tolist() == want_val
+    rounded = sum(round(fraction * np.sum(y == c)) for c in (0.0, 1.0)) if stratify \
+        else round(fraction * y.size)
+    assert (val_idx.size != rounded) == moved  # the edge loops ran where they should
+
+
 # ---------------------------------------------------------------------------
 # full fit
 # ---------------------------------------------------------------------------
