@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import ModuleType
 from typing import NamedTuple
@@ -168,11 +168,15 @@ class ProtocolConfig:
         check_integer_fields(
             self, {"repetitions": 1, "bootstrap_cap": 2, "master_seed": 0, "jobs": 1})
         lltboost.LLTConfig(**{name: getattr(self, name) for name in LEARNER_FIELDS})
+        if not isinstance(self.methods, (list, tuple)):
+            raise ValueError(f"methods must be a list of learner names, got {self.methods!r}")
         unknown = set(self.methods) - set(LEARNERS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if not self.methods:
             raise ValueError("methods must name at least one learner")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must not repeat a learner, got {self.methods!r}")
         grid = tuple(tgb.TGBConfig(reg_strength=v).reg_strength for v in self.tgb_reg_grid)
         if len(set(grid)) != len(grid):  # 0.0 == -0.0, so the two are one value
             raise ValueError(f"tgb_reg_grid must not repeat a value, got {self.tgb_reg_grid!r}")
@@ -182,16 +186,12 @@ class ProtocolConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-def _fmt_hyper(value: float) -> str:
-    return repr(float(value))
-
-
 def _method_variants(config: ProtocolConfig) -> list[tuple[str, str]]:
     out = []
     if "lltboost" in config.methods:
         out.append(("lltboost", "default"))
     if "tgb" in config.methods:
-        out.extend(("tgb", _fmt_hyper(reg)) for reg in config.tgb_reg_grid)
+        out.extend(("tgb", repr(float(reg))) for reg in config.tgb_reg_grid)
     return out
 
 
@@ -228,7 +228,7 @@ def _fit_tgb_grid(X, y, kind, config, fit_seed) -> dict:
                 traces.append(tgb.fit(X, y, replace(cfg, reg_strength=reg)))
             except Exception as exc:  # raised again by _fit_variant
                 traces.append(exc)
-    return {_fmt_hyper(reg): trace for reg, trace in zip(grid, traces)}
+    return {repr(float(reg)): trace for reg, trace in zip(grid, traces)}
 
 
 def _fit_variant(method, hyper, X, y, kind, config, fit_seed, tgb_traces):
@@ -245,7 +245,12 @@ def _fit_variant(method, hyper, X, y, kind, config, fit_seed, tgb_traces):
 
 
 def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: int):
-    """Fit every method variant on one bootstrap split; returns plain data."""
+    """Fit every method variant on one bootstrap split.
+
+    Returns the split's redraw count and one ``(curves by metric name,
+    seconds, error)`` per variant in ``_method_variants`` order; a failed fit
+    has empty curves, no seconds and its error's text.
+    """
     ss = np.random.SeedSequence([config.master_seed, d_idx, rep])
     split_seed, fit_seed = (int(v) for v in ss.generate_state(2))
     split = bootstrap_split(dataset.n_rows, split_seed, config.bootstrap_cap)
@@ -263,7 +268,7 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
     fit_kind = FIT_LOSS[dataset.task]
     metrics = _metrics_for(dataset.task)
 
-    fits = {}
+    fits = []
     tgb_traces = {}
     # stage id -> (stage, (test, train) risk per metric): the traces of grid
     # values whose fits agreed share stage objects, and each is scored once
@@ -271,13 +276,9 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
     for method, hyper in _method_variants(config):
         if method == "tgb" and not tgb_traces:
             tgb_traces = _fit_tgb_grid(X_train, y_train, fit_kind, config, fit_seed)
-        error = None
-        seconds = 0.0
-        curves: dict[str, tuple[CurvePoint, ...]] = {name: () for name, _ in metrics}
         try:
             trace = _fit_variant(method, hyper, X_train, y_train, fit_kind, config, fit_seed,
                                  tgb_traces)
-            seconds = trace.wall_time_seconds
             stages = trace.stages[1:]
             new = [stage for stage in stages if id(stage) not in risks]
             if new:
@@ -289,8 +290,8 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
                          float(np.mean(loss(metric_kind, y_train, s_tr))))
                         for _, metric_kind in metrics
                     ]
-            for m, (metric_name, _) in enumerate(metrics):
-                curves[metric_name] = tuple(
+            curves = {
+                metric_name: tuple(
                     CurvePoint(
                         complexity=stage.complexity,
                         test_risk=risks[id(stage)][1][m][0],
@@ -299,11 +300,14 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
                     )
                     for r, stage in enumerate(stages, 1)
                 )
+                for m, (metric_name, _) in enumerate(metrics)
+            }
+            fits.append((curves, trace.wall_time_seconds, None))
         except Exception as exc:  # recorded, never aborts the sweep
-            error = f"{type(exc).__name__}: {exc}"
-        fits[(method, hyper)] = {"curves": curves, "seconds": seconds, "error": error}
+            fits.append(({name: () for name, _ in metrics}, 0.0,
+                         f"{type(exc).__name__}: {exc}"))
 
-    return {"d_idx": d_idx, "rep": rep, "redraws": split.redraws, "fits": fits}
+    return split.redraws, fits
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +339,12 @@ def _jsonable(v):
 class BenchmarkReport:
     config: ProtocolConfig
     dataset_summaries: list[dict]
-    targets: dict  # dataset -> metric -> target provenance
-    complexity_rows: list[dict]
-    risk_rows: list[dict]
-    curve_rows: list[dict]  # flat, one per curve point
-    timing_rows: list[dict]
-    notes: list[str]
+    targets: dict = field(default_factory=dict)  # dataset -> metric -> target provenance
+    complexity_rows: list[dict] = field(default_factory=list)
+    risk_rows: list[dict] = field(default_factory=list)
+    curve_rows: list[dict] = field(default_factory=list)  # flat, one per curve point
+    timing_rows: list[dict] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         # wall-clock timings deliberately excluded: everything here is a
@@ -436,73 +440,53 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
     else:
         raw = [_run_repetition(*args) for args in tasks]
 
-    notes: list[str] = []
-    curve_rows: list[dict] = []
-    timing_rows: list[dict] = []
-    complexity_rows: list[dict] = []
-    risk_rows: list[dict] = []
-    targets: dict = {}
-
+    variants = _method_variants(config)
+    report = BenchmarkReport(config, [
+        {"name": d.name, "n_rows": d.n_rows, "n_features": d.n_features, "task": d.task.value}
+        for d in datasets
+    ])
+    notes = report.notes
     for d_idx, dataset in enumerate(datasets):
         reps = raw[d_idx * config.repetitions:(d_idx + 1) * config.repetitions]
-        for unit in reps:
-            if unit["redraws"]:
-                notes.append(
-                    f"{dataset.name} rep {unit['rep']}: empty out-of-bag sample, "
-                    f"re-drew split {unit['redraws']} time(s)"
-                )
-            for (method, hyper), fit in sorted(unit["fits"].items()):
-                if fit["error"]:
-                    notes.append(
-                        f"{dataset.name} rep {unit['rep']} {method}[{hyper}] "
-                        f"failed: {fit['error']} (recorded as inf)"
-                    )
-        metrics = _metrics_for(dataset.task)
-        variants = _method_variants(config)
+        for rep, (redraws, fits) in enumerate(reps):
+            if redraws:
+                notes.append(f"{dataset.name} rep {rep}: empty out-of-bag sample, "
+                             f"re-drew split {redraws} time(s)")
+            for (method, hyper), (_, _, error) in zip(variants, fits):
+                if error:
+                    notes.append(f"{dataset.name} rep {rep} {method}[{hyper}] "
+                                 f"failed: {error} (recorded as inf)")
+        metric_names = [name for name, _ in _metrics_for(dataset.task)]
 
-        # flat curve dump and timing aggregation over every variant
-        for method, hyper in variants:
+        # flat curve dump and timing aggregation over every variant; each
+        # (metric, variant)'s per-repetition curves are collected on the way
+        curves_by_metric = {name: {} for name in metric_names}
+        for (method, hyper), runs in zip(variants, zip(*(fits for _, fits in reps))):
+            key = {"dataset": dataset.name, "method": method, "hyper": hyper}
             # failed fits have no time; they count in neither the mean nor n_fits
-            seconds = [u["fits"][(method, hyper)]["seconds"] for u in reps
-                       if not u["fits"][(method, hyper)]["error"]]
-            timing_rows.append(
-                {
-                    "dataset": dataset.name,
-                    "method": method,
-                    "hyper": hyper,
-                    "mean_fit_seconds": float(np.mean(seconds)) if seconds else 0.0,
-                    "n_fits": len(seconds),
-                }
-            )
-            for u in reps:
-                for metric_name, _ in metrics:
-                    for p in u["fits"][(method, hyper)]["curves"][metric_name]:
-                        curve_rows.append(
-                            {
-                                "dataset": dataset.name,
-                                "method": method,
-                                "hyper": hyper,
-                                "metric": metric_name,
-                                "rep": u["rep"],
-                                "r": p.r,
-                                "complexity": p.complexity,
-                                "train_risk": p.train_risk,
-                                "test_risk": p.test_risk,
-                            }
-                        )
+            seconds = [t for _, t, error in runs if not error]
+            report.timing_rows.append({
+                **key, "mean_fit_seconds": float(np.mean(seconds)) if seconds else 0.0,
+                "n_fits": len(seconds)})
+            for name in metric_names:
+                curves_by_metric[name][(method, hyper)] = [curves[name] for curves, _, _ in runs]
+            for rep, (curves, _, _) in enumerate(runs):
+                for name in metric_names:
+                    report.curve_rows.extend(
+                        {**key, "metric": name, "rep": rep, "r": p.r, "complexity": p.complexity,
+                         "train_risk": p.train_risk, "test_risk": p.test_risk}
+                        for p in curves[name])
 
-        targets[dataset.name] = {}
-        for metric_name, _ in metrics:
-            curves_of = {variant: [u["fits"][variant]["curves"][metric_name] for u in reps]
-                         for variant in variants}
+        targets = report.targets[dataset.name] = {}
+        for metric_name in metric_names:
+            curves_of = curves_by_metric[metric_name]
             # oracle baseline hyperparameter: the grid value whose mean test
             # risk over all points of all repetitions is lowest
             mean_by_reg = {}
-            for method, hyper in variants:
-                if method != "tgb":
-                    continue
-                risks = [p.test_risk for c in curves_of[(method, hyper)] for p in c]
-                mean_by_reg[hyper] = float(np.mean(risks)) if risks else INF
+            for (method, hyper), curves in curves_of.items():
+                if method == "tgb":
+                    risks = [p.test_risk for c in curves for p in c]
+                    mean_by_reg[hyper] = float(np.mean(risks)) if risks else INF
             if not mean_by_reg or min(mean_by_reg.values()) == INF:
                 notes.append(
                     f"{dataset.name}/{metric_name}: no baseline curves; "
@@ -511,7 +495,7 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
                 continue
             oracle = min(mean_by_reg, key=lambda h: (mean_by_reg[h], float(h)))
             risk_target, complexity_target = derive_targets(curves_of[("tgb", oracle)])
-            targets[dataset.name][metric_name] = {
+            targets[metric_name] = {
                 "risk_target": risk_target,
                 "complexity_target": complexity_target,
                 "tgb_oracle_reg": oracle,
@@ -524,34 +508,15 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
                 key = {"dataset": dataset.name, "metric": metric_name,
                        "method": method, "hyper": hyper}
                 mins = [min_complexity_to_risk_target(c, risk_target) for c in curves]
-                complexity_rows.append({**key, "risk_target": risk_target,
-                                        **_aggregate_cells(mins, config.repetitions)})
+                report.complexity_rows.append({**key, "risk_target": risk_target,
+                                               **_aggregate_cells(mins, config.repetitions)})
                 if complexity_target != INF:
                     risks = [risk_at_complexity_target(c, complexity_target) for c in curves]
-                    risk_rows.append({**key, "complexity_target": complexity_target,
-                                      **_aggregate_cells(risks, config.repetitions)})
+                    report.risk_rows.append({**key, "complexity_target": complexity_target,
+                                             **_aggregate_cells(risks, config.repetitions)})
             if complexity_target == INF:
                 notes.append(
                     f"{dataset.name}/{metric_name}: baseline median complexity is inf; "
                     "risk-at-complexity table skipped"
                 )
-
-    summaries = [
-        {
-            "name": d.name,
-            "n_rows": d.n_rows,
-            "n_features": d.n_features,
-            "task": d.task.value,
-        }
-        for d in datasets
-    ]
-    return BenchmarkReport(
-        config=config,
-        dataset_summaries=summaries,
-        targets=targets,
-        complexity_rows=complexity_rows,
-        risk_rows=risk_rows,
-        curve_rows=curve_rows,
-        timing_rows=timing_rows,
-        notes=notes,
-    )
+    return report

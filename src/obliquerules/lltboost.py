@@ -46,15 +46,15 @@ class LLTConfig:
         object.__setattr__(self, "loss", LossKind(self.loss))
 
 
-def _weighted_sign_risk(prop: SparseProposition, X, rows, g, sgn) -> float:
-    """|g|-weighted 0/1 risk of the proposition predicting gradient signs."""
-    gv = g[rows]
-    labels = sgn * gv >= 0
-    return float(np.abs(gv)[prop.activations(X[rows]) != labels].sum())
+def _weighted_sign_risk(cover, g, sgn) -> float:
+    """|g|-weighted 0/1 risk of the boolean ``cover`` predicting gradient signs."""
+    return float(np.abs(g)[cover != (sgn * g >= 0)].sum())
 
 
-def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparseProposition | None:
-    """Best next proposition for the conjunction currently covering ``active``.
+def fit_proposition(active, X, g, cfg: LLTConfig,
+                    validation) -> tuple[SparseProposition, np.ndarray] | None:
+    """Best next proposition for the conjunction currently covering ``active``
+    and its boolean cover over all rows of ``X``; None if none gains.
 
     For each direction of the gradient-sign labeling, candidate weight vectors
     of increasing sparsity are fit; a denser candidate is only admitted while
@@ -65,46 +65,45 @@ def fit_proposition(active, X, g, cfg: LLTConfig, validation) -> SparsePropositi
     One L1 path serves both directions: relabeled 1 - z on the same weights |g|,
     the problem's solutions are (-w, -b), so ``from_dense(-w, threshold=-t)``.
     """
-    active = np.asarray(active, dtype=int)
-    validation = np.asarray(validation, dtype=int)
     ga = g[active]
     if not np.any(ga != 0):
         return None
     Xa = X[active]
-    s_cap = min(cfg.max_nonzeros, X.shape[1])
 
     if np.all(ga >= 0) or np.all(ga <= 0):
         # all active gradients share one sign: a condition on the first feature
         # that covers every active row attains the maximal objective
-        candidates = [SparseProposition(indices=(0,), weights=(1.0,),
-                                        threshold=float(Xa[:, 0].min()))]
+        prop = SparseProposition(indices=(0,), weights=(1.0,), threshold=float(Xa[:, 0].min()))
+        candidates = [(prop, prop.activations(X))]
     else:
         candidates = []
+        gv = g[validation]
         path = LambdaPath(WeightedBinaryProblem(Xa, (ga >= 0).astype(float), np.abs(ga)))
         for sgn in (1.0, -1.0):
             prev_risk = None
-            for s in range(1, s_cap + 1):
+            for s in range(1, min(cfg.max_nonzeros, X.shape[1]) + 1):
                 sol = path.for_sparsity(s)
                 if sol.nnz == 0:
                     # no path point with <= s nonzeros (features can enter in
                     # groups); a denser level may still be reachable
                     continue
                 prop = SparseProposition.from_dense(sgn * sol.weights, sgn * sol.threshold)
-                risk = _weighted_sign_risk(prop, X, validation, g, sgn)
+                cover = prop.activations(X)
+                risk = _weighted_sign_risk(cover[validation], gv, sgn)
                 if prev_risk is not None and not (
                         prev_risk > 0.0
                         and (prev_risk - risk) / prev_risk > cfg.sparsity_accept_delta):
                     break
-                candidates.append(prop)
+                candidates.append((prop, cover))
                 prev_risk = risk
 
     # iteration order realizes the tie-breaking; no objective ties the initial -1,
     # and an empty cover's objective 0 is no gain
     best, best_obj = None, -1.0
-    for prop in candidates:
-        obj = float(abs(ga @ prop.activations(Xa)))  # the gradient-sum objective |<g, q>|
-        if obj > best_obj or (obj == best_obj and prop.nnz < best.nnz):
-            best, best_obj = prop, obj
+    for prop, cover in candidates:
+        obj = float(abs(ga @ cover[active]))  # the gradient-sum objective |<g, q>|
+        if obj > best_obj or (obj == best_obj and prop.nnz < best[0].nnz):
+            best, best_obj = (prop, cover), obj
     return None if best_obj <= OBJECTIVE_TOLERANCE else best
 
 
@@ -115,16 +114,16 @@ def fit_conjunction(X, g, cfg: LLTConfig, active, validation) -> list[SparseProp
     body: list[SparseProposition] = []
     current_objective = 0.0
     for _ in range(cfg.max_propositions):
-        prop = fit_proposition(active, X, g, cfg, validation)
-        if prop is None:
+        found = fit_proposition(active, X, g, cfg, validation)
+        if found is None:
             break
-        inside = prop.activations(X)
-        new_active = active[inside[active]]
+        prop, cover = found
+        new_active = active[cover[active]]
         new_objective = float(abs(g[new_active] @ np.ones(new_active.size)))
         if new_objective <= current_objective + OBJECTIVE_TOLERANCE:
             break
         body.append(prop)
-        active, validation = new_active, validation[inside[validation]]
+        active, validation = new_active, validation[cover[validation]]
         current_objective = new_objective
     return body or None
 

@@ -122,7 +122,7 @@ def test_a2_gradient_objective_decomposes_into_weighted_sign_risk(verdict):
         sgn = float(rng.choice([-1.0, 1.0]))
 
         q = prop.activations(X)
-        lhs = sgn * float(g @ q) + _weighted_sign_risk(prop, X, np.arange(n), g, sgn)
+        lhs = sgn * float(g @ q) + _weighted_sign_risk(q, g, sgn)
         rhs = float(np.sum(np.maximum(sgn * g, 0.0)))
         worst = max(worst, abs(lhs - rhs))
     verdict(

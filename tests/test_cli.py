@@ -919,6 +919,8 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
                   {"synthetic": "oblique", "n": 50, "d": 3, "seed": 1}]},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": []},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": []},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": ["tgb", "tgb"]},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": "tgb"},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"

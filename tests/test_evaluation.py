@@ -285,6 +285,24 @@ def test_a_failing_grid_fit_is_recorded_as_inf_for_every_grid_value(monkeypatch)
     assert any("no baseline curves" in n for n in rep.notes)
 
 
+def test_failure_notes_follow_the_timing_row_order(monkeypatch):
+    # the grid's hyper strings sort "10.0" before "2.0"; the notes keep the grid order
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(tgb, "fit_grid", boom)
+    monkeypatch.setattr(lltboost, "fit", boom)
+    data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
+    rep = run_benchmark(data, small_config(repetitions=2, methods=("lltboost", "tgb"),
+                                           tgb_reg_grid=(2.0, 10.0)))
+    order = [(r["method"], r["hyper"]) for r in rep.timing_rows]
+    assert order == [("lltboost", "default"), ("tgb", "2.0"), ("tgb", "10.0")]
+    for r in range(2):
+        failed = [n for n in rep.notes if n.startswith(f"oblique rep {r} ")]
+        assert failed == [f"oblique rep {r} {method}[{hyper}] failed: RuntimeError: "
+                          "synthetic failure (recorded as inf)" for method, hyper in order]
+
+
 def test_mean_fit_seconds_averages_the_successful_fits_only(monkeypatch):
     fit_grid = tgb.fit_grid
     grid_calls = []
@@ -508,10 +526,21 @@ def test_config_validation():
     {"tgb_reg_grid": (float("nan"),)},
     {"methods": ()},
     {"tgb_reg_grid": ()},  # with tgb among the methods: its grid gives the targets
+    {"methods": ("tgb", "tgb", "lltboost")},
+    {"methods": "tgb"},
 ])
 def test_config_rejects_non_integer_counts_and_out_of_range_fields(field):
     with pytest.raises(ValueError):
         ProtocolConfig(**field)
+
+
+@pytest.mark.parametrize("methods, message", [
+    (("tgb", "tgb", "lltboost"), "methods must not repeat a learner"),
+    ("tgb", "methods must be a list of learner names"),
+])
+def test_config_names_the_fault_in_methods(methods, message):
+    with pytest.raises(ValueError, match=message):
+        ProtocolConfig(methods=methods)
 
 
 def test_config_takes_an_empty_grid_without_tgb():

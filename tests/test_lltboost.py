@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliquerules import sparse_logreg
+from obliquerules import lltboost, sparse_logreg
 from obliquerules.core import SparseProposition
 from obliquerules.datasets import make_oblique, make_rotated_box, make_staircase
 from obliquerules.losses import LossKind, loss
@@ -65,8 +65,7 @@ def test_single_feature_threshold_recovery():
     g = np.array([-1.0, -1.0, 2.0, 2.0])
     cfg = LLTConfig(max_nonzeros=3)
     active = np.arange(4)
-    prop = fit_proposition(active, X, g, cfg, active)
-    assert prop is not None
+    prop, _ = fit_proposition(active, X, g, cfg, active)
     assert prop.indices == (0,)
     assert prop.weights[0] > 0
     assert np.array_equal(prop.activations(X), [0.0, 0.0, 1.0, 1.0])
@@ -78,8 +77,7 @@ def test_sign_tie_prefers_positive_direction():
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     cfg = LLTConfig()
     active = np.arange(4)
-    prop = fit_proposition(active, X, g, cfg, active)
-    assert prop is not None
+    prop, _ = fit_proposition(active, X, g, cfg, active)
     assert prop.weights[0] > 0  # covers the positive-gradient rows
 
 
@@ -90,8 +88,7 @@ def test_oblique_beats_axis_aligned():
     g = np.array([1.0, 1.0, -1.0, -1.0])
     cfg = LLTConfig(max_nonzeros=2)
     active = np.arange(4)
-    prop = fit_proposition(active, X, g, cfg, active)
-    assert prop is not None
+    prop, _ = fit_proposition(active, X, g, cfg, active)
     assert prop.nnz == 2
     assert np.array_equal(prop.activations(X), [1.0, 1.0, 0.0, 0.0])
 
@@ -102,8 +99,7 @@ def test_single_active_example_gets_covered():
     g = rng.normal(size=30)
     g[17] = 2.5
     cfg = LLTConfig()
-    prop = fit_proposition(np.array([17]), X, g, cfg, np.array([], dtype=int))
-    assert prop is not None
+    prop, _ = fit_proposition(np.array([17]), X, g, cfg, np.array([], dtype=int))
     assert prop.activations(X[17])[0] == 1
 
 
@@ -122,9 +118,9 @@ def test_nonzero_budget_respected():
         g = rng.normal(size=60)
         cfg = LLTConfig(max_nonzeros=2, sparsity_accept_delta=0.0)
         active = np.arange(60)
-        prop = fit_proposition(active, X, g, cfg, active)
-        if prop is not None:
-            assert prop.nnz <= 2
+        found = fit_proposition(active, X, g, cfg, active)
+        if found is not None:
+            assert found[0].nnz <= 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,8 +135,11 @@ def test_a_proposition_always_covers_an_active_row(seed, n, d, max_nonzeros, del
     inside = rng.random(n) < 0.7
     active, validation = np.flatnonzero(inside), np.flatnonzero(~inside)
     cfg = LLTConfig(max_nonzeros=max_nonzeros, sparsity_accept_delta=delta)
-    prop = fit_proposition(active, X, g, cfg, validation)
-    assert prop is None or prop.activations(X[active]).any()
+    found = fit_proposition(active, X, g, cfg, validation)
+    if found is not None:
+        prop, cover = found
+        assert prop.activations(X[active]).any()
+        assert np.array_equal(cover, prop.activations(X))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +171,39 @@ def test_conjunction_none_for_zero_gradient():
     cfg = LLTConfig()
     active = np.arange(15)
     assert fit_conjunction(X, np.zeros(15), cfg, active, active) is None
+
+
+def test_conjunction_evaluates_each_candidate_once(monkeypatch):
+    # each candidate the L1 path yields is evaluated once, over all rows; that
+    # cover gives the validation risk, the objective and the narrowed rows
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(120, 5))
+    g = rng.normal(size=120)
+    from_dense, activations = SparseProposition.from_dense.__func__, SparseProposition.activations
+    produced, evaluated, found = [], [], []
+
+    def counted_from_dense(cls, w, threshold):
+        produced.append(from_dense(cls, w, threshold))
+        return produced[-1]
+
+    def counted_activations(prop, Z):
+        evaluated.append(prop)
+        return activations(prop, Z)
+
+    def recorded(*args):
+        found.append(fit_proposition(*args))
+        return found[-1]
+
+    monkeypatch.setattr(SparseProposition, "from_dense", classmethod(counted_from_dense))
+    monkeypatch.setattr(SparseProposition, "activations", counted_activations)
+    monkeypatch.setattr(lltboost, "fit_proposition", recorded)
+    body = fit_conjunction(X, g, LLTConfig(max_propositions=4), np.arange(90),
+                           np.arange(90, 120))
+    monkeypatch.undo()
+    assert body is not None and len(produced) > len(found) > 1
+    assert [id(p) for p in evaluated] == [id(p) for p in produced]
+    for prop, cover in filter(None, found):
+        assert np.array_equal(cover, prop.activations(X))
 
 
 # ---------------------------------------------------------------------------
