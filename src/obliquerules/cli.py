@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -29,7 +28,7 @@ from .datasets import (
 )
 from .evaluation import LEARNERS, ProtocolConfig, learner_config, run_benchmark
 from .losses import FIT_LOSS, loss
-from .serialize import ModelFile, ModelFormatError, load_model, save_model
+from .serialize import ModelFile, ModelFormatError, load_model, read_json, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -101,16 +100,14 @@ def _parse_task(text: str) -> Task:
         ) from None
 
 
-def _read_json(path, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: not valid JSON: {exc}") from None
+def _read_config(path, keys) -> dict:
+    """The JSON object in config file ``path``, which may use only ``keys``."""
+    doc = read_json(path, UsageError)
     if not isinstance(doc, dict):
-        raise UsageError(f"{path}: {what} must be a JSON object")
+        raise UsageError(f"{path}: config must be a JSON object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
     return doc
 
 
@@ -158,19 +155,14 @@ def _train_config(args, task: Task):
 
     Every learner's config is built, so that a key only another method reads is checked too.
     """
-    settings = {}
-    if args.config:
-        settings = _read_json(args.config, "config")
-        unknown = set(settings) - set(TRAIN_FIELDS)
-        if unknown:
-            raise UsageError(f"{args.config}: unknown config keys {sorted(unknown)}")
+    settings = _read_config(args.config, TRAIN_FIELDS) if args.config else {}
     for key in TRAIN_FIELDS:  # explicit flags override file values
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
     fields = {TRAIN_FIELDS[key]: value for key, value in settings.items()}
     try:
         configs = {m: learner_config(m, loss=FIT_LOSS[task], **fields) for m in LEARNERS}
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     return configs[args.method], configs["lltboost"].seed
 
@@ -286,18 +278,11 @@ def _dataset_from_spec(spec: dict, position: int) -> Dataset:
 
 
 def _cmd_benchmark(args) -> int:
-    doc = _read_json(args.config, "protocol config")
+    keys = (set(ProtocolConfig.__dataclass_fields__) - {"jobs"}) | {"datasets"}
+    doc = _read_config(args.config, keys)
     specs = doc.pop("datasets", None)
     if not specs or not isinstance(specs, list):
         raise UsageError(f"{args.config}: 'datasets' must be a non-empty list")
-    allowed = set(ProtocolConfig.__dataclass_fields__) - {"jobs"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise UsageError(f"{args.config}: unknown config keys {sorted(unknown)}")
-    doc = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in doc.items()
-    }
     try:
         config = ProtocolConfig(jobs=args.jobs, **doc)
     except (TypeError, ValueError) as exc:

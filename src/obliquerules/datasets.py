@@ -87,23 +87,41 @@ def _reject_repeated(path, header, names) -> None:
             raise DataError(f"{path}: column {name!r} appears {counts[name]} times in the header")
 
 
-def _parse_floats(path, line_no: int, cells, columns, header) -> list[float]:
-    """The finite numbers in ``columns`` of one row's ``cells``."""
-    values = []
-    for i in columns:
-        try:
-            values.append(float(cells[i]))
-        except ValueError:
-            raise DataError(
-                f"{path}:{line_no}: non-numeric value {cells[i]!r} in column {header[i]!r}"
-            ) from None
-        if not math.isfinite(values[-1]):
-            raise DataError(
-                f"{path}:{line_no}: non-finite value {cells[i]!r} in column {header[i]!r}")
-    return values
+_MISSING = "missing cell; rows given to predict must be complete"
 
 
-def _target_values(path, rows, j, column: str, task: Task, label_names=()):
+def _numbers(path, header, records, columns, what: str) -> np.ndarray:
+    """The finite numbers in ``columns`` of ``records``, one row per record.
+
+    A missing, non-numeric or non-finite cell is reported with its line number.
+    """
+    rows = []
+    for line_no, cells in records:
+        if any(cells[i] == "" for i in columns):
+            raise DataError(f"{path}:{line_no}: {_MISSING}")
+        row = []
+        for i in columns:
+            try:
+                row.append(float(cells[i]))
+            except ValueError:
+                raise DataError(f"{path}:{line_no}: non-numeric {what} {cells[i]!r} "
+                                f"in column {header[i]!r}") from None
+            if not math.isfinite(row[-1]):
+                raise DataError(f"{path}:{line_no}: non-finite {what} {cells[i]!r} "
+                                f"in column {header[i]!r}")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(records), len(columns))
+
+
+def _target_index(path, header, target_column: str) -> int:
+    """The index of ``target_column``, which ``header`` must hold once."""
+    if target_column not in header:
+        raise DataError(f"{path}: target column {target_column!r} not in header")
+    _reject_repeated(path, header, [target_column])
+    return header.index(target_column)
+
+
+def _target_values(path, header, rows, j, task: Task, label_names=()):
     """Column ``j`` of ``rows`` as targets, and the labels behind 0/1.
 
     Regression targets must be finite numbers.  Classification labels map to
@@ -111,33 +129,24 @@ def _target_values(path, rows, j, column: str, task: Task, label_names=()):
     labels found, in sorted order.
     """
     if task is Task.REGRESSION:
-        y = np.empty(len(rows))
-        for k, (line_no, cells) in enumerate(rows):
-            try:
-                y[k] = float(cells[j])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{line_no}: non-numeric regression "
-                    f"target {cells[j]!r} in column {column!r}"
-                ) from None
-            if not math.isfinite(y[k]):
-                raise DataError(
-                    f"{path}:{line_no}: non-finite target {cells[j]!r} in column {column!r}")
-        return y, ()
-    names = tuple(label_names) or tuple(sorted({cells[j] for _, cells in rows}))
+        return _numbers(path, header, rows, [j], "target")[:, 0], ()
+    labels = [cells[j] for _, cells in rows]
+    if "" in labels:  # only load_rows keeps a row with a missing cell
+        raise DataError(f"{path}:{rows[labels.index('')][0]}: {_MISSING}")
+    names = tuple(label_names) or tuple(sorted(set(labels)))
     if len(names) != 2:
         raise DataError(
             f"{path}: classification target needs exactly 2 distinct labels, "
             f"found {len(names)}"
         )
     mapping = {names[0]: 0.0, names[1]: 1.0}
-    for line_no, cells in rows:
-        if cells[j] not in mapping:
+    for (line_no, _), label in zip(rows, labels):
+        if label not in mapping:
             raise DataError(
-                f"{path}:{line_no}: label {cells[j]!r} in column {column!r} "
+                f"{path}:{line_no}: label {label!r} in column {header[j]!r} "
                 f"is not one of {list(names)}"
             )
-    return np.array([mapping[cells[j]] for _, cells in rows]), names
+    return np.array([mapping[label] for label in labels]), names
 
 
 def load_csv(path, target_column: str, task) -> Dataset:
@@ -153,23 +162,18 @@ def load_csv(path, target_column: str, task) -> Dataset:
     path = Path(path)
     header, records = _read_table(path)
     _reject_repeated(path, header, header)
-    if target_column not in header:
-        raise DataError(f"{path}: target column {target_column!r} not in header")
-    target_idx = header.index(target_column)
+    target_idx = _target_index(path, header, target_column)
     feature_idx = [i for i in range(len(header)) if i != target_idx]
-    feature_names = tuple(header[i] for i in feature_idx)
 
     kept = [(line_no, cells) for line_no, cells in records if "" not in cells]
-    X = np.array(
-        [_parse_floats(path, line_no, cells, feature_idx, header) for line_no, cells in kept]
-    )
+    X = _numbers(path, header, kept, feature_idx, "value")
     if len(kept) < 2:
         raise DataError(f"{path}: fewer than two usable rows")
 
-    y, label_names = _target_values(path, kept, target_idx, target_column, task)
+    y, label_names = _target_values(path, header, kept, target_idx, task)
     return Dataset(
         name=path.stem,
-        feature_names=feature_names,
+        feature_names=tuple(header[i] for i in feature_idx),
         X=X,
         y=y,
         task=task,
@@ -193,30 +197,13 @@ def load_rows(path, feature_names, target_column=None, task=None, label_names=()
     if missing:
         raise DataError(f"{path}: missing feature column(s) {missing}")
     _reject_repeated(path, header, feature_names)
-    cols = [index_of[n] for n in feature_names]
-    rows = []
-    for line_no, cells in records:
-        if any(cells[j] == "" for j in cols):
-            raise DataError(
-                f"{path}:{line_no}: missing cell; rows given to predict must be complete"
-            )
-        rows.append(_parse_floats(path, line_no, cells, cols, header))
-    if not rows:
+    X = _numbers(path, header, records, [index_of[n] for n in feature_names], "value")
+    if not records:
         raise DataError(f"{path}: no data rows")
-    X = np.asarray(rows, dtype=float)
     if target_column is None:
         return X, None
-    if target_column not in header:
-        raise DataError(f"{path}: target column {target_column!r} not in header")
-    _reject_repeated(path, header, [target_column])
-    j = index_of[target_column]
-    for line_no, cells in records:
-        if cells[j] == "":
-            raise DataError(
-                f"{path}:{line_no}: missing cell; rows given to predict must be complete"
-            )
-    y, _ = _target_values(path, records, j, target_column, Task(task), label_names)
-    return X, y
+    j = _target_index(path, header, target_column)
+    return X, _target_values(path, header, records, j, Task(task), label_names)[0]
 
 
 def write_csv(dataset: Dataset, path, target_column: str = "target"):

@@ -168,8 +168,9 @@ class ProtocolConfig:
         check_integer_fields(
             self, {"repetitions": 1, "bootstrap_cap": 2, "master_seed": 0, "jobs": 1})
         lltboost.LLTConfig(**{name: getattr(self, name) for name in LEARNER_FIELDS})
-        if not isinstance(self.methods, (list, tuple)):
-            raise ValueError(f"methods must be a list of learner names, got {self.methods!r}")
+        for name, items in (("methods", "learner names"), ("tgb_reg_grid", "numbers")):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list of {items}, got {getattr(self, name)!r}")
         unknown = set(self.methods) - set(LEARNERS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -162,13 +162,16 @@ def save_model(model: ModelFile, path) -> None:
         handle.write("\n")
 
 
-def load_model(path) -> ModelFile:
-    path = Path(path)
+def read_json(path, error: type[Exception]):
+    """The document in JSON file ``path``; ``error`` if it cannot be read or parsed."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+        raise error(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nested too deep
+        raise error(f"{path}: not valid JSON: {exc}") from None
+
+
+def load_model(path) -> ModelFile:
+    return model_from_dict(read_json(Path(path), ModelFormatError))

@@ -48,6 +48,7 @@ splits, and the traces stay bit for bit those of separate fits.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import NamedTuple
@@ -77,7 +78,7 @@ class TGBConfig:
     def __post_init__(self):
         check_integer_fields(self, {"max_rules": 1, "max_propositions": 1})
         reg = self.reg_strength
-        if isinstance(reg, bool) or not 0.0 <= reg < np.inf:  # TypeError for a non-number
+        if isinstance(reg, bool) or not 0.0 <= reg <= sys.float_info.max:  # non-number: TypeError
             raise ValueError(f"reg_strength must be a finite number >= 0, got {reg!r}")
         object.__setattr__(self, "reg_strength", float(reg))
         object.__setattr__(self, "loss", LossKind(self.loss))

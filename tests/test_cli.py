@@ -921,6 +921,8 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": []},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": ["tgb", "tgb"]},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": "tgb"},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": "10"},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": 5},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"
@@ -928,6 +930,54 @@ def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     assert main(["benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def _config_command(command, config, data, out):
+    """Argument list of ``train`` (on ``data``) or ``benchmark``, reading ``config``."""
+    if command == "train":
+        return ["train", "--data", str(data), "--target", "y", "--task", "clf",
+                "--method", "tgb", "--config", str(config), "--out", str(out)]
+    return ["benchmark", "--config", str(config), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, clf_csv, command, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b'{"seed": 1, "note": "caf\xe9"}')  # a raw Latin-1 byte
+    out = tmp_path / "out"
+    assert main(_config_command(command, config, clf_csv, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: not valid JSON") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_config_number_too_large_for_a_double_is_usage_error(tmp_path, clf_csv, command,
+                                                             capsys):
+    huge = "1" + "0" * 400  # JSON reads it as an exact Python int
+    text = ('{"reg": %s}' if command == "train" else
+            '{"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": [%s]}')
+    config = tmp_path / "cfg.json"
+    config.write_text(text % huge, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(_config_command(command, config, clf_csv, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "reg_strength must be a finite number" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [("print", 3), ("benchmark", 2)])
+def test_json_file_nested_too_deep_is_a_typed_error(tmp_path, command, code, capsys):
+    # the decoder gives up on deep nesting with a RecursionError, not a ValueError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = (["print", "--model", str(deep)] if command == "print" else
+            ["benchmark", "--config", str(deep), "--out", str(tmp_path / "o")])
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: not valid JSON") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

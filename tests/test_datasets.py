@@ -104,7 +104,7 @@ def test_non_numeric_feature_cell_raises_with_line_number(tmp_path):
 
 def test_non_numeric_regression_target_raises(tmp_path):
     p = write(tmp_path, "a,y\n1,2\n3,high\n")
-    with pytest.raises(DataError, match=r":3:"):
+    with pytest.raises(DataError, match=r"data.csv:3: non-numeric target 'high' in column 'y'"):
         load_csv(p, "y", Task.REGRESSION)
 
 
@@ -165,6 +165,20 @@ def test_rows_report_a_feature_fault_before_a_target_fault(tmp_path):
     p = write(tmp_path, "a,y\n1,\n2,0.5\nx,0.5\n")
     with pytest.raises(DataError, match=r"data.csv:4: non-numeric value 'x' in column 'a'"):
         load_rows(p, ("a",), "y", Task.REGRESSION)
+
+
+@pytest.mark.parametrize("target, task", [("r", Task.REGRESSION), ("c", Task.CLASSIFICATION)])
+def test_rows_read_a_complete_csv_as_load_csv_does(tmp_path, target, task):
+    # "10" sorts before "9" as a label, and is the larger number as a feature
+    rng = np.random.default_rng(3)
+    lines = ["a,r,b,c"] + [f"{a!r},{r!r},{b!r},{c}" for a, r, b, c in zip(
+        rng.normal(size=30).tolist(), (rng.normal(size=30) * 1e3).tolist(),
+        (rng.normal(size=30) / 7).tolist(), rng.choice(["9", "10"], size=30))]
+    p = write(tmp_path, "\n".join(lines) + "\n")
+    ds = load_csv(p, target, task)
+    X, y = load_rows(p, ds.feature_names, target, task, ds.label_names)
+    assert X.tobytes() == ds.X.tobytes() and X.shape == ds.X.shape
+    assert y.tobytes() == ds.y.tobytes() and y.shape == ds.y.shape
 
 
 def test_round_trip_preserves_arrays(tmp_path):

@@ -528,6 +528,8 @@ def test_config_validation():
     {"tgb_reg_grid": ()},  # with tgb among the methods: its grid gives the targets
     {"methods": ("tgb", "tgb", "lltboost")},
     {"methods": "tgb"},
+    {"tgb_reg_grid": "10"},
+    {"tgb_reg_grid": 5},
 ])
 def test_config_rejects_non_integer_counts_and_out_of_range_fields(field):
     with pytest.raises(ValueError):
@@ -541,6 +543,12 @@ def test_config_rejects_non_integer_counts_and_out_of_range_fields(field):
 def test_config_names_the_fault_in_methods(methods, message):
     with pytest.raises(ValueError, match=message):
         ProtocolConfig(methods=methods)
+
+
+@pytest.mark.parametrize("grid", ["10", 5])
+def test_config_names_the_fault_in_a_grid_that_is_not_a_list(grid):
+    with pytest.raises(ValueError, match=rf"^tgb_reg_grid must be a list of numbers, got {grid!r}$"):
+        ProtocolConfig(tgb_reg_grid=grid)
 
 
 def test_config_takes_an_empty_grid_without_tgb():

@@ -1,6 +1,7 @@
 """Tests for the axis-parallel boosting baseline."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -607,10 +608,15 @@ def test_config_rejects_non_integer_counts(field, value):
         TGBConfig(**{field: value})
 
 
-@pytest.mark.parametrize("reg", [math.nan, math.inf, -math.inf, -1, True])
+@pytest.mark.parametrize("reg", [math.nan, math.inf, -math.inf, -1, True,
+                                 pytest.param(10**400, id="int_too_large_for_a_double")])
 def test_config_rejects_non_finite_or_negative_reg_strength(reg):
     with pytest.raises(ValueError, match="reg_strength"):
         TGBConfig(reg_strength=reg)
+
+
+def test_config_takes_the_largest_double_as_reg_strength():
+    assert TGBConfig(reg_strength=sys.float_info.max).reg_strength == sys.float_info.max
 
 
 def test_config_stores_reg_strength_as_float():
