@@ -15,16 +15,20 @@ Each tree is imported in its own fresh interpreter, which writes:
   the logistic refit splits its row groups by up to 60 covers; and one
   on a bootstrap resample of make_staircase(n=2000, d=8) with a constant
   ninth column appended, so that duplicated rows tie every column of the
-  presort and one feature offers no threshold at all; and of one more
-  logistic lltboost fit (seed 1) on 500 rows drawn with replacement from
-  make_oblique(n=1000, d=6, seed=0), as the protocol draws them; every
-  stage also carries the sha256 of its ``decision_function`` scores on a
-  fixed block of 40,000 raw rows from make_oblique (seed 10) of the fit's
-  width, followed by 200 of those rows moved onto the hyperplane of each
-  proposition of the fit's final stage.  On a hyperplane the rounding of a
-  projection decides the cover, so a projection that rounds differently,
-  as a dense oblique one can, changes the hash.  The block is not a
-  multiple of ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary.
+  presort and one feature offers no threshold at all; and of ten more
+  logistic lltboost fits: one (seed 1) on 500 rows drawn with replacement
+  from make_oblique(n=1000, d=6, seed=0), as the protocol draws them, and
+  nine of the default config on noise-free make_oblique, make_rotated_box
+  and make_staircase (n=500, d=6, noise=0, seeds 0-2), on which one gradient
+  sign of a proposition's active rows can carry only a rounding-level mass
+  (make_oblique seed 1 meets one of 5e-13); every stage also carries the
+  sha256 of its ``decision_function`` scores on a fixed block of 40,000 raw
+  rows from make_oblique (seed 10) of the fit's width, followed by 200 of
+  those rows moved onto the hyperplane of each proposition of the fit's
+  final stage.  On a hyperplane the rounding of a projection decides the
+  cover, so a projection that rounds differently, as a dense oblique one
+  can, changes the hash.  The block is not a multiple of
+  ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary.
   For the two tgb fits whose columns tie (the rounded and the bootstrap
   one), the key ``presort/<fit key>`` holds the sha256 of the orders that
   ``tgb._stable_orders`` returns over the standardized training rows (alone,
@@ -33,14 +37,15 @@ Each tree is imported in its own fresh interpreter, which writes:
   the key ``l1/<fit key>`` holds the sha256 of every solution that
   ``LambdaPath.for_sparsity`` returned during the fit, with its sparsity
   level, so that a change of an L1 solution shows even where no final model
-  keeps it.  The 13 lltboost fits run 1294 L1 solves on their paths: 1280
-  at knots, 12 after a far jump halved lam and 2 after a halfway step, so
-  both fallbacks of the walk are covered (the halfway steps come from the
-  bootstrap fit).  For each tgb fit, the key ``scan/<fit key>`` holds the
-  sha256 of every answer of ``tgb.best_axis_proposition`` during the fit
-  (feature, direction, and the hex of threshold and score, or None), so that
-  a change of an axis scan shows even where no final model keeps it (a
-  scan that answers for several reg strengths adds each answer in turn);
+  keeps it.  The 22 lltboost fits run 2243 L1 solves on their paths: 2147
+  at knots, 56 after a far jump halved lam and 40 after a halfway step, so
+  both fallbacks of the walk are covered (2 of the halfway steps come from
+  the bootstrap fit, 38 from the noise-free ones).  For each tgb fit, the
+  key ``scan/<fit key>`` holds the sha256 of every answer of
+  ``tgb.best_axis_proposition`` during the fit (feature, direction, and the
+  hex of threshold and score, or None), so that a change of an axis scan
+  shows even where no final model keeps it (a scan that answers for several
+  reg strengths adds each answer in turn);
 - report.json and the three result CSVs of a small run_benchmark run on the
   default 7-value tgb grid, over two classification datasets and one
   regression dataset, so that the grid is fitted under logistic and under
@@ -213,14 +218,22 @@ def write_outputs(out: Path) -> None:
                     else:
                         fits[f"scan/{key}"] = _scan_digest(scans)
     # a bootstrap sample, as the protocol fits, on which the path walk takes
-    # halfway steps
+    # halfway steps, and noise-free samples, on which one gradient sign can
+    # carry only a rounding-level mass
     boot = make_oblique(n=1000, d=6, seed=0)
     rows = np.random.default_rng(1).integers(0, boot.X.shape[0], size=500)
-    key = "boot/make_oblique_bootstrap/seed1/logistic/obliquerules.lltboost"
-    answers.clear()
-    trace = lltboost.fit(boot.X[rows], boot.y[rows], lltboost.LLTConfig(seed=1))
-    fits[key] = _fit_doc(trace, blocks[6])
-    fits[f"l1/{key}"] = _l1_digest(answers)
+    lltboost_fits = [("boot/make_oblique_bootstrap/seed1/logistic/obliquerules.lltboost",
+                      boot.X[rows], boot.y[rows], lltboost.LLTConfig(seed=1))]
+    for make in (make_oblique, make_rotated_box, make_staircase):
+        for seed in (0, 1, 2):
+            clean = make(n=500, d=6, noise=0.0, seed=seed)
+            lltboost_fits.append((f"clean/{make.__name__}_noise0/seed{seed}/logistic/"
+                                  "obliquerules.lltboost", clean.X, clean.y, lltboost.LLTConfig()))
+    for key, X, y, cfg in lltboost_fits:
+        answers.clear()
+        trace = lltboost.fit(X, y, cfg)
+        fits[key] = _fit_doc(trace, blocks[6])
+        fits[f"l1/{key}"] = _l1_digest(answers)
     tied = make_staircase(n=2000, d=8, seed=0)
     deep = make_oblique(n=1000, d=6, seed=2)
     wide = make_oblique(n=2000, d=6, noise=0.2, seed=3)

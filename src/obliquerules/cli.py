@@ -254,19 +254,17 @@ def _cmd_print(args) -> int:
 def _dataset_from_spec(spec: dict, position: int) -> Dataset:
     if not isinstance(spec, dict):
         raise UsageError(f"datasets[{position}] must be a JSON object")
-    synthetic = "synthetic" in spec
-    extra = set(spec) - ({"synthetic", "n", "d", "noise", "seed"} if synthetic
-                         else {"path", "target", "task", "name"})
-    if extra:
-        raise UsageError(f"datasets[{position}]: unknown keys {sorted(extra)}")
-    if synthetic:
+    if "synthetic" in spec:
         name = spec["synthetic"]
         if not isinstance(name, str) or name not in SYNTHETIC_GENERATORS:
             raise UsageError(
                 f"datasets[{position}]: unknown synthetic generator {name!r}; "
                 f"available: {sorted(SYNTHETIC_GENERATORS)}"
             )
+        # the generator's signature rejects any other key
         return _synthesize(name, **{k: v for k, v in spec.items() if k != "synthetic"})
+    if extra := set(spec) - {"path", "target", "task", "name"}:
+        raise UsageError(f"datasets[{position}]: unknown keys {sorted(extra)}")
     for key in ("path", "target", "task"):
         if key not in spec:
             raise UsageError(f"datasets[{position}]: missing key {key!r}")
@@ -314,7 +312,7 @@ def _cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def _synthesize(generator: str, **spec) -> Dataset:
+def _synthesize(generator: str, /, **spec) -> Dataset:
     try:
         return SYNTHETIC_GENERATORS[generator](**spec)
     except (TypeError, ValueError, DataError) as exc:

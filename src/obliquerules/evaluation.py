@@ -7,14 +7,6 @@ medians with order-statistic confidence intervals.  All randomness flows
 from per-(dataset, repetition) seeds derived from one master seed, so serial
 and parallel runs produce identical reports; wall-clock timings are kept in
 a separate table for the same reason.
-
-Each repetition fits the axis-parallel baseline's whole regularization grid
-in one ``tgb.fit`` call (``tgb.fit_grid`` underneath), whose traces are bit
-for bit those of one ``tgb.fit`` per grid value.  If that call raises, each
-grid value is fitted on its own, so an error fails only the values whose own
-fit raises it.  The timing table's seconds of a grid value are the grid
-call's time divided by the number of grid values, and average over the
-repetitions whose fit succeeded.
 """
 
 from __future__ import annotations
@@ -215,8 +207,11 @@ def _variant_config(method, kind, config, fit_seed):
 def _fit_tgb_grid(X, y, kind, config, fit_seed) -> dict:
     """The trace of every ``tgb`` grid value, or the error its fit raised, by hyper.
 
-    The grid is one ``tgb.fit`` call; if that raises, each value is fitted on
-    its own, so that an error costs only the values whose own fit raises it.
+    The grid is one ``tgb.fit`` call (``tgb.fit_grid`` underneath), whose
+    traces are bit for bit those of one ``tgb.fit`` per grid value, and each
+    value's seconds are the call's time divided by the number of values.  If
+    that call raises, each value is fitted on its own, so that an error costs
+    only the values whose own fit raises it.
     """
     cfg = _variant_config("tgb", kind, config, fit_seed)
     grid = config.tgb_reg_grid

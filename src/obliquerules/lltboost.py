@@ -66,13 +66,14 @@ def fit_proposition(active, X, g, cfg: LLTConfig,
     the problem's solutions are (-w, -b), so ``from_dense(-w, threshold=-t)``.
     """
     ga = g[active]
-    if not np.any(ga != 0):
+    if not ga.size:
         return None
     Xa = X[active]
 
-    if np.all(ga >= 0) or np.all(ga <= 0):
-        # all active gradients share one sign: a condition on the first feature
-        # that covers every active row attains the maximal objective
+    if min(ga[ga > 0].sum(), -ga[ga < 0].sum()) <= OBJECTIVE_TOLERANCE:
+        # one sign holds at most the tolerance m of |g| mass, so there is nothing to
+        # separate: no cover gains more than the other sign's M, and a condition on the
+        # first feature covering every active row gains M - m (0 if g vanishes there)
         prop = SparseProposition(indices=(0,), weights=(1.0,), threshold=float(Xa[:, 0].min()))
         candidates = [(prop, prop.activations(X))]
     else:

@@ -5,45 +5,13 @@ exhaustive scan.  The rest is ``boost``, the boosting loop that the oblique
 learner runs too, so the two are directly comparable at equal rule counts.
 
 The scan never sorts.  A fit sorts every column of the standardized
-features once, stably, into ``orders`` (shape ``(d, n)``; row ``j`` lists
-the row indices in ascending order of feature ``j``, ties in ascending row
-order), and each conjunction filters that array down to the rows still
-inside it - the presorted columns of SLIQ (Mehta, Agrawal & Rissanen, EDBT
-1996) and of exact greedy split finding in XGBoost (Chen & Guestrin, KDD
-2016, section 4.1).  The sort lives in ``fit``, not in the conjunction,
-because the first scan of every conjunction covers all rows; so do that
-scan's sorted values and tie mask.  Filtering keeps the stable order of the
-remaining rows, so every scan sums the same gradients in the same order as a
-fresh stable sort would, bit for bit.
-
-``_stable_orders`` builds that sort column by column with the fast unstable
-sort, then repairs only columns with equal values: it numbers the groups of
-equal sorted values and sorts once more by the distinct key ``group * n +
-row``, which orders by value first and row second - the stable order.
-
-One scan of a column is one pass of prefix sums.  Split position ``k`` of
-the ``n_act`` sorted active rows puts the first ``k + 1`` below the
-threshold, so its ``<=`` sum is the running sum and its ``>=`` sum the rest
-of the total; the divisors ``sqrt(reg_strength + count)`` come from one
-table per scan.  A position between equal values is no threshold and is
-masked to score -1.  One argmax per direction, with ``>=`` taking an equal
-score unless ``<=`` reaches it at a smaller threshold, picks the candidate
-that the documented tie-break order names.
-
-A bootstrap of a few hundred rows makes each column's numpy calls cost more
-than their arithmetic, so the scan takes columns in blocks of about
-``SCAN_BLOCK_CELLS`` sorted cells and runs each step once per block on a
-``(columns, rows)`` array, like the column blocks of XGBoost (section 4.1).
-From ``SCAN_BLOCK_CELLS`` active rows up, a block is one column.
-
-``fit_grid`` fits a whole grid of reg strengths in one pass of ``boost``,
-and ``fit`` is ``fit_grid`` at one value, or at a whole grid given one.  The
-reg strength enters a fit only through the scan's divisors, so fits that
-have accepted the same propositions so far have the same weights, scores
-and gradients, and scan the same rows in the same order.  They share one
-branch; one scan answers for all of them, and only the divisions and
-argmaxes run per reg strength.  Where their answers differ the branch
-splits, and the traces stay bit for bit those of separate fits.
+features once, stably, and each conjunction filters those orders down to
+the rows still inside it - the presorted columns of SLIQ (Mehta, Agrawal &
+Rissanen, EDBT 1996) and of exact greedy split finding in XGBoost (Chen &
+Guestrin, KDD 2016, section 4.1).  The sort lives in ``fit``, not in the
+conjunction, because the first scan of every conjunction covers all rows;
+so do that scan's sorted values and tie mask.  ``fit_grid`` fits a whole
+grid of reg strengths in one pass of ``boost``.
 """
 
 from __future__ import annotations
@@ -131,7 +99,9 @@ def best_axis_proposition(active, X, g, orders, reg_strengths,
     equal score unless ``<=`` reaches it at a smaller threshold, which is
     the tie-break order above.
 
-    The columns go in blocks of ``max(1, SCAN_BLOCK_CELLS // n_act)``, each
+    A bootstrap of a few hundred rows makes each column's numpy calls cost
+    more than their arithmetic, so the columns go in blocks of ``max(1,
+    SCAN_BLOCK_CELLS // n_act)``, like the column blocks of XGBoost, each
     handled by one set of numpy calls on ``(c, n_act)`` arrays, row ``i`` for
     column ``j0 + i``: one gather of gradients, one flat gather of values,
     one ``cumsum(axis=1)``, the tie mask and the absolute sums.  The
@@ -362,7 +332,11 @@ def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
 
     One ``boost`` pass on all rows, a member per reg strength, fits them all,
     as glmnet fits a whole penalty path (Friedman, Hastie & Tibshirani, JSS
-    33(1), 2010); members whose fits agree share the scans as well.
+    33(1), 2010).  The reg strength enters a fit only through the scan's
+    divisors, so fits that have accepted the same propositions so far have
+    the same weights, scores and gradients, and scan the same rows in the
+    same order: they share one branch, and one scan answers for all of them.
+    Where their answers differ the branch splits.
     """
     regs = [replace(cfg, reg_strength=reg).reg_strength for reg in reg_strengths]
     if not regs:

@@ -923,6 +923,8 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": "tgb"},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": "10"},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": 5},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3, "bogus": 1}]},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3, "generator": "oblique"}]},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"
@@ -931,6 +933,8 @@ def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+    for key in ("nmae", "bogus", "generator"):  # an unknown dataset key is named
+        assert key not in fields["datasets"][0] or repr(key) in err
 
 
 def _config_command(command, config, data, out):

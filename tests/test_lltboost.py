@@ -103,11 +103,33 @@ def test_single_active_example_gets_covered():
     assert prop.activations(X[17])[0] == 1
 
 
-def test_zero_gradients_yield_no_proposition():
+def _no_path(problem):
+    raise AssertionError("an L1 path was built for gradients of one sign")
+
+
+def test_zero_gradients_yield_no_proposition(monkeypatch):
+    monkeypatch.setattr(lltboost, "LambdaPath", _no_path)
     X = np.random.default_rng(0).normal(size=(10, 3))
     cfg = LLTConfig()
     active = np.arange(10)
     assert fit_proposition(active, X, np.zeros(10), cfg, active) is None
+
+
+@pytest.mark.parametrize("light", [5e-13, lltboost.OBJECTIVE_TOLERANCE])
+@pytest.mark.parametrize("heavy_sign", [1.0, -1.0])
+def test_a_sign_of_rounding_level_mass_takes_the_one_sign_shortcut(monkeypatch, light,
+                                                                  heavy_sign):
+    # the lighter sign sums to at most the tolerance: there is nothing to
+    # separate, so no L1 path is built and every active row is covered
+    monkeypatch.setattr(lltboost, "LambdaPath", _no_path)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 4))
+    g = heavy_sign * rng.uniform(0.5, 1.0, size=60)
+    g[[4, 10]] = -heavy_sign * light / 2  # two active halves sum to ``light`` exactly
+    active, validation = np.arange(0, 60, 2), np.arange(1, 60, 2)
+    prop, cover = fit_proposition(active, X, g, LLTConfig(), validation)
+    assert cover[active].all()
+    assert np.array_equal(cover, prop.activations(X))
 
 
 def test_nonzero_budget_respected():
@@ -347,6 +369,24 @@ def test_direct_fit_on_20000_rows_keeps_risk_monotone_and_converges(monkeypatch)
     assert len(risks) == 11
     assert all(b <= a for a, b in zip(risks, risks[1:]))
     assert solves and all(converged and kkt_met for converged, kkt_met in solves)
+
+
+def test_noise_free_fit_solves_no_l1_problem_of_a_weightless_sign(monkeypatch):
+    # on this fixture some fit_proposition calls meet active rows whose
+    # negative gradients sum to about 1e-12; an L1 problem weighted so cannot
+    # meet its KKT tolerance, and its solves run to MAX_ITER unconverged
+    data = make_oblique(n=500, d=6, noise=0.0, seed=1)
+    unconverged = []
+    solve = sparse_logreg.fit_weighted_l1
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        unconverged.append(not sol.converged)
+        return sol
+
+    monkeypatch.setattr(sparse_logreg, "fit_weighted_l1", counted)
+    fit(data.X, data.y, LLTConfig())
+    assert unconverged and sum(unconverged) == 0
 
 
 def test_trace_structure():
