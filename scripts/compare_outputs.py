@@ -6,7 +6,7 @@ Each tree is imported in its own fresh interpreter, which writes:
 - fits.json: every stage's train risk, complexity, intercept and rule weights,
   and every proposition's indices, weights and threshold (floats as repr), of
   lltboost and tgb fits on make_oblique, make_rotated_box and make_staircase
-  (n=300, d=6, seeds 0 and 1) under logistic and squared loss, and of four
+  (n=300, d=6, seeds 0 and 1) under logistic and squared loss, and of five
   more logistic tgb fits: one on make_staircase(n=2000, d=8) with the
   features rounded to 1 decimal, so that about 30 rows share each value of a
   column; one on make_oblique(n=1000, d=6, seed=2) at reg 100 with up to
@@ -15,19 +15,22 @@ Each tree is imported in its own fresh interpreter, which writes:
   the logistic refit splits its row groups by up to 60 covers; and one
   on a bootstrap resample of make_staircase(n=2000, d=8) with a constant
   ninth column appended, so that duplicated rows tie every column of the
-  presort and one feature offers no threshold at all; and of ten more
-  logistic lltboost fits: one (seed 1) on 500 rows drawn with replacement
-  from make_oblique(n=1000, d=6, seed=0), as the protocol draws them, and
-  nine of the default config on noise-free make_oblique, make_rotated_box
-  and make_staircase (n=500, d=6, noise=0, seeds 0-2), on which one gradient
-  sign of a proposition's active rows can carry only a rounding-level mass
-  (make_oblique seed 1 meets one of 5e-13); every stage also carries the
-  sha256 of its ``decision_function`` scores on a fixed block of 40,000 raw
-  rows from make_oblique (seed 10) of the fit's width, followed by 200 of
-  those rows moved onto the hyperplane of each proposition of the fit's
-  final stage.  On a hyperplane the rounding of a projection decides the
-  cover, so a projection that rounds differently, as a dense oblique one
-  can, changes the hash.  The block is not a multiple of
+  presort and one feature offers no threshold at all; and one on
+  make_staircase(n=20000, d=20, seed=0) at reg 100, so that the scan takes
+  its one-column blocks (more than ``tgb.SCAN_BLOCK_CELLS // 2`` active
+  rows) below the root too and each conjunction filters full-width orders;
+  and of ten more logistic lltboost fits: one (seed 1) on 500 rows drawn
+  with replacement from make_oblique(n=1000, d=6, seed=0), as the protocol
+  draws them, and nine of the default config on noise-free make_oblique,
+  make_rotated_box and make_staircase (n=500, d=6, noise=0, seeds 0-2), on
+  which one gradient sign of a proposition's active rows can carry only a
+  rounding-level mass (make_oblique seed 1 meets one of 5e-13); every stage
+  also carries the sha256 of its ``decision_function`` scores on a fixed
+  block of 40,000 raw rows from make_oblique (seed 10) of the fit's width,
+  followed by 200 of those rows moved onto the hyperplane of each
+  proposition of the fit's final stage.  On a hyperplane the rounding of a
+  projection decides the cover, so a projection that rounds differently, as
+  a dense oblique one can, changes the hash.  The block is not a multiple of
   ``core.SCORE_BLOCK_ROWS``, so it crosses a block boundary.
   For the two tgb fits whose columns tie (the rounded and the bootstrap
   one), the key ``presort/<fit key>`` holds the sha256 of the orders that
@@ -197,7 +200,7 @@ def write_outputs(out: Path) -> None:
     from obliquerules.evaluation import ProtocolConfig, run_benchmark
     from obliquerules.losses import LossKind
 
-    blocks = {d: make_oblique(n=SCORE_ROWS, d=d, seed=10).X for d in (6, 8, 9)}
+    blocks = {d: make_oblique(n=SCORE_ROWS, d=d, seed=10).X for d in (6, 8, 9, 20)}
     fits = {}
     answers, scans = [], []
     _record_sparsity_queries(answers)
@@ -237,6 +240,7 @@ def write_outputs(out: Path) -> None:
     tied = make_staircase(n=2000, d=8, seed=0)
     deep = make_oblique(n=1000, d=6, seed=2)
     wide = make_oblique(n=2000, d=6, noise=0.2, seed=3)
+    large = make_staircase(n=20000, d=20, seed=0)
     resample = np.random.default_rng(0).integers(0, tied.X.shape[0], size=tied.X.shape[0])
     boot_X = np.column_stack([tied.X[resample], np.ones(tied.X.shape[0])])
     for key, X, y, cfg in (
@@ -247,7 +251,9 @@ def write_outputs(out: Path) -> None:
             ("wide/make_oblique_noise0.2/seed3/logistic/obliquerules.tgb", wide.X, wide.y,
              tgb.TGBConfig(max_rules=60, max_propositions=3, reg_strength=1.0)),
             ("boot/make_staircase_bootstrap_const/seed0/logistic/obliquerules.tgb", boot_X,
-             tied.y[resample], tgb.TGBConfig(reg_strength=1.0))):
+             tied.y[resample], tgb.TGBConfig(reg_strength=1.0)),
+            ("large/make_staircase/seed0/logistic/obliquerules.tgb", large.X, large.y,
+             tgb.TGBConfig(reg_strength=100.0))):
         scans.clear()
         trace = tgb.fit(X, y, cfg)
         fits[key] = _fit_doc(trace, blocks[X.shape[1]])

@@ -261,8 +261,10 @@ def _dataset_from_spec(spec: dict, position: int) -> Dataset:
                 f"datasets[{position}]: unknown synthetic generator {name!r}; "
                 f"available: {sorted(SYNTHETIC_GENERATORS)}"
             )
-        # the generator's signature rejects any other key
-        return _synthesize(name, **{k: v for k, v in spec.items() if k != "synthetic"})
+        try:  # the generator's signature rejects any other key
+            return _synthesize(name, **{k: v for k, v in spec.items() if k != "synthetic"})
+        except UsageError as exc:
+            raise UsageError(f"datasets[{position}]: {exc}") from None
     if extra := set(spec) - {"path", "target", "task", "name"}:
         raise UsageError(f"datasets[{position}]: unknown keys {sorted(extra)}")
     for key in ("path", "target", "task"):

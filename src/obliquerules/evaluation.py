@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import ModuleType
@@ -431,6 +430,8 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
     ]
     workers = min(config.jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_repetition, *zip(*tasks)))
     else:

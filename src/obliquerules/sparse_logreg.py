@@ -351,9 +351,11 @@ def split_groups(ids, digit):
     row: the new ``(ids, counts, rows)``, ``rows`` holding one row per group.
 
     The new groups are ranked by ``ids + digit * G``, for any ``G`` above
-    every id (here the row count), so the newest digit is the most significant.
+    every id, so the newest digit is the most significant.  ``G`` is
+    ``ids.max() + 1``, the group count, so the histogram and its prefix
+    count span ``2 G`` keys, not twice the rows.
     """
-    key = ids + digit * ids.size
+    key = ids + digit * (ids.max() + 1)
     hist = np.bincount(key)
     occupied = hist > 0
     before = np.cumsum(occupied) - occupied  # occupied positions before each one

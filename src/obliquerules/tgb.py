@@ -10,8 +10,13 @@ the rows still inside it - the presorted columns of SLIQ (Mehta, Agrawal &
 Rissanen, EDBT 1996) and of exact greedy split finding in XGBoost (Chen &
 Guestrin, KDD 2016, section 4.1).  The sort lives in ``fit``, not in the
 conjunction, because the first scan of every conjunction covers all rows;
-so do that scan's sorted values and tie mask.  ``fit_grid`` fits a whole
-grid of reg strengths in one pass of ``boost``.
+so do that scan's tie mask and each column's tie summary.  No pass is
+repeated for a result already known: the orders keep their small unsigned
+type through every filter and gather; the first scan sums the gradients
+without gathering them; a column with no tie among all rows has none among
+any of them, so no later scan gathers its sorted values; and only a block
+with a tie looks for columns that offer no threshold.  ``fit_grid`` fits a
+whole grid of reg strengths in one pass of ``boost``.
 """
 
 from __future__ import annotations
@@ -95,16 +100,16 @@ def best_axis_proposition(active, X, g, orders, reg_strengths,
     point, so the table holds the same bits as a square root per position.
     A position between equal values is no threshold; it scores -1, below
     every real score, which is >= 0, and a column with no other position is
-    skipped.  Each direction takes its own first argmax, and ``>=`` wins an
-    equal score unless ``<=`` reaches it at a smaller threshold, which is
-    the tie-break order above.
+    skipped; only a block with a tie looks for such columns.  Each direction
+    takes its own first argmax, and ``>=`` wins an equal score unless ``<=``
+    reaches it at a smaller threshold, which is the tie-break order above.
 
     A bootstrap of a few hundred rows makes each column's numpy calls cost
     more than their arithmetic, so the columns go in blocks of ``max(1,
     SCAN_BLOCK_CELLS // n_act)``, like the column blocks of XGBoost, each
     handled by one set of numpy calls on ``(c, n_act)`` arrays, row ``i`` for
-    column ``j0 + i``: one gather of gradients, one flat gather of values,
-    one ``cumsum(axis=1)``, the tie mask and the absolute sums.  The
+    column ``j0 + i``: one gather of gradients by ``orders`` in their own
+    dtype, one ``cumsum(axis=1)``, the tie mask and the absolute sums.  The
     ``cumsum`` adds along each row in order, as the 1-d one does, so the bits
     are the same.  None of that depends on the reg strength.  Each reg
     strength then divides the absolute sums by its table into two buffers
@@ -112,39 +117,57 @@ def best_axis_proposition(active, X, g, orders, reg_strengths,
     direction.  Only the choice between the two directions and across
     columns runs in Python, column by column in ascending order.
 
-    ``X`` is ``(n, d)`` in either layout; ``fit_grid`` passes it column-major, so
-    that the values of a block of columns are a view of contiguous memory,
-    which a C-order ``X`` first copies.  A scan of all rows may pass as
-    ``root_values`` the ``(sv, tie)`` that it would gather and compare, computed once.
+    The tie mask compares the sorted values of a block, gathered by one
+    ``take``: through flat indices, unless the block is one column, which is
+    gathered as it is.  ``X`` is ``(n, d)`` in either layout; ``fit_grid``
+    passes it column-major, so that the values of a block of columns are a
+    view of contiguous memory, which a C-order ``X`` first copies.  A
+    threshold reads its two values from ``X``, at the rows on either side of
+    its split.
+
+    ``root_values``, if given, is what the stable sort of all rows shows,
+    computed once per fit: ``(tie, tie_any, tie_all)``, its ``(d, n - 1)``
+    tie mask and, per column, whether any and whether all of its positions
+    tie, as lists.  A scan of all rows then reads its tie mask from there
+    and totals ``g`` as ``g.sum()``, the bits of ``g[active].sum()`` without
+    the gather.  Any other scan gathers values only for a block with a
+    column that ties among all rows; the others have no tie among the
+    active rows either.
     """
     active = np.asarray(active, dtype=int)
     n_act = active.size
     best: list[AxisCandidate | None] = [None] * len(reg_strengths)
     if n_act < 2:
         return tuple(best)
-    total = float(g[active].sum())
+    n, d = X.shape
+    all_rows = root_values is not None and n_act == n
+    total = float(g.sum() if all_rows else g[active].sum())
     counts = np.arange(n_act + 1.0)
     roots = [np.sqrt(reg + counts) for reg in reg_strengths]
     divisors = [(root[1:n_act], root[n_act - 1:0:-1]) for root in roots]
-    n, d = X.shape
     width = max(1, SCAN_BLOCK_CELLS // n_act)
     buf_le = np.empty((min(width, d), n_act - 1))
     buf_ge = np.empty_like(buf_le)
     for j0 in range(0, d, width):
-        rows = orders[j0:j0 + width].astype(np.intp)
+        rows = orders[j0:j0 + width]
         c = rows.shape[0]
         sum_le = np.cumsum(g.take(rows), axis=1)[:, :-1]
-        if root_values is None:
-            rows += n * np.arange(c)[:, None]
-            sv = X.T[j0:j0 + c].ravel().take(rows)  # row i is column j0 + i, sorted
+        if all_rows:
+            tie = root_values[0][j0:j0 + c]
+            tied = any(root_values[1][j0:j0 + c])
+            skipped = root_values[2][j0:j0 + c]
+        elif root_values is None or any(root_values[1][j0:j0 + c]):
+            flat = rows if c == 1 else rows + n * np.arange(c)[:, None]
+            sv = X.T[j0:j0 + c].ravel().take(flat)  # row i is column j0 + i, sorted
             tie = sv[:, :-1] >= sv[:, 1:]
-        else:
-            sv, tie = root_values[0][j0:j0 + c], root_values[1][j0:j0 + c]
+            tied = bool(tie.any())
+            skipped = tie.all(axis=1).tolist() if tied else None
+        else:  # no two rows share a value in these columns, so no two active rows do
+            tied = False
         sum_ge = total - sum_le
         np.abs(sum_le, out=sum_le)
         np.abs(sum_ge, out=sum_ge)
-        tied = tie.any()
-        columns = [i for i, skip in enumerate(tie.all(axis=1).tolist()) if not skip]
+        columns = [i for i, skip in enumerate(skipped) if not skip] if tied else range(c)
         score_le, score_ge = buf_le[:c], buf_ge[:c]
         for r, (root_le, root_ge) in enumerate(divisors):
             np.divide(sum_le, root_le, out=score_le)
@@ -162,11 +185,12 @@ def best_axis_proposition(active, X, g, orders, reg_strengths,
                 else:
                     k, direction, score = kl, "<=", sl
                 if best[r] is None or score > best[r].score:
-                    lo, hi = float(sv[i, k]), float(sv[i, k + 1])
+                    j = j0 + i
+                    lo, hi = float(X[rows[i, k], j]), float(X[rows[i, k + 1], j])
                     threshold = 0.5 * (lo + hi)  # unless it rounds onto the value left out
                     if threshold == (lo if direction == ">=" else hi):
                         threshold = hi if direction == ">=" else lo
-                    best[r] = AxisCandidate(j0 + i, direction, threshold, score)
+                    best[r] = AxisCandidate(j, direction, threshold, score)
     return tuple(best)
 
 
@@ -174,7 +198,8 @@ def _grow_conjunctions(Z, g, orders, root_values, reg_strengths, max_proposition
     """One conjunction per value of ``reg_strengths`` on the gradients ``g``,
     as ``(picked, body, inside)`` triples: the positions in ``reg_strengths``
     that grew the propositions ``body``, maybe none, and the rows it covers.
-    The first scan, of all rows, reads ``root_values``.
+    Every scan reads ``root_values``, the tie mask and per-column tie
+    summaries of all rows that ``best_axis_proposition`` takes.
 
     The conjunctions grow as a tree.  A group holds the reg strengths that
     accepted the same propositions so far, with the rows inside all of them
@@ -183,7 +208,8 @@ def _grow_conjunctions(Z, g, orders, root_values, reg_strengths, max_proposition
     reg strength whose answer is None or scores at most its own ``current``
     stops with the body so far; the others go on in groups of equal
     (feature, direction, threshold), each with one ``activations`` and one
-    filter of ``orders``.
+    filter of ``orders``, a ``take`` of the parent's cover that keeps their
+    dtype.
 
     Pending groups wait on a stack, last in first out.  Each holds its
     parent's ``orders`` and its own ``inside``, and filters on being popped,
@@ -198,9 +224,9 @@ def _grow_conjunctions(Z, g, orders, root_values, reg_strengths, max_proposition
     while pending:
         picked, current, body, active, orders, parent_inside = pending.pop()
         if parent_inside is not None:
-            orders = np.compress(parent_inside[orders].ravel(), orders).reshape(d, -1)
-        cands = best_axis_proposition(active, Z, g, orders, [reg_strengths[p] for p in picked],
-                                      root_values if parent_inside is None else None)
+            orders = np.compress(parent_inside.take(orders).ravel(), orders).reshape(d, -1)
+        regs = [reg_strengths[p] for p in picked]
+        cands = best_axis_proposition(active, Z, g, orders, regs, root_values)
         stopped, groups = [], {}
         for p, score, cand in zip(picked, current, cands):
             if cand is None or cand.score <= score:
@@ -346,7 +372,8 @@ def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
         # column-major, so that every gather of the scan and the presort reads one column
         Z = np.asfortranarray(Z)
         orders, values = _stable_orders(Z)
-        root_values = values, values[:, :-1] >= values[:, 1:]
+        tie = values[:, :-1] >= values[:, 1:]
+        root_values = tie, tie.any(axis=1).tolist(), tie.all(axis=1).tolist()
         return slice(None), lambda g, members: _grow_conjunctions(
             Z, g, orders, root_values, [regs[m] for m in members], cfg.max_propositions)
 

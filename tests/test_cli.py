@@ -937,6 +937,16 @@ def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
         assert key not in fields["datasets"][0] or repr(key) in err
 
 
+def test_benchmark_bad_synthetic_spec_names_its_position(tmp_path, capsys):
+    cfg = {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3},
+                        {"synthetic": "oblique", "n": 50, "d": 3, "bogus": 1}]}
+    cfg_path = tmp_path / "protocol.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: datasets[1]: ") and "'bogus'" in err
+
+
 def _config_command(command, config, data, out):
     """Argument list of ``train`` (on ``data``) or ``benchmark``, reading ``config``."""
     if command == "train":

@@ -1,12 +1,18 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obliquerules
 from obliquerules import evaluation, lltboost, tgb
 from obliquerules.datasets import Dataset, make_oblique
 from obliquerules.core import Standardizer, Task
@@ -457,7 +463,7 @@ def test_protocol_opens_at_most_one_worker_per_work_unit(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
     serial = run_benchmark(data, small_config(repetitions=3)).to_json_dict()
     assert pools == []
@@ -469,6 +475,15 @@ def test_protocol_opens_at_most_one_worker_per_work_unit(monkeypatch):
     pools.clear()
     run_benchmark(data, small_config(repetitions=1, jobs=64))
     assert pools == []  # one unit runs in this process
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    # only a protocol run with more than one worker needs a process pool
+    code = "import sys, obliquerules; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(obliquerules.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_same_seed_same_report_different_seed_differs(tmp_path):

@@ -292,11 +292,10 @@ def test_every_scan_of_a_fit_gets_its_active_rows_in_stable_order(monkeypatch, r
         assert np.array_equal(orders, sorted_rows(active, Z))
         sizes.append(len(active))
         answers = best_axis_proposition(active, Z, g, orders, reg_strengths, root_values)
-        # a scan of all rows reads the fit's sorted values and tie mask, and
-        # answers as the scan that gathers and compares them itself
-        assert (root_values is not None) == (len(active) == len(Z))
-        if root_values is not None:
-            assert answers == best_axis_proposition(active, Z, g, orders, reg_strengths)
+        # every scan reads the fit's tie mask and tie summaries of all rows, and
+        # answers as the scan that gathers and compares the sorted values itself
+        assert root_values is not None
+        assert answers == best_axis_proposition(active, Z, g, orders, reg_strengths)
         return answers
 
     monkeypatch.setattr(tgb, "best_axis_proposition", checked_scan)
@@ -304,6 +303,32 @@ def test_every_scan_of_a_fit_gets_its_active_rows_in_stable_order(monkeypatch, r
     # a scan of all rows opens each conjunction; the scans after it go deeper
     depths = np.diff(np.append(np.flatnonzero(np.array(sizes) == len(X)), len(sizes)))
     assert depths.max() >= 4
+
+
+def test_scans_below_the_root_compare_sorted_values_only_where_a_column_ties():
+    # columns 1 and 2 tie among all rows and 0 and 3 never do; a scan of some
+    # of the rows, in blocks of one column (3000 rows) or two (1500 rows),
+    # masks ties where a column ties and answers as the scan that gathers and
+    # compares every column's sorted values itself
+    rng = np.random.default_rng(7)
+    n, d = 5000, 4
+    Z = rng.normal(size=(n, d))
+    Z[:, 1:3] = np.round(Z[:, 1:3])
+    Z = np.asfortranarray(Z)
+    all_orders, values = tgb._stable_orders(Z)
+    tie = values[:, :-1] >= values[:, 1:]
+    root_values = tie, tie.any(axis=1).tolist(), tie.all(axis=1).tolist()
+    assert root_values[1] == [False, True, True, False]
+    for size in (3000, 1500):
+        for _ in range(6):
+            active = np.sort(rng.choice(n, size=size, replace=False))
+            inside = np.zeros(n, dtype=bool)
+            inside[active] = True
+            orders = np.compress(inside.take(all_orders).ravel(), all_orders).reshape(d, -1)
+            g = rng.integers(-5, 6, size=n).astype(float)
+            regs = (0.0, 100.0)
+            assert (best_axis_proposition(active, Z, g, orders, regs, root_values)
+                    == best_axis_proposition(active, Z, g, orders, regs))
 
 
 def test_scan_invariant_under_monotone_transforms():
