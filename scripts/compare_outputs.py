@@ -35,7 +35,7 @@ Each tree is imported in its own fresh interpreter, which writes:
   For the two tgb fits whose columns tie (the rounded and the bootstrap
   one), the key ``presort/<fit key>`` holds the sha256 of the orders that
   ``tgb._stable_orders`` returns over the standardized training rows (alone,
-  also where it returns them with the sorted values), the order of the rows
+  also where it returns them with the tie facts), the order of the rows
   inside each tie that the axis scan reads.  For each lltboost fit,
   the key ``l1/<fit key>`` holds the sha256 of every solution that
   ``LambdaPath.for_sparsity`` returned during the fit, with its sparsity
@@ -260,7 +260,7 @@ def write_outputs(out: Path) -> None:
         fits[f"scan/{key}"] = _scan_digest(scans)
         if key.startswith(("tied/", "boot/")):
             orders = tgb._stable_orders(trace.final.standardizer.transform(X))
-            if isinstance(orders, tuple):  # a presort that also returns the sorted values
+            if isinstance(orders, tuple):  # a presort that also returns the tie facts
                 orders = orders[0]
             fits[f"presort/{key}"] = hashlib.sha256(orders.tobytes()).hexdigest()
     (out / "fits.json").write_text(json.dumps(fits, indent=1, sort_keys=True))

@@ -1,18 +1,19 @@
 """Risk-vs-complexity benchmarking protocol.
 
 Runs bootstrap/out-of-bag repetitions of each learner over each dataset,
-collects per-stage risk-complexity curves, derives the risk target (mean
-axis-parallel-baseline test risk) and complexity target, and aggregates
-medians with order-statistic confidence intervals.  All randomness flows
-from per-(dataset, repetition) seeds derived from one master seed, so serial
-and parallel runs produce identical reports; wall-clock timings are kept in
-a separate table for the same reason.
+scores each repetition's distinct stages in one batch-kernel call, collects
+per-stage risk-complexity curves, takes the risk target (the oracle
+axis-parallel baseline's mean test risk) and complexity target (the median
+of its per-repetition minimum complexities) from the tables' own numbers,
+and aggregates medians with order-statistic confidence intervals.  All
+randomness flows from per-(dataset, repetition) seeds derived from one
+master seed, so serial and parallel runs produce identical reports;
+wall-clock timings are kept in a separate table for the same reason.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import ModuleType
@@ -24,6 +25,7 @@ from . import lltboost, tgb
 from .core import Task, check_integer_fields, score_ensembles
 from .datasets import Dataset
 from .losses import FIT_LOSS, LossKind, loss
+from .serialize import write_json
 
 INF = float("inf")
 
@@ -68,23 +70,6 @@ def risk_at_complexity_target(points, complexity_target: float) -> float:
         ):
             chosen = p
     return INF if chosen is None else float(chosen.test_risk)
-
-
-def derive_targets(curves) -> tuple[float, float]:
-    """Risk target and complexity target from the baseline's curves, one tuple
-    of ``CurvePoint``s per repetition.
-
-    The risk target is the mean test risk over every point of every
-    repetition; the complexity target is the median over repetitions of the
-    minimum complexity reaching that risk target (midpoint-of-5th/6th rule
-    for 10 repetitions).
-    """
-    risks = [p.test_risk for c in curves for p in c]
-    if not risks:
-        raise ValueError("cannot derive targets from curves with no points")
-    risk_target = float(np.mean(risks))
-    mins = [min_complexity_to_risk_target(c, risk_target) for c in curves]
-    return risk_target, _median(mins)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +225,12 @@ def _fit_variant(method, hyper, X, y, kind, config, fit_seed, tgb_traces):
 
 
 def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: int):
-    """Fit every method variant on one bootstrap split.
+    """Fit every method variant on one bootstrap split, then score them all.
 
     Returns the split's redraw count and one ``(curves by metric name,
     seconds, error)`` per variant in ``_method_variants`` order; a failed fit
-    has empty curves, no seconds and its error's text.
+    has empty curves, no seconds and its error's text.  One ``score_ensembles``
+    call scores every distinct stage on the train rows, then the test rows.
     """
     ss = np.random.SeedSequence([config.master_seed, d_idx, rep])
     split_seed, fit_seed = (int(v) for v in ss.generate_state(2))
@@ -263,45 +249,36 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
     fit_kind = FIT_LOSS[dataset.task]
     metrics = _metrics_for(dataset.task)
 
-    fits = []
+    traces = []
     tgb_traces = {}
-    # stage id -> (stage, (test, train) risk per metric): the traces of grid
-    # values whose fits agreed share stage objects, and each is scored once
-    risks = {}
     for method, hyper in _method_variants(config):
         if method == "tgb" and not tgb_traces:
             tgb_traces = _fit_tgb_grid(X_train, y_train, fit_kind, config, fit_seed)
         try:
-            trace = _fit_variant(method, hyper, X_train, y_train, fit_kind, config, fit_seed,
-                                 tgb_traces)
-            stages = trace.stages[1:]
-            new = [stage for stage in stages if id(stage) not in risks]
-            if new:
-                ensembles = [stage.ensemble for stage in new]
-                for stage, s_tr, s_te in zip(new, score_ensembles(ensembles, X_train),
-                                             score_ensembles(ensembles, X_test)):
-                    risks[id(stage)] = stage, [
-                        (float(np.mean(loss(metric_kind, y_test, s_te))),
-                         float(np.mean(loss(metric_kind, y_train, s_tr))))
-                        for _, metric_kind in metrics
-                    ]
-            curves = {
-                metric_name: tuple(
-                    CurvePoint(
-                        complexity=stage.complexity,
-                        test_risk=risks[id(stage)][1][m][0],
-                        train_risk=risks[id(stage)][1][m][1],
-                        r=r,
-                    )
-                    for r, stage in enumerate(stages, 1)
-                )
-                for m, (metric_name, _) in enumerate(metrics)
-            }
-            fits.append((curves, trace.wall_time_seconds, None))
+            traces.append(_fit_variant(method, hyper, X_train, y_train, fit_kind, config,
+                                       fit_seed, tgb_traces))
         except Exception as exc:  # recorded, never aborts the sweep
-            fits.append(({name: () for name, _ in metrics}, 0.0,
-                         f"{type(exc).__name__}: {exc}"))
+            traces.append(f"{type(exc).__name__}: {exc}")
 
+    stages = {id(s): s for t in traces if not isinstance(t, str) for s in t.stages[1:]}
+    scores = score_ensembles([s.ensemble for s in stages.values()],
+                             np.concatenate([X_train, X_test]))
+    n_train = X_train.shape[0]
+    risks = {  # stage id -> (test, train) risk per metric
+        key: [(float(np.mean(loss(metric_kind, y_test, s[n_train:]))),
+               float(np.mean(loss(metric_kind, y_train, s[:n_train]))))
+              for _, metric_kind in metrics]
+        for key, s in zip(stages, scores)
+    }
+    fits = []
+    for trace in traces:
+        if isinstance(trace, str):
+            fits.append(({name: () for name, _ in metrics}, 0.0, trace))
+            continue
+        curves = {name: tuple(CurvePoint(stage.complexity, *risks[id(stage)][m], r)
+                              for r, stage in enumerate(trace.stages[1:], 1))
+                  for m, (name, _) in enumerate(metrics)}
+        fits.append((curves, trace.wall_time_seconds, None))
     return split.redraws, fits
 
 
@@ -370,9 +347,7 @@ class BenchmarkReport:
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.json", "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(out / "report.json", self.to_json_dict())
         self._write_csv(out / "complexity_table.csv", self.complexity_rows)
         self._write_csv(out / "risk_table.csv", self.risk_rows)
         self._write_csv(out / "curves.csv", self.curve_rows)
@@ -491,7 +466,11 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
                 )
                 continue
             oracle = min(mean_by_reg, key=lambda h: (mean_by_reg[h], float(h)))
-            risk_target, complexity_target = derive_targets(curves_of[("tgb", oracle)])
+            risk_target = mean_by_reg[oracle]
+            table_variants = [v for v in variants if v[0] != "tgb"] + [("tgb", oracle)]
+            mins_of = {v: [min_complexity_to_risk_target(c, risk_target) for c in curves_of[v]]
+                       for v in table_variants}
+            complexity_target = _median(mins_of[("tgb", oracle)])
             targets[metric_name] = {
                 "risk_target": risk_target,
                 "complexity_target": complexity_target,
@@ -499,12 +478,10 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
                 "tgb_mean_risk_by_reg": mean_by_reg,
             }
 
-            table_variants = [v for v in variants if v[0] != "tgb"] + [("tgb", oracle)]
-            for method, hyper in table_variants:
+            for (method, hyper), mins in mins_of.items():
                 curves = curves_of[(method, hyper)]
                 key = {"dataset": dataset.name, "metric": metric_name,
                        "method": method, "hyper": hyper}
-                mins = [min_complexity_to_risk_target(c, risk_target) for c in curves]
                 report.complexity_rows.append({**key, "risk_target": risk_target,
                                                **_aggregate_cells(mins, config.repetitions)})
                 if complexity_target != INF:

@@ -157,7 +157,12 @@ def model_from_dict(doc: dict) -> ModelFile:
 def save_model(model: ModelFile, path) -> None:
     doc = model_to_dict(model)
     doc.setdefault("metadata", {}).setdefault("library_version", __version__)
-    with open(Path(path), "w", encoding="utf-8") as handle:
+    write_json(path, doc)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

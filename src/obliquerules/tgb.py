@@ -10,13 +10,13 @@ the rows still inside it - the presorted columns of SLIQ (Mehta, Agrawal &
 Rissanen, EDBT 1996) and of exact greedy split finding in XGBoost (Chen &
 Guestrin, KDD 2016, section 4.1).  The sort lives in ``fit``, not in the
 conjunction, because the first scan of every conjunction covers all rows;
-so do that scan's tie mask and each column's tie summary.  No pass is
-repeated for a result already known: the orders keep their small unsigned
-type through every filter and gather; the first scan sums the gradients
-without gathering them; a column with no tie among all rows has none among
-any of them, so no later scan gathers its sorted values; and only a block
-with a tie looks for columns that offer no threshold.  ``fit_grid`` fits a
-whole grid of reg strengths in one pass of ``boost``.
+and the sort finds that scan's tie mask and each column's tie summary.  No
+pass is repeated for a result already known: the orders keep their small
+unsigned type through every filter and gather; the first scan sums the
+gradients without gathering them; a column with no tie among all rows has
+none among any of them, so no later scan gathers its sorted values; and
+only a block with a tie looks for columns that offer no threshold.
+``fit_grid`` fits a whole grid of reg strengths in one pass of ``boost``.
 """
 
 from __future__ import annotations
@@ -125,14 +125,12 @@ def best_axis_proposition(active, X, g, orders, reg_strengths,
     threshold reads its two values from ``X``, at the rows on either side of
     its split.
 
-    ``root_values``, if given, is what the stable sort of all rows shows,
-    computed once per fit: ``(tie, tie_any, tie_all)``, its ``(d, n - 1)``
-    tie mask and, per column, whether any and whether all of its positions
-    tie, as lists.  A scan of all rows then reads its tie mask from there
-    and totals ``g`` as ``g.sum()``, the bits of ``g[active].sum()`` without
-    the gather.  Any other scan gathers values only for a block with a
-    column that ties among all rows; the others have no tie among the
-    active rows either.
+    ``root_values``, if given, holds the tie facts of all rows that
+    ``_stable_orders`` returns with ``orders``, once per fit.  A scan of all
+    rows then reads its tie mask from there and totals ``g`` as ``g.sum()``,
+    the bits of ``g[active].sum()`` without the gather.  Any other scan
+    gathers values only for a block with a column that ties among all rows;
+    the others have no tie among the active rows either.
     """
     active = np.asarray(active, dtype=int)
     n_act = active.size
@@ -250,33 +248,36 @@ def _grow_conjunctions(Z, g, orders, root_values, reg_strengths, max_proposition
     return grown
 
 
-def _stable_orders(Z) -> tuple[np.ndarray, np.ndarray]:
+def _stable_orders(Z) -> tuple[np.ndarray, tuple]:
     """``np.argsort(Z.T, axis=1, kind="stable")`` in the smallest unsigned type
-    that holds ``n``, built one column at a time, and the sorted values.
+    that holds ``n``, built one column at a time, and the tie facts ``(tie,
+    tie_any, tie_all)``: the ``(d, n - 1)`` mask of equal sorted neighbours
+    and, per column, whether any of its positions tie and, if so, all.
 
     Each column is sorted by the fast unstable sort.  Only if it has equal
     values is the order repaired: the sorted values are numbered by group
     of equal values, ascending, and the positions sorted again by the key
     ``group * n + row``.  The keys are distinct and order first by value,
     then by row, which is the stable order.  ``-0.0`` and ``0.0`` compare
-    equal in both sorts, so they share a group, and sit where the stable
-    order puts them once a repaired column's values are gathered again.
+    equal in both sorts, so they share a group, and the mask, built from
+    the unstable sort, is the one the stable order gives.
     """
     n, d = Z.shape
     orders = np.empty((d, n), dtype=np.min_scalar_type(n))
-    values = np.empty((d, n))
+    tie = np.empty((d, n - 1), dtype=bool)
+    tie_any, tie_all = [False] * d, [False] * d
     for j in range(d):
         z = Z[:, j]
         order = np.argsort(z)
         sv = z[order]
-        tie = sv[:-1] == sv[1:]
-        if tie.any():
+        np.equal(sv[:-1], sv[1:], out=tie[j])
+        if tie[j].any():
+            tie_any[j], tie_all[j] = True, bool(tie[j].all())
             group = np.zeros(n, dtype=np.int64)
-            np.cumsum(~tie, out=group[1:])
+            np.cumsum(~tie[j], out=group[1:])
             order = np.sort(group * n + order) % n
-            sv = z[order]
-        orders[j], values[j] = order, sv
-    return orders, values
+        orders[j] = order
+    return orders, (tie, tie_any, tie_all)
 
 
 def boost(X, y, cfg, prepare, n_members=1) -> tuple[FitTrace, ...]:
@@ -371,9 +372,7 @@ def fit_grid(X, y, cfg: TGBConfig, reg_strengths) -> tuple[FitTrace, ...]:
     def prepare(Z, y):
         # column-major, so that every gather of the scan and the presort reads one column
         Z = np.asfortranarray(Z)
-        orders, values = _stable_orders(Z)
-        tie = values[:, :-1] >= values[:, 1:]
-        root_values = tie, tie.any(axis=1).tolist(), tie.all(axis=1).tolist()
+        orders, root_values = _stable_orders(Z)
         return slice(None), lambda g, members: _grow_conjunctions(
             Z, g, orders, root_values, [regs[m] for m in members], cfg.max_propositions)
 

@@ -118,6 +118,20 @@ def test_printed_complexity_matches_ensemble_complexity():
         assert last == f"complexity: C(f) = {ens.complexity()}"
 
 
+def test_the_readme_one_rule_example_prints_what_the_readme_shows(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["make-synthetic", "--generator", "oblique", "--n", "1000", "--d", "6",
+                 "--noise", "0.05", "--seed", "0", "--out", "oblique.csv"]) == 0
+    assert main(["train", "--data", "oblique.csv", "--target", "target", "--task",
+                 "classification", "--method", "lltboost", "--rules", "1",
+                 "--out", "model.json"]) == 0
+    capsys.readouterr()
+    assert main(["print", "--model", "model.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "score = -2.89", "+5.75 if 2.18·x1 + 2.18·x2 ≥ -0.04", "complexity: C(f) = 4"]
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from obliquerules.evaluation import (
     CurvePoint,
     ProtocolConfig,
     bootstrap_split,
-    derive_targets,
     min_complexity_to_risk_target,
     risk_at_complexity_target,
     run_benchmark,
@@ -156,25 +155,6 @@ def test_ci_brackets_median_for_both_kinds(vals):
     assert cells["median"] <= cells["ci47_high"] <= cells["ci38_high"]
 
 
-def test_derive_targets_single_repetition():
-    rt, ct = derive_targets([curve([(3, 0.4), (5, 0.2)])])
-    assert abs(rt - 0.3) <= 1e-15
-    assert ct == 5.0
-
-
-def test_derive_targets_pools_points_across_repetitions():
-    rt, ct = derive_targets([curve([(2, 1.0)]), curve([(4, 0.0), (6, 0.0)])])
-    assert abs(rt - 1.0 / 3.0) <= 1e-15
-    # rep 1 never reaches 1/3 -> inf; rep 2 reaches it at complexity 4
-    assert ct == INF or ct > 4.0  # midpoint of (4, inf) is inf
-    assert ct == INF
-
-
-def test_derive_targets_rejects_empty():
-    with pytest.raises(ValueError):
-        derive_targets([()])
-
-
 # ---------------------------------------------------------------------------
 # bootstrap splits
 # ---------------------------------------------------------------------------
@@ -247,6 +227,60 @@ def test_report_counts_one_aggregate_row_per_metric_and_curves_per_rep():
     by_reg = oracle["tgb_mean_risk_by_reg"]
     assert oracle["tgb_oracle_reg"] == min(by_reg, key=lambda h: (by_reg[h], float(h)))
     assert oracle["risk_target"] == by_reg[oracle["tgb_oracle_reg"]]
+
+
+@pytest.mark.parametrize("repetitions, master_seed, infinite", [(1, 3, False), (2, 0, True),
+                                                                (10, 3, False)])
+def test_targets_are_the_oracle_mean_test_risk_and_median_minimum_complexity(
+        repetitions, master_seed, infinite):
+    # the risk target pools every point of every repetition of the oracle grid
+    # value; the complexity target is the midpoint of the central ones of its
+    # per-repetition minimum complexities reaching it, inf if the upper one is
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(80, 3))
+    y = X[:, 0] - X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=80)
+    data = [make_oblique(n=60, d=3, noise=0.1, seed=0),
+            Dataset(name="regression", feature_names=("a", "b", "c"), X=X, y=y,
+                    task=Task.REGRESSION)]
+    rep = run_benchmark(data, small_config(repetitions=repetitions, master_seed=master_seed))
+    complexity_targets = []
+    for dataset, targets in rep.targets.items():
+        for metric, t in targets.items():
+            oracle = (dataset, metric, "tgb", t["tgb_oracle_reg"])
+            rows = [r for r in rep.curve_rows
+                    if (r["dataset"], r["metric"], r["method"], r["hyper"]) == oracle]
+            assert t["risk_target"] == float(np.mean([r["test_risk"] for r in rows]))
+            mins = sorted(min((r["complexity"] for r in rows
+                               if r["rep"] == k and r["test_risk"] <= t["risk_target"]),
+                              default=INF) for k in range(repetitions))
+            middle = (mins[(repetitions - 1) // 2] + mins[repetitions // 2]) / 2
+            assert t["complexity_target"] == middle
+            complexity_targets.append(middle)
+    assert len(complexity_targets) == 3
+    assert (INF in complexity_targets) == infinite
+
+
+def test_a_repetition_scores_every_stage_in_one_kernel_call(monkeypatch):
+    score_ensembles, calls = evaluation.score_ensembles, []
+
+    def counted(ensembles, X):
+        calls.append((len(ensembles), len(X)))
+        return score_ensembles(ensembles, X)
+
+    monkeypatch.setattr(evaluation, "score_ensembles", counted)
+    draw, splits = evaluation.bootstrap_split, []
+
+    def drawn(*args):
+        splits.append(draw(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(evaluation, "bootstrap_split", drawn)
+    run_benchmark([make_oblique(n=60, d=3, noise=0.1, seed=0)],
+                  small_config(repetitions=1, methods=("lltboost", "tgb")))
+    (split,) = splits
+    # the stages of lltboost and of both grid values, on the train then the test rows
+    assert len(calls) == 1 and calls[0][0] > 2
+    assert calls[0][1] == split.train.size + split.test.size
 
 
 def test_failed_fits_record_inf_rows_and_note(monkeypatch):

@@ -274,11 +274,15 @@ def test_presort_equals_a_stable_argsort(seed, n, d, decimals, bootstrap, signed
         X[:, 0] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
     if constant:
         X[:, -1] = 1.5
-    orders, values = tgb._stable_orders(X)
+    orders, (tie, tie_any, tie_all) = tgb._stable_orders(X)
     assert orders.dtype == np.min_scalar_type(n)
     assert np.array_equal(orders, np.argsort(X.T, axis=1, kind="stable"))
-    # the sorted values bit for bit, -0.0 and 0.0 included
-    assert values.tobytes() == np.take_along_axis(X.T, orders, axis=1).tobytes()
+    # the tie facts are those of the sorted neighbours, -0.0 and 0.0 tying
+    sv = np.take_along_axis(X.T, orders, axis=1)
+    expected = sv[:, :-1] == sv[:, 1:]
+    assert tie.shape == (d, n - 1) and np.array_equal(tie, expected)
+    assert tie_any == expected.any(axis=1).tolist()
+    assert tie_all == (expected.any(axis=1) & expected.all(axis=1)).tolist()
 
 
 @pytest.mark.parametrize("reg", [0.01, 100.0])
@@ -315,9 +319,7 @@ def test_scans_below_the_root_compare_sorted_values_only_where_a_column_ties():
     Z = rng.normal(size=(n, d))
     Z[:, 1:3] = np.round(Z[:, 1:3])
     Z = np.asfortranarray(Z)
-    all_orders, values = tgb._stable_orders(Z)
-    tie = values[:, :-1] >= values[:, 1:]
-    root_values = tie, tie.any(axis=1).tolist(), tie.all(axis=1).tolist()
+    all_orders, root_values = tgb._stable_orders(Z)
     assert root_values[1] == [False, True, True, False]
     for size in (3000, 1500):
         for _ in range(6):
