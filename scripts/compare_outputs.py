@@ -58,12 +58,14 @@ Each tree is imported in its own fresh interpreter, which writes:
   --config`` with every settings key given in the file.
 
 Then every file is compared byte for byte.  For a JSON file that differs, the
-paths of the differing values are listed, then the count of differing values
-per path with its list indices stripped (for example ``.curves[].complexity:
-4``), then the largest relative difference |a - b| / max(|a|, |b|) among the
-differing numbers and its path.  For fits.json it also counts the fits whose
-final stage differs, and in how many of those the final complexity rose or fell
-and the final train risk fell or rose.
+paths of the differing values are listed with both sides (a list or object
+as its size, any other value cut to 120 characters), then the count of
+differing values per path with its list indices stripped (for example
+``.curves[].complexity: 4``), then the largest relative difference
+|a - b| / max(|a|, |b|) among the differing numbers and its path.  For
+fits.json it also counts the fits whose final stage differs, and in how many
+of those the final complexity rose or fell and the final train risk fell or
+rose.
 
 Usage:
     python3 scripts/compare_outputs.py BEFORE_SRC AFTER_SRC
@@ -311,6 +313,15 @@ def _json_diffs(a, b, path="") -> list[tuple[str, object, object]]:
     return [] if a == b else [(path or ".", a, b)]
 
 
+def _shown(value) -> str:
+    """A differing value for one line: a list or object as its size, anything
+    else as its repr, cut to 120 characters."""
+    if isinstance(value, (list, dict)):
+        return f"<{type(value).__name__} of {len(value)}>"
+    text = repr(value)
+    return text if len(text) <= 120 else text[:117] + "..."
+
+
 def _number(value) -> float | None:
     """A finite JSON number, or a string holding one (fits.json stores reprs)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
@@ -388,7 +399,7 @@ def main(argv=None) -> int:
             if name.endswith(".json"):
                 diffs = _json_diffs(json.loads(a), json.loads(b))
                 for path, x, y in diffs:
-                    print(f"    {path}: {x!r} -> {y!r}")
+                    print(f"    {path}: {_shown(x)} -> {_shown(y)}")
                 for line in _counts_by_path(diffs):
                     print(f"    {line}")
                 print(f"    {_largest_relative_difference(diffs)}")

@@ -67,6 +67,8 @@ def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
             header = [h.strip() for h in next(reader)]
             rows = []
             for line_no, record in enumerate(reader, start=2):
+                if not record:  # a blank line; one of only commas is a row of empty cells
+                    continue
                 if len(record) != len(header):
                     raise DataError(
                         f"{path}:{line_no}: expected {len(header)} cells, got {len(record)}"

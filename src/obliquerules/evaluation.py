@@ -14,7 +14,7 @@ wall-clock timings are kept in a separate table for the same reason.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from types import ModuleType
 from typing import NamedTuple
@@ -121,8 +121,7 @@ def learner_config(method: str, **settings):
 
 
 # the ProtocolConfig fields every fitted learner receives; LLTConfig checks them
-LEARNER_FIELDS = ("max_rules", "max_propositions", "max_nonzeros", "validation_fraction",
-                  "sparsity_accept_delta")
+LEARNER_FIELDS = ("max_rules", "max_propositions", "max_nonzeros", "validation_fraction")
 TGB_REG_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
@@ -135,7 +134,6 @@ class ProtocolConfig:
     bootstrap_cap: int = 500
     tgb_reg_grid: tuple[float, ...] = TGB_REG_GRID
     validation_fraction: float = 0.25
-    sparsity_accept_delta: float = 0.01
     methods: tuple[str, ...] = ("lltboost", "tgb")
     master_seed: int = 0
     jobs: int = 1
@@ -314,15 +312,13 @@ class BenchmarkReport:
     targets: dict = field(default_factory=dict)  # dataset -> metric -> target provenance
     complexity_rows: list[dict] = field(default_factory=list)
     risk_rows: list[dict] = field(default_factory=list)
-    curve_rows: list[dict] = field(default_factory=list)  # flat, one per curve point
+    curve_rows: list[dict] = field(default_factory=list)  # flat, one per curve point; CSV only
     timing_rows: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         # wall-clock timings deliberately excluded: everything here is a
         # deterministic function of (datasets, config)
-        from dataclasses import asdict
-
         cfg = asdict(self.config)
         # execution infrastructure, not protocol: a parallel run must emit
         # the same bytes as a serial one
@@ -334,7 +330,6 @@ class BenchmarkReport:
                 "targets": self.targets,
                 "complexity_table": self.complexity_rows,
                 "risk_table": self.risk_rows,
-                "curves": self.curve_rows,
                 "notes": self.notes,
             }
         )

@@ -21,6 +21,7 @@ from .sparse_logreg import LambdaPath, WeightedBinaryProblem, corrective_refit  
 from .tgb import boost
 
 OBJECTIVE_TOLERANCE = 1e-9  # gradient-sum gains at or below this count as none
+SPARSITY_ACCEPT_DELTA = 0.01  # the share of validation sign risk a denser level must cut
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class LLTConfig:
     max_nonzeros: int = 5
     loss: LossKind = LossKind.LOGISTIC
     validation_fraction: float = 0.25
-    sparsity_accept_delta: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +41,6 @@ class LLTConfig:
         )
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie strictly between 0 and 1")
-        if not self.sparsity_accept_delta >= 0.0:
-            raise ValueError("sparsity_accept_delta must be nonnegative")
         object.__setattr__(self, "loss", LossKind(self.loss))
 
 
@@ -58,22 +56,24 @@ def fit_proposition(active, X, g, cfg: LLTConfig,
 
     For each direction of the gradient-sign labeling, candidate weight vectors
     of increasing sparsity are fit; a denser candidate is only admitted while
-    it improves the validation sign risk by more than the configured relative
-    margin.  The winner maximizes |<g, q>| over the active rows; ties prefer
+    it cuts the validation sign risk by a share above ``SPARSITY_ACCEPT_DELTA``
+    of the last.  The winner maximizes |<g, q>| over the active rows; ties prefer
     fewer nonzeros, then the positive direction, then lower sparsity level.
 
     One L1 path serves both directions: relabeled 1 - z on the same weights |g|,
     the problem's solutions are (-w, -b), so ``from_dense(-w, threshold=-t)``.
+
+    No L1 problem is built when one gradient sign of the active rows holds at
+    most ``OBJECTIVE_TOLERANCE`` of their |g| mass m: there is nothing to
+    separate.  No cover gains more than the other sign's M, and a condition on
+    the first feature covering every active row gains M - m (0 if g vanishes).
     """
     ga = g[active]
     if not ga.size:
         return None
     Xa = X[active]
 
-    if min(ga[ga > 0].sum(), -ga[ga < 0].sum()) <= OBJECTIVE_TOLERANCE:
-        # one sign holds at most the tolerance m of |g| mass, so there is nothing to
-        # separate: no cover gains more than the other sign's M, and a condition on the
-        # first feature covering every active row gains M - m (0 if g vanishes there)
+    if min(ga[ga > 0].sum(), -ga[ga < 0].sum()) <= OBJECTIVE_TOLERANCE:  # nothing to separate
         prop = SparseProposition(indices=(0,), weights=(1.0,), threshold=float(Xa[:, 0].min()))
         candidates = [(prop, prop.activations(X))]
     else:
@@ -93,7 +93,7 @@ def fit_proposition(active, X, g, cfg: LLTConfig,
                 risk = _weighted_sign_risk(cover[validation], gv, sgn)
                 if prev_risk is not None and not (
                         prev_risk > 0.0
-                        and (prev_risk - risk) / prev_risk > cfg.sparsity_accept_delta):
+                        and (prev_risk - risk) / prev_risk > SPARSITY_ACCEPT_DELTA):
                     break
                 candidates.append((prop, cover))
                 prev_risk = risk
@@ -109,7 +109,8 @@ def fit_proposition(active, X, g, cfg: LLTConfig,
 
 
 def fit_conjunction(X, g, cfg: LLTConfig, active, validation) -> list[SparseProposition] | None:
-    """Greedily grow a conjunction while the gradient-sum objective improves."""
+    """Greedily grow a conjunction while the gradient-sum objective improves;
+    each winner's cover narrows the active and the validation rows."""
     active = np.asarray(active, dtype=int)
     validation = np.asarray(validation, dtype=int)
     body: list[SparseProposition] = []

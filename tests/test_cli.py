@@ -589,6 +589,40 @@ def test_model_file_takes_json_integers_as_numbers(tmp_path, clf_csv):
     assert ensemble.standardizer.scale.tolist() == [1.0, 2.0, 3.0]
 
 
+def with_blank_line(tmp_path, csv_path, at):
+    """A copy of ``csv_path`` with a blank line inserted before line ``at``
+    (1-based; past the last line, the file ends in an empty line)."""
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    lines.insert(at - 1, "")
+    blank = tmp_path / f"blank{at}.csv"
+    blank.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return blank
+
+
+@pytest.mark.parametrize("at", [10, 62])  # mid-file, and the last line of the file
+def test_train_reads_the_rows_around_a_blank_line(tmp_path, clf_csv, at, capsys):
+    blank = with_blank_line(tmp_path, clf_csv, at)
+    tables = []
+    for data in (clf_csv, blank):
+        assert main(["train", "--data", str(data), "--target", "y", "--task", "clf",
+                     "--method", "tgb", "--rules", "2", "--out", str(tmp_path / "m.json")]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("at", [10, 62])
+def test_predict_scores_each_data_row_around_a_blank_line(tmp_path, clf_csv, at, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    blank = with_blank_line(tmp_path, clf_csv, at)
+    scores = []
+    for data in (clf_csv, blank):
+        out_file = tmp_path / "scores.txt"
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(out_file)]) == 0
+        scores.append(out_file.read_text().split())
+    assert len(scores[1]) == 60 and scores[0] == scores[1]
+
+
 @pytest.mark.parametrize("target", [None, "y"])
 def test_predict_rejects_incomplete_rows(tmp_path, clf_csv, target, capsys):
     model_path = trained_model(tmp_path, clf_csv)
@@ -939,6 +973,8 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": 5},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3, "bogus": 1}]},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3, "generator": "oblique"}]},
+    # the margin is lltboost.SPARSITY_ACCEPT_DELTA, not a protocol setting
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "sparsity_accept_delta": 0.1},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"

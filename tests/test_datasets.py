@@ -54,6 +54,22 @@ def test_rows_with_missing_cells_are_skipped_and_counted(tmp_path):
     assert d.X.tolist() == [[1.0, 2.0], [5.0, 6.0]]
 
 
+def test_blank_lines_are_no_rows_and_keep_the_line_numbers(tmp_path):
+    # csv.reader yields [] for a blank line; a line of only commas is a row of empty cells
+    p = write(tmp_path, "a,b,y\n1,2,no\n\n3,4,yes\n,,\n5,6,no\n\n")
+    d = load_csv(p, "y", Task.CLASSIFICATION)
+    assert d.X.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert d.n_skipped_rows == 1
+    X, y = load_rows(write(tmp_path, "a,b,y\n1,2,no\n\n3,4,yes\n\n", "rows.csv"),
+                     ["a", "b"], "y", Task.CLASSIFICATION)
+    assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]] and y.tolist() == [0.0, 1.0]
+    with pytest.raises(DataError, match=r"data\.csv:5: missing cell"):
+        load_rows(p, ["a", "b"])
+    with pytest.raises(DataError, match=r"bad\.csv:4: non-numeric value 'x'"):
+        load_csv(write(tmp_path, "a,b,y\n1,2,no\n\nx,4,yes\n", "bad.csv"), "y",
+                 Task.CLASSIFICATION)
+
+
 def test_feature_rows_follow_the_requested_column_order(tmp_path):
     p = write(tmp_path, "a,b,note\n1,2,\n3,4,x\n")
     X, y = load_rows(p, ("b", "a"))

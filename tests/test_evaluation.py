@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -479,6 +480,22 @@ def test_serial_and_parallel_reports_identical(tmp_path):
         assert out[1][name] == out[2][name], f"{name} differs"
 
 
+def test_report_json_holds_no_curve_rows_and_curves_csv_holds_them_all(tmp_path):
+    data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
+    rep = run_benchmark(data, small_config(repetitions=3))
+    rep.write(tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert set(doc) == {"config", "datasets", "targets", "complexity_table", "risk_table",
+                        "notes"}
+    with open(tmp_path / "curves.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows == [{k: evaluation._cell(v) for k, v in r.items()} for r in rep.curve_rows]
+    # every stage of every repetition of both grid values, under both metrics
+    assert {(r["metric"], r["hyper"], r["rep"]) for r in rows} == {
+        (m, h, str(k)) for m in ("logistic", "zero_one") for h in ("0.01", "1.0")
+        for k in range(3)}
+
+
 def test_protocol_opens_at_most_one_worker_per_work_unit(monkeypatch):
     # a pool that starts its processes by fork starts every worker at its first
     # submit, so workers beyond the (dataset, repetition) units would sit idle
@@ -567,11 +584,9 @@ def test_config_validation():
     {"validation_fraction": 0.0},
     {"validation_fraction": 1.0},
     {"validation_fraction": float("nan")},
-    {"sparsity_accept_delta": -0.01},
     {"tgb_reg_grid": (0.1, -1.0)},
     {"tgb_reg_grid": (INF,)},
     {"max_rules": True},
-    {"sparsity_accept_delta": float("nan")},
     {"tgb_reg_grid": (float("nan"),)},
     {"methods": ()},
     {"tgb_reg_grid": ()},  # with tgb among the methods: its grid gives the targets

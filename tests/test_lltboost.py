@@ -1,5 +1,7 @@
 """Tests for the oblique-rule boosting learner."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,17 +134,31 @@ def test_a_sign_of_rounding_level_mass_takes_the_one_sign_shortcut(monkeypatch, 
     assert np.array_equal(cover, prop.activations(X))
 
 
-def test_nonzero_budget_respected():
-    rng = np.random.default_rng(11)
+def test_nonzero_budget_respected(monkeypatch):
+    monkeypatch.setattr(lltboost, "SPARSITY_ACCEPT_DELTA", 0.0)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(60, 8))
         g = rng.normal(size=60)
-        cfg = LLTConfig(max_nonzeros=2, sparsity_accept_delta=0.0)
+        cfg = LLTConfig(max_nonzeros=2)
         active = np.arange(60)
         found = fit_proposition(active, X, g, cfg, active)
         if found is not None:
             assert found[0].nnz <= 2
+
+
+def test_the_sparsity_margin_is_a_module_constant_not_a_setting(monkeypatch):
+    assert lltboost.SPARSITY_ACCEPT_DELTA == 0.01
+    with pytest.raises(TypeError):
+        LLTConfig(sparsity_accept_delta=0.1)
+    # x1 + 0.8 x2 separates the gradient signs and no single feature does, so
+    # only the margin that fit_proposition reads keeps the two-feature level out
+    X = np.random.default_rng(0).normal(size=(40, 2))
+    g = np.where(X[:, 0] + 0.8 * X[:, 1] >= 0, 1.0, -1.0)
+    active = np.arange(40)
+    assert fit_proposition(active, X, g, LLTConfig(max_nonzeros=2), active)[0].nnz == 2
+    monkeypatch.setattr(lltboost, "SPARSITY_ACCEPT_DELTA", float("inf"))
+    assert fit_proposition(active, X, g, LLTConfig(max_nonzeros=2), active)[0].nnz == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,8 +172,9 @@ def test_a_proposition_always_covers_an_active_row(seed, n, d, max_nonzeros, del
     g = rng.normal(size=n) * (rng.random(n) < 0.8)
     inside = rng.random(n) < 0.7
     active, validation = np.flatnonzero(inside), np.flatnonzero(~inside)
-    cfg = LLTConfig(max_nonzeros=max_nonzeros, sparsity_accept_delta=delta)
-    found = fit_proposition(active, X, g, cfg, validation)
+    cfg = LLTConfig(max_nonzeros=max_nonzeros)
+    with mock.patch.object(lltboost, "SPARSITY_ACCEPT_DELTA", delta):
+        found = fit_proposition(active, X, g, cfg, validation)
     if found is not None:
         prop, cover = found
         assert prop.activations(X[active]).any()
@@ -486,8 +503,6 @@ def test_config_validation():
         LLTConfig(validation_fraction=0.0)
     with pytest.raises(ValueError):
         LLTConfig(validation_fraction=1.0)
-    with pytest.raises(ValueError):
-        LLTConfig(sparsity_accept_delta=-0.1)
     with pytest.raises(ValueError, match="seed"):
         LLTConfig(seed=-1)
 

@@ -46,6 +46,23 @@ def test_compare_outputs_counts_differing_values_by_path():
     assert compare._counts_by_path([]) == []
 
 
+def test_compare_outputs_shows_a_removed_key_or_shortened_list_by_its_size():
+    compare = load_script()
+    before = {"curves": [{"rep": k, "test_risk": 0.5} for k in range(1600)],
+              "notes": ["a", "b", "c"], "text": "x" * 500, "seed": 1}
+    after = {"notes": ["a", "b"], "text": "y" * 500, "seed": 2}
+    diffs = compare._json_diffs(before, after)
+    shown = [f"{path}: {compare._shown(a)} -> {compare._shown(b)}" for path, a, b in diffs]
+    assert shown[:3] == [".curves: <list of 1600> -> '<absent>'",
+                         ".notes: <list of 3> -> <list of 2>", ".seed: 1 -> 2"]
+    assert shown[3] == f".text: '{'x' * 116}... -> '{'y' * 116}..."
+    assert compare._shown({"a": 1}) == "<dict of 1>"
+    # the counts and the largest difference still see the whole values
+    assert compare._counts_by_path(diffs) == [".curves: 1", ".notes: 1", ".seed: 1", ".text: 1"]
+    assert compare._largest_relative_difference(diffs) == (
+        "largest relative difference: 0.5 at .seed")
+
+
 def test_compare_outputs_summarizes_changed_final_stages():
     compare = load_script()
 
