@@ -584,9 +584,11 @@ def test_config_validation():
     {"validation_fraction": 0.0},
     {"validation_fraction": 1.0},
     {"validation_fraction": float("nan")},
+    {"bootstrap_cap": 1},  # a bootstrap needs at least two rows
     {"tgb_reg_grid": (0.1, -1.0)},
     {"tgb_reg_grid": (INF,)},
     {"max_rules": True},
+    {"validation_fraction": 1.5},
     {"tgb_reg_grid": (float("nan"),)},
     {"methods": ()},
     {"tgb_reg_grid": ()},  # with tgb among the methods: its grid gives the targets
