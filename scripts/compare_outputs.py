@@ -40,10 +40,11 @@ Each tree is imported in its own fresh interpreter, which writes:
   the key ``l1/<fit key>`` holds the sha256 of every solution that
   ``LambdaPath.for_sparsity`` returned during the fit, with its sparsity
   level, so that a change of an L1 solution shows even where no final model
-  keeps it.  The 22 lltboost fits run 2243 L1 solves on their paths: 2147
-  at knots, 56 after a far jump halved lam and 40 after a halfway step, so
-  both fallbacks of the walk are covered (2 of the halfway steps come from
-  the bootstrap fit, 38 from the noise-free ones).  For each tgb fit, the
+  keeps it.  The 22 lltboost fits run 1610 L1 solves on their paths: 1553
+  at knots, 26 after a far jump halved lam and 31 after a halfway step, so
+  both fallbacks of the walk are covered (the far jumps all come from the
+  noise-free make_oblique seed 1 fit; 1 of the halfway steps comes from the
+  bootstrap fit, 30 from the noise-free ones).  For each tgb fit, the
   key ``scan/<fit key>`` holds the sha256 of every answer of
   ``tgb.best_axis_proposition`` during the fit (feature, direction, and the
   hex of threshold and score, or None), so that a change of an axis scan

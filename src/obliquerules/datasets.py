@@ -63,12 +63,14 @@ def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
+        # csv.reader yields [] for a blank line, which is skipped; a line of only
+        # commas is a row of empty cells
+        records = (record for record in reader if record)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(records)]
             rows = []
-            for line_no, record in enumerate(reader, start=2):
-                if not record:  # a blank line; one of only commas is a row of empty cells
-                    continue
+            for record in records:
+                line_no = reader.line_num  # the line the record ends on
                 if len(record) != len(header):
                     raise DataError(
                         f"{path}:{line_no}: expected {len(header)} cells, got {len(record)}"

@@ -235,13 +235,20 @@ class LambdaPath:
     fixed, and d(w_A, b)/dlam = -H_A^-1 (sign_A, 0), H_A the smooth part's
     Hessian.  On that tangent the walk predicts the next event (an inactive
     |d_j f| meets lam, or an active weight reaches 0), solves the event's knot
-    by Newton steps in (w_A, b, lam) and corrects it with ``solve``."""
+    by Newton steps in (w_A, b, lam) and corrects it with ``solve``.
+
+    A query for s walks on only to the first point with more than s nonzeros
+    or more than s in its support A just below; ``_held`` maps each lam walked
+    to the largest A of the points above it, and the last point's tangent is
+    kept for the next query that walks on."""
 
     def __init__(self, problem: WeightedBinaryProblem):
         self.problem = problem
         self.lam_floor = LAMBDA_FLOOR_RATIO * problem.lam_max
         self._last = _null_solution(problem, problem.lam_max)  # optimal for lam >= lam_max
         self._cache: dict[float, LinearSolution] = {problem.lam_max: self._last}
+        self._held = {problem.lam_max: 0}
+        self._tangent_at = (None, None)  # the last point asked and its _tangent
         self._start: tuple[np.ndarray, float] | None = None  # the walk's prediction
         # feature and sign of the free events, d with sign -1 and then d with +1
         self._free_feature = np.tile(np.arange(problem.d), 2)
@@ -256,31 +263,49 @@ class LambdaPath:
     def for_sparsity(self, s: int) -> LinearSolution:
         """Knot solution at the smallest lam with exactly ``s`` nonzeros, on the
         path walked until it first holds more; else the densest solution with
-        fewer.  Never more than ``s`` nonzeros."""
+        fewer.  Never more than ``s`` nonzeros.  The walk stops at the first
+        point at or just below which the path holds more; that point is an
+        answer if it has at most ``s`` nonzeros itself."""
         if not 1 <= s <= self.problem.d:
             raise ValueError(f"sparsity level must be in [1, {self.problem.d}], got {s}")
         while self._last.nnz <= s and self._last.lam > self.lam_floor:
+            _, A, *_ = self._tangent(self._last)
+            held = max(self._held[self._last.lam], A.size)
+            if held > s:
+                break
             self._last = self._next_knot(self._last)
-        over = max((sol.lam for sol in self._cache.values() if sol.nnz > s), default=-1.0)
-        return min((sol for sol in self._cache.values() if sol.nnz <= s and sol.lam > over),
+            self._held[self._last.lam] = held
+        return min((sol for sol in self._cache.values()
+                    if sol.nnz <= s and self._held[sol.lam] <= s),
                    key=lambda sol: (-sol.nnz, sol.lam))
+
+    def _tangent(self, at: LinearSolution):
+        """The gradient g at ``at``, the support A just below ``at.lam`` with its
+        signs, the tangent v = d(w_A, b)/dlam and dg = d(grad_w f)/dlam along it;
+        kept for the last point asked."""
+        if self._tangent_at[0] is not at:
+            problem = self.problem
+            X, w = problem.features, at.weights
+            _, mu, g, _ = problem._grad(w, at.intercept)
+            D = problem.sample_weights * mu * (1.0 - mu)
+            # the nonzeros, and the zeros at |g_j| = lam leaving 0
+            A = np.flatnonzero((w != 0) | (np.abs(g) >= at.lam - problem.tol))
+            while True:
+                sign = np.where(w[A] != 0, np.sign(w[A]), -np.sign(g[A]))
+                P, H = _hessian(X, D, A)
+                v = np.linalg.solve(H, -np.concatenate((sign, (0.0,))))
+                if np.all(moving := (w[A] != 0) | (sign * v[:-1] < 0)):
+                    break
+                A = A[moving]
+            self._tangent_at = at, (g, A, sign, v, X.T @ (D * (P @ v)))
+        return self._tangent_at[1]
 
     def _next_knot(self, at: LinearSolution) -> LinearSolution:
         """Solution at the next knot below ``at.lam``, or at a path point on the way."""
         problem = self.problem
         X, omega, d, tol = problem.features, problem.sample_weights, problem.d, problem.tol
         lam, w, b = at.lam, at.weights, at.intercept
-        _, mu, g, _ = problem._grad(w, b)
-        D = omega * mu * (1.0 - mu)
-        # the support below lam: the nonzeros, and the zeros at |g_j| = lam leaving 0
-        A = np.flatnonzero((w != 0) | (np.abs(g) >= lam - tol))
-        while True:
-            sign = np.where(w[A] != 0, np.sign(w[A]), -np.sign(g[A]))
-            P, H = _hessian(X, D, A)
-            v = np.linalg.solve(H, -np.concatenate((sign, (0.0,))))  # d(w_A, b) / dlam
-            if np.all(moving := (w[A] != 0) | (sign * v[:-1] < 0)):
-                break
-            A = A[moving]
+        g, A, sign, v, dg = self._tangent(at)
 
         # the step down in lam to each event: an active weight reaches 0, or a free
         # g_j - dlam * dg_j/dlam meets -sign_j * (lam - dlam) for sign_j = -1, 1
@@ -290,7 +315,6 @@ class LambdaPath:
         feature = np.concatenate([A, self._free_feature])
         sg = self._free_sign
         event_sign = np.concatenate([sign, sg])
-        dg = X.T @ (D * (P @ v))
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.concatenate([np.where(w[A] != 0, w[A] / v[:-1], 0.0), np.where(
                 free, np.maximum(lam + sg * np.concatenate([g, g]), 0.0)

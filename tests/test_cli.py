@@ -599,7 +599,7 @@ def with_blank_line(tmp_path, csv_path, at):
     return blank
 
 
-@pytest.mark.parametrize("at", [10, 62])  # mid-file, and the last line of the file
+@pytest.mark.parametrize("at", [1, 10, 62])  # before the header, mid-file, at the end
 def test_train_reads_the_rows_around_a_blank_line(tmp_path, clf_csv, at, capsys):
     blank = with_blank_line(tmp_path, clf_csv, at)
     tables = []
@@ -610,7 +610,7 @@ def test_train_reads_the_rows_around_a_blank_line(tmp_path, clf_csv, at, capsys)
     assert tables[0] == tables[1]
 
 
-@pytest.mark.parametrize("at", [10, 62])
+@pytest.mark.parametrize("at", [1, 10, 62])
 def test_predict_scores_each_data_row_around_a_blank_line(tmp_path, clf_csv, at, capsys):
     model_path = trained_model(tmp_path, clf_csv)
     blank = with_blank_line(tmp_path, clf_csv, at)

@@ -70,6 +70,25 @@ def test_blank_lines_are_no_rows_and_keep_the_line_numbers(tmp_path):
                  Task.CLASSIFICATION)
 
 
+def test_blank_lines_before_the_header_are_skipped(tmp_path):
+    d = load_csv(write(tmp_path, "\na,b,y\n1,2,no\n3,4,yes\n"), "y", Task.CLASSIFICATION)
+    assert d.feature_names == ("a", "b") and d.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(DataError, match=r"lead\.csv:4: non-numeric value 'x'"):
+        load_csv(write(tmp_path, "\n\na,b,y\n1,x,no\n3,4,yes\n", "lead.csv"), "y",
+                 Task.CLASSIFICATION)
+    with pytest.raises(DataError, match="empty file"):
+        load_csv(write(tmp_path, "\n\n", "blank.csv"), "y", Task.CLASSIFICATION)
+
+
+def test_errors_name_the_file_line_after_a_cell_that_spans_lines(tmp_path):
+    # the quoted cell "3\n" ends on line 4, so the x is on line 5
+    p = write(tmp_path, 'a,b,y\n1,2,no\n"3\n",4,yes\n5,x,no\n', "q.csv")
+    with pytest.raises(DataError, match=r"q\.csv:5: non-numeric value 'x'"):
+        load_csv(p, "y", Task.CLASSIFICATION)
+    with pytest.raises(DataError, match=r"q\.csv:5: non-numeric value 'x'"):
+        load_rows(p, ["a", "b"])
+
+
 def test_feature_rows_follow_the_requested_column_order(tmp_path):
     p = write(tmp_path, "a,b,note\n1,2,\n3,4,x\n")
     X, y = load_rows(p, ("b", "a"))

@@ -404,6 +404,39 @@ def test_lambda_path_memoizes_consistently():
     b = LambdaPath(prob).for_sparsity(2)
     assert a.nnz == b.nnz == 2
     assert np.array_equal(np.flatnonzero(a.weights), np.flatnonzero(b.weights))
+    # no answer depends on the order levels are asked in
+    rng = np.random.default_rng(0)
+    problems = [prob, random_problem(0, d=5, informative=2)]  # the latter: the stretch below
+    problems += [random_problem(seed_, d=6, informative=3) for seed_ in range(8)]
+    for prob in problems:
+        fresh = {s: LambdaPath(prob).for_sparsity(s) for s in range(1, prob.d + 1)}
+        for _ in range(3):
+            path = LambdaPath(prob)
+            for s in rng.permutation(np.arange(1, prob.d + 1)).tolist():
+                sol = path.for_sparsity(s)
+                assert sol.lam == fresh[s].lam and np.array_equal(sol.weights, fresh[s].weights)
+
+
+def test_the_walk_stops_above_a_stretch_that_holds_more_than_the_level():
+    # just below lam = 0.132 feature 3 enters the support {0, 1, 2, 4}, and at
+    # 0.090 feature 2 leaves it: the path holds 5 nonzeros in between, though
+    # the knots on either side hold 4.  Level 4 is answered above that stretch.
+    prob = random_problem(0, d=5, informative=2)
+    path = LambdaPath(prob)
+    sol = path.for_sparsity(4)
+    assert sol.nnz == 4 and sol.lam == pytest.approx(0.132149, rel=1e-5)
+    assert fit_weighted_l1(prob, 0.9 * sol.lam).nnz == 5
+    assert path._last is sol  # no knot is walked past the stretch
+
+
+def test_the_walk_ends_at_the_answer_of_the_highest_level_asked():
+    # the walk stops at the first point with more than k nonzeros below it; on
+    # these paths that point holds k itself, so it answers k and no knot lies past it
+    for seed_ in range(20):
+        prob = random_problem(seed_, d=6, informative=3)
+        path = LambdaPath(prob)
+        for k in range(1, prob.d):
+            assert path.for_sparsity(k) is path._last, (seed_, k)
 
 
 def test_sparsity_level_is_returned_at_its_knot():
