@@ -134,7 +134,6 @@ class ProtocolConfig:
     bootstrap_cap: int = 500
     tgb_reg_grid: tuple[float, ...] = TGB_REG_GRID
     validation_fraction: float = 0.25
-    methods: tuple[str, ...] = ("lltboost", "tgb")
     master_seed: int = 0
     jobs: int = 1
 
@@ -142,32 +141,19 @@ class ProtocolConfig:
         check_integer_fields(
             self, {"repetitions": 1, "bootstrap_cap": 2, "master_seed": 0, "jobs": 1})
         lltboost.LLTConfig(**{name: getattr(self, name) for name in LEARNER_FIELDS})
-        for name, items in (("methods", "learner names"), ("tgb_reg_grid", "numbers")):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValueError(f"{name} must be a list of {items}, got {getattr(self, name)!r}")
-        unknown = set(self.methods) - set(LEARNERS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if not self.methods:
-            raise ValueError("methods must name at least one learner")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError(f"methods must not repeat a learner, got {self.methods!r}")
+        if not isinstance(self.tgb_reg_grid, (list, tuple)):
+            raise ValueError(f"tgb_reg_grid must be a list of numbers, got {self.tgb_reg_grid!r}")
         grid = tuple(tgb.TGBConfig(reg_strength=v).reg_strength for v in self.tgb_reg_grid)
         if len(set(grid)) != len(grid):  # 0.0 == -0.0, so the two are one value
             raise ValueError(f"tgb_reg_grid must not repeat a value, got {self.tgb_reg_grid!r}")
-        if not grid and "tgb" in self.methods:  # the baseline's grid: the targets come from it
-            raise ValueError("tgb_reg_grid must hold at least one value when tgb is a method")
+        if not grid:  # the baseline's grid: the targets come from it
+            raise ValueError("tgb_reg_grid must hold at least one value")
         object.__setattr__(self, "tgb_reg_grid", grid)
-        object.__setattr__(self, "methods", tuple(self.methods))
 
 
 def _method_variants(config: ProtocolConfig) -> list[tuple[str, str]]:
-    out = []
-    if "lltboost" in config.methods:
-        out.append(("lltboost", "default"))
-    if "tgb" in config.methods:
-        out.extend(("tgb", repr(float(reg))) for reg in config.tgb_reg_grid)
-    return out
+    """``lltboost``, then one ``tgb`` variant per grid value: every run compares both."""
+    return [("lltboost", "default")] + [("tgb", repr(float(reg))) for reg in config.tgb_reg_grid]
 
 
 def _metrics_for(task: Task) -> list[tuple[str, LossKind]]:
@@ -228,7 +214,8 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
     Returns the split's redraw count and one ``(curves by metric name,
     seconds, error)`` per variant in ``_method_variants`` order; a failed fit
     has empty curves, no seconds and its error's text.  One ``score_ensembles``
-    call scores every distinct stage on the train rows, then the test rows.
+    call scores every distinct stage on the train rows, then the test rows,
+    and one ``loss`` call per metric evaluates that (stages, rows) array.
     """
     ss = np.random.SeedSequence([config.master_seed, d_idx, rep])
     split_seed, fit_seed = (int(v) for v in ss.generate_state(2))
@@ -248,10 +235,8 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
     metrics = _metrics_for(dataset.task)
 
     traces = []
-    tgb_traces = {}
+    tgb_traces = _fit_tgb_grid(X_train, y_train, fit_kind, config, fit_seed)
     for method, hyper in _method_variants(config):
-        if method == "tgb" and not tgb_traces:
-            tgb_traces = _fit_tgb_grid(X_train, y_train, fit_kind, config, fit_seed)
         try:
             traces.append(_fit_variant(method, hyper, X_train, y_train, fit_kind, config,
                                        fit_seed, tgb_traces))
@@ -259,15 +244,16 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
             traces.append(f"{type(exc).__name__}: {exc}")
 
     stages = {id(s): s for t in traces if not isinstance(t, str) for s in t.stages[1:]}
-    scores = score_ensembles([s.ensemble for s in stages.values()],
-                             np.concatenate([X_train, X_test]))
     n_train = X_train.shape[0]
-    risks = {  # stage id -> (test, train) risk per metric
-        key: [(float(np.mean(loss(metric_kind, y_test, s[n_train:]))),
-               float(np.mean(loss(metric_kind, y_train, s[:n_train]))))
-              for _, metric_kind in metrics]
-        for key, s in zip(stages, scores)
-    }
+    X_all, y_all = np.concatenate([X_train, X_test]), np.concatenate([y_train, y_test])
+    scores = np.reshape(score_ensembles([s.ensemble for s in stages.values()], X_all),
+                        (len(stages), len(y_all)))  # (stages, rows); no stages if every fit failed
+    means = []  # per metric, each stage's (test, train) mean risk
+    for _, metric_kind in metrics:
+        losses = loss(metric_kind, y_all, scores)
+        means.append(zip(losses[:, n_train:].mean(axis=1).tolist(),
+                         losses[:, :n_train].mean(axis=1).tolist()))
+    risks = dict(zip(stages, zip(*means)))  # stage id -> (test, train) risk per metric
     fits = []
     for trace in traces:
         if isinstance(trace, str):
@@ -454,7 +440,7 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
                 if method == "tgb":
                     risks = [p.test_risk for c in curves for p in c]
                     mean_by_reg[hyper] = float(np.mean(risks)) if risks else INF
-            if not mean_by_reg or min(mean_by_reg.values()) == INF:
+            if min(mean_by_reg.values()) == INF:  # every baseline fit failed
                 notes.append(
                     f"{dataset.name}/{metric_name}: no baseline curves; "
                     "targets unavailable, tables skipped"
@@ -462,9 +448,8 @@ def run_benchmark(datasets, config: ProtocolConfig) -> BenchmarkReport:
                 continue
             oracle = min(mean_by_reg, key=lambda h: (mean_by_reg[h], float(h)))
             risk_target = mean_by_reg[oracle]
-            table_variants = [v for v in variants if v[0] != "tgb"] + [("tgb", oracle)]
             mins_of = {v: [min_complexity_to_risk_target(c, risk_target) for c in curves_of[v]]
-                       for v in table_variants}
+                       for v in (("lltboost", "default"), ("tgb", oracle))}
             complexity_target = _median(mins_of[("tgb", oracle)])
             targets[metric_name] = {
                 "risk_target": risk_target,

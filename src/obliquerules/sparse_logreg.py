@@ -20,6 +20,7 @@ import numpy as np
 from .losses import LossKind, log_odds, logistic, loss as loss_value, softplus
 
 MAX_ITER = 1000
+STALL_STEPS = 50  # steps a solve may take without halving its KKT residual
 KKT_TOL = 1e-5
 HALVINGS = 50
 LAMBDA_FLOOR_RATIO = 1e-6
@@ -179,9 +180,12 @@ def fit_weighted_l1(
 
     ``n_iter`` counts the steps: a start that meets the tolerance returns as it
     is with ``n_iter == 0``.  The solve stops unconverged after ``MAX_ITER``
-    steps, or when ``HALVINGS`` halvings find no decrease that
-    ``_smooth_change`` resolves.  A NaN ``lam`` or a non-finite warm start is
-    a ``ValueError``; ``lam = inf`` is valid, with w = 0 its solution.
+    steps, after ``STALL_STEPS`` steps in which the KKT residual has not
+    fallen to half its value at the last such halving (a tolerance that
+    rounding puts out of reach), or when ``HALVINGS`` halvings find no
+    decrease that ``_smooth_change`` resolves.  A NaN ``lam`` or a non-finite
+    warm start is a ``ValueError``; ``lam = inf`` is valid, with w = 0 its
+    solution.
     """
     if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam!r}")
@@ -201,10 +205,14 @@ def fit_weighted_l1(
     if init is None:
         w, b = np.zeros(problem.d), problem.null_intercept
 
+    halved, halved_at = np.inf, 0  # the residual at its last halving, and that step
     for k in range(MAX_ITER + 1):
         s, mu, gw, gb = problem._grad(w, b)
-        converged = _kkt(w, gw, gb, lam) <= problem.tol
-        if converged or k == MAX_ITER:
+        residual = _kkt(w, gw, gb, lam)
+        converged = residual <= problem.tol
+        if residual <= halved / 2:
+            halved, halved_at = residual, k
+        if converged or k == MAX_ITER or k - halved_at == STALL_STEPS:
             break
         W = np.flatnonzero((w != 0) | (np.abs(gw) > lam))
         sign = np.where(w[W] != 0, np.sign(w[W]), -np.sign(gw[W]))
@@ -288,8 +296,10 @@ class LambdaPath:
             X, w = problem.features, at.weights
             _, mu, g, _ = problem._grad(w, at.intercept)
             D = problem.sample_weights * mu * (1.0 - mu)
-            # the nonzeros, and the zeros at |g_j| = lam leaving 0
-            A = np.flatnonzero((w != 0) | (np.abs(g) >= at.lam - problem.tol))
+            # the nonzeros, and the zeros at |g_j| = lam leaving 0: within tol of
+            # lam, but never more than lam / 10 below it, as lam_floor may lie below tol
+            band = min(problem.tol, at.lam / 10)
+            A = np.flatnonzero((w != 0) | (np.abs(g) >= at.lam - band))
             while True:
                 sign = np.where(w[A] != 0, np.sign(w[A]), -np.sign(g[A]))
                 P, H = _hessian(X, D, A)

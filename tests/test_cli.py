@@ -876,7 +876,6 @@ def test_benchmark_command_writes_report(tmp_path, capsys):
         "max_rules": 2,
         "bootstrap_cap": 40,
         "tgb_reg_grid": [0.1, 10.0],
-        "methods": ["tgb"],
     }
     cfg_path = tmp_path / "protocol.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -931,8 +930,7 @@ def test_benchmark_rejects_a_non_finite_csv_cell_before_the_protocol(
         clf_csv = _rewrite_target(clf_csv, tmp_path / "reg.csv", lambda i, t: f"{0.37 * i}")
     bad = _with_cell(clf_csv, tmp_path / "bad.csv", 9, column, cell)
     cfg = {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3},
-                        {"path": str(bad), "target": "y", "task": task}],
-           "methods": ["tgb"]}
+                        {"path": str(bad), "target": "y", "task": task}]}
     cfg_path = tmp_path / "protocol.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out_dir = tmp_path / "report"
@@ -965,16 +963,18 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"path": "a.csv", "target": "y", "task": "classification", "nmae": "a"}]},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3},
                   {"synthetic": "oblique", "n": 50, "d": 3, "seed": 1}]},
-    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": []},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "repetitions": 0},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": []},
-    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": ["tgb", "tgb"]},
-    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": "tgb"},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "validation_fraction": 1.0},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "max_propositions": 0},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": "10"},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": 5},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3, "bogus": 1}]},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3, "generator": "oblique"}]},
     # the margin is lltboost.SPARSITY_ACCEPT_DELTA, not a protocol setting
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "sparsity_accept_delta": 0.1},
+    # every run fits lltboost and the whole tgb grid
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": ["tgb"]},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"
@@ -985,6 +985,7 @@ def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     assert not (tmp_path / "o").exists()
     for key in ("nmae", "bogus", "generator"):  # an unknown dataset key is named
         assert key not in fields["datasets"][0] or repr(key) in err
+    assert "methods" not in fields or "unknown config keys ['methods']" in err
 
 
 def test_benchmark_bad_synthetic_spec_names_its_position(tmp_path, capsys):

@@ -205,7 +205,6 @@ def small_config(**kw):
         max_propositions=2,
         bootstrap_cap=50,
         tgb_reg_grid=(0.01, 1.0),
-        methods=("tgb",),
         master_seed=3,
     )
     base.update(kw)
@@ -216,7 +215,8 @@ def test_report_counts_one_aggregate_row_per_metric_and_curves_per_rep():
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
     rep = run_benchmark(data, small_config())
     # classification reports two metrics; one table row per (metric, method)
-    assert len(rep.complexity_rows) == 2
+    assert [(r["metric"], r["method"]) for r in rep.complexity_rows] == [
+        (metric, method) for metric in ("logistic", "zero_one") for method in ("lltboost", "tgb")]
     for metric in ("logistic", "zero_one"):
         rows = [
             r
@@ -277,7 +277,7 @@ def test_a_repetition_scores_every_stage_in_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(evaluation, "bootstrap_split", drawn)
     run_benchmark([make_oblique(n=60, d=3, noise=0.1, seed=0)],
-                  small_config(repetitions=1, methods=("lltboost", "tgb")))
+                  small_config(repetitions=1))
     (split,) = splits
     # the stages of lltboost and of both grid values, on the train then the test rows
     assert len(calls) == 1 and calls[0][0] > 2
@@ -290,7 +290,7 @@ def test_failed_fits_record_inf_rows_and_note(monkeypatch):
 
     monkeypatch.setattr(lltboost, "fit", boom)
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
-    rep = run_benchmark(data, small_config(methods=("lltboost", "tgb")))
+    rep = run_benchmark(data, small_config())
     llt_rows = [r for r in rep.complexity_rows if r["method"] == "lltboost"]
     assert len(llt_rows) == 2
     for row in llt_rows:
@@ -310,7 +310,7 @@ def test_a_failing_grid_fit_is_recorded_as_inf_for_every_grid_value(monkeypatch)
 
     monkeypatch.setattr(tgb, "fit_grid", boom)
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
-    rep = run_benchmark(data, small_config(methods=("lltboost", "tgb")))
+    rep = run_benchmark(data, small_config())
     # per repetition: the grid call, then one call per grid value on its own
     assert calls == [(0.01, 1.0), (0.01,), (1.0,)] * 10
     for hyper in ("0.01", "1.0"):
@@ -334,10 +334,10 @@ def test_failure_notes_follow_the_timing_row_order(monkeypatch):
     monkeypatch.setattr(tgb, "fit_grid", boom)
     monkeypatch.setattr(lltboost, "fit", boom)
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
-    rep = run_benchmark(data, small_config(repetitions=2, methods=("lltboost", "tgb"),
-                                           tgb_reg_grid=(2.0, 10.0)))
+    rep = run_benchmark(data, small_config(repetitions=2, tgb_reg_grid=(2.0, 10.0)))
     order = [(r["method"], r["hyper"]) for r in rep.timing_rows]
     assert order == [("lltboost", "default"), ("tgb", "2.0"), ("tgb", "10.0")]
+    assert not rep.curve_rows  # a repetition whose fits all failed has no stage to score
     for r in range(2):
         failed = [n for n in rep.notes if n.startswith(f"oblique rep {r} ")]
         assert failed == [f"oblique rep {r} {method}[{hyper}] failed: RuntimeError: "
@@ -358,7 +358,8 @@ def test_mean_fit_seconds_averages_the_successful_fits_only(monkeypatch):
     monkeypatch.setattr(tgb, "fit_grid", fails_in_one_repetition)
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
     rep = run_benchmark(data, small_config())
-    rows = [(r["hyper"], r["n_fits"], r["mean_fit_seconds"]) for r in rep.timing_rows]
+    rows = [(r["hyper"], r["n_fits"], r["mean_fit_seconds"]) for r in rep.timing_rows
+            if r["method"] == "tgb"]
     assert rows == [("0.01", 9, 2.0), ("1.0", 9, 2.0)]
 
 
@@ -378,7 +379,8 @@ def test_a_grid_value_that_fails_alone_fails_only_itself(monkeypatch):
     assert len(failed) == 10 and all("tgb[1.0] failed" in n for n in failed)
     kept = [r for r in plain.curve_rows if r["hyper"] != "1.0"]
     assert rep.curve_rows == kept and kept
-    assert [(r["hyper"], r["n_fits"]) for r in rep.timing_rows] == [("0.01", 10), ("1.0", 0)]
+    assert [(r["hyper"], r["n_fits"]) for r in rep.timing_rows] == [
+        ("default", 10), ("0.01", 10), ("1.0", 0)]
 
 
 def test_grid_fits_share_one_timing_per_repetition(monkeypatch):
@@ -394,7 +396,8 @@ def test_grid_fits_share_one_timing_per_repetition(monkeypatch):
     rep = run_benchmark(data, small_config(repetitions=1, tgb_reg_grid=(1.0, 0.01, 100.0)))
     (grid,) = traces
     assert len({t.wall_time_seconds for t in grid}) == 1
-    assert [(r["hyper"], r["mean_fit_seconds"]) for r in rep.timing_rows] == [
+    assert [(r["hyper"], r["mean_fit_seconds"]) for r in rep.timing_rows
+            if r["method"] == "tgb"] == [
         (h, grid[0].wall_time_seconds) for h in ("1.0", "0.01", "100.0")]
 
 
@@ -419,8 +422,7 @@ def test_a_protocol_fit_is_the_public_fit_on_the_raw_bootstrap_rows(monkeypatch,
 
     monkeypatch.setattr(evaluation, "bootstrap_split", drawn)
     monkeypatch.setattr(evaluation, "_fit_variant", fitted)
-    run_benchmark([data], small_config(repetitions=2, max_rules=3, bootstrap_cap=80,
-                                       methods=("lltboost", "tgb")))
+    run_benchmark([data], small_config(repetitions=2, max_rules=3, bootstrap_cap=80))
     assert [(method, hyper) for _, method, hyper, *_ in fits] == 2 * [
         ("lltboost", "default"), ("tgb", "0.01"), ("tgb", "1.0")]
     for split, method, hyper, y, kind, config, fit_seed, trace in fits:
@@ -490,9 +492,9 @@ def test_report_json_holds_no_curve_rows_and_curves_csv_holds_them_all(tmp_path)
     with open(tmp_path / "curves.csv", encoding="utf-8", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert rows == [{k: evaluation._cell(v) for k, v in r.items()} for r in rep.curve_rows]
-    # every stage of every repetition of both grid values, under both metrics
+    # every stage of every repetition of lltboost and both grid values, under both metrics
     assert {(r["metric"], r["hyper"], r["rep"]) for r in rows} == {
-        (m, h, str(k)) for m in ("logistic", "zero_one") for h in ("0.01", "1.0")
+        (m, h, str(k)) for m in ("logistic", "zero_one") for h in ("default", "0.01", "1.0")
         for k in range(3)}
 
 
@@ -550,7 +552,7 @@ def test_report_json_serializes_inf_as_string(tmp_path, monkeypatch):
         lltboost, "fit", lambda X, y, cfg: (_ for _ in ()).throw(RuntimeError("x"))
     )
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
-    rep = run_benchmark(data, small_config(methods=("lltboost", "tgb")))
+    rep = run_benchmark(data, small_config())
     rep.write(tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
     llt = [r for r in doc["complexity_table"] if r["method"] == "lltboost"]
@@ -566,8 +568,6 @@ def test_duplicate_dataset_names_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(repetitions=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(methods=("lltboost", "mystery"))
     with pytest.raises(ValueError):
         ProtocolConfig(jobs=0)
 
@@ -590,10 +590,10 @@ def test_config_validation():
     {"max_rules": True},
     {"validation_fraction": 1.5},
     {"tgb_reg_grid": (float("nan"),)},
-    {"methods": ()},
-    {"tgb_reg_grid": ()},  # with tgb among the methods: its grid gives the targets
-    {"methods": ("tgb", "tgb", "lltboost")},
-    {"methods": "tgb"},
+    {"max_propositions": 1.5},
+    {"tgb_reg_grid": ()},  # the baseline's grid gives the targets
+    {"bootstrap_cap": True},
+    {"max_rules": 0},
     {"tgb_reg_grid": "10"},
     {"tgb_reg_grid": 5},
 ])
@@ -602,13 +602,11 @@ def test_config_rejects_non_integer_counts_and_out_of_range_fields(field):
         ProtocolConfig(**field)
 
 
-@pytest.mark.parametrize("methods, message", [
-    (("tgb", "tgb", "lltboost"), "methods must not repeat a learner"),
-    ("tgb", "methods must be a list of learner names"),
-])
-def test_config_names_the_fault_in_methods(methods, message):
-    with pytest.raises(ValueError, match=message):
-        ProtocolConfig(methods=methods)
+def test_config_has_no_methods_field():
+    # every run compares lltboost with the whole tgb grid
+    with pytest.raises(TypeError, match="methods"):
+        ProtocolConfig(methods=("lltboost", "tgb"))
+    assert "methods" not in ProtocolConfig.__dataclass_fields__
 
 
 @pytest.mark.parametrize("grid", ["10", 5])
@@ -617,8 +615,9 @@ def test_config_names_the_fault_in_a_grid_that_is_not_a_list(grid):
         ProtocolConfig(tgb_reg_grid=grid)
 
 
-def test_config_takes_an_empty_grid_without_tgb():
-    assert ProtocolConfig(methods=("lltboost",), tgb_reg_grid=()).tgb_reg_grid == ()
+def test_config_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match=r"^tgb_reg_grid must hold at least one value$"):
+        ProtocolConfig(tgb_reg_grid=())
 
 
 def test_config_defaults_match_protocol_constants():
@@ -629,4 +628,3 @@ def test_config_defaults_match_protocol_constants():
     assert cfg.max_nonzeros == 5
     assert cfg.bootstrap_cap == 500
     assert cfg.tgb_reg_grid == (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
-    assert cfg.methods == ("lltboost", "tgb")

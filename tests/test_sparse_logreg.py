@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obliquerules import sparse_logreg
-from obliquerules.losses import LossKind, loss, softplus
+from obliquerules.losses import LossKind, logistic, loss, softplus
 from obliquerules.sparse_logreg import (
     KKT_TOL,
     LambdaPath,
@@ -337,6 +337,24 @@ def test_non_finite_warm_start_is_rejected(weights, intercept):
         fit_weighted_l1(prob, 0.1 * prob.lam_max, init=(np.array(weights), intercept))
 
 
+def test_a_solve_whose_tolerance_rounding_puts_out_of_reach_stops_when_it_stalls():
+    # 3 of 59 rows hold 5e-13 of the weight mass, so tol is about 8e-17 while
+    # the gradient's rows round at about 1e-16: every such solve ran all
+    # MAX_ITER steps before it stopped after STALL_STEPS without a halving
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(59, 6))
+    z = np.ones(59)
+    z[:3] = 0.0
+    om = rng.uniform(0.5, 1.5, size=59)
+    om[:3] *= 5e-13 * om[3:].sum() / om[:3].sum()
+    prob = WeightedBinaryProblem(X, z, om)
+    assert prob.tol < 1e-16
+    for frac in (0.5, 0.1, 0.01):
+        sol = fit_weighted_l1(prob, frac * prob.lam_max)
+        assert not sol.converged
+        assert sparse_logreg.STALL_STEPS <= sol.n_iter <= 4 * sparse_logreg.STALL_STEPS, frac
+
+
 # ---------------------------------------------------------------------------
 # sparsity search
 # ---------------------------------------------------------------------------
@@ -437,6 +455,27 @@ def test_the_walk_ends_at_the_answer_of_the_highest_level_asked():
         path = LambdaPath(prob)
         for k in range(1, prob.d):
             assert path.for_sparsity(k) is path._last, (seed_, k)
+
+
+def test_a_point_below_the_tolerance_counts_only_zeros_near_lam_in_its_support_below():
+    # at lam < tol the band |g_j| >= lam - tol would hold for every zero
+    # feature; it is min(tol, lam / 10), so zeros whose gradient is a hundredth
+    # of lam do not count as leaving 0 just below the point
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(80, 3))
+    z = (X[:, 0] + rng.normal(size=80) > 0).astype(float)
+    lam = 5e-6
+    one = fit_weighted_l1(WeightedBinaryProblem(X[:, :1], z, np.ones(80)), lam)
+    r = logistic(X[:, 0] * one.weights[0] + one.intercept) - z
+    for j, target in ((1, lam / 100), (2, -lam / 100)):  # columns that w does not read
+        X[:, j] += (target - X[:, j] @ r) / (r @ r) * r
+    prob = WeightedBinaryProblem(X, z, np.ones(80))
+    assert one.nnz == 1 and lam < prob.tol
+    at = LinearSolution(weights=np.array([one.weights[0], 0.0, 0.0]), intercept=one.intercept,
+                        nnz=1, lam=lam, converged=True, n_iter=0)
+    g, A, *_ = LambdaPath(prob)._tangent(at)
+    np.testing.assert_allclose(np.abs(g[1:]), lam / 100, rtol=1e-6)
+    assert A.tolist() == [0]
 
 
 def test_sparsity_level_is_returned_at_its_knot():
