@@ -94,8 +94,7 @@ FILES = ("fits.json", "report.json", "complexity_table.csv", "risk_table.csv",
          "model_lltboost_config.json", "model_tgb_config.json")
 SCORE_ROWS = 40_000  # raw rows of the block every stage scores
 BOUNDARY_ROWS = 200  # of them moved onto each proposition's hyperplane
-TRAIN_CONFIG = {"rules": 3, "propositions": 2, "nonzeros": 2, "reg": 1,
-                "validation_fraction": 0.3, "seed": 4}
+TRAIN_CONFIG = {"rules": 3, "propositions": 2, "nonzeros": 2, "reg": 1, "seed": 4}
 
 
 def _stage_doc(stage, block) -> dict:

@@ -1,7 +1,8 @@
 """Command-line surface: train, predict, print, benchmark, make-synthetic.
 
-Exit codes: 0 success, 2 usage/config problems (an unwritable ``--out``
-included), 3 data errors, 4 fit failures.  All commands are deterministic given their flags and seeds.
+Exit codes: 0 success, 2 usage/config problems (an unwritable ``--out`` or
+standard output included), 3 data errors, 4 fit failures.  All commands are
+deterministic given their flags and seeds.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import errno
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -145,7 +146,6 @@ TRAIN_FIELDS = {
     "propositions": "max_propositions",
     "nonzeros": "max_nonzeros",
     "reg": "reg_strength",
-    "validation_fraction": "validation_fraction",
     "seed": "seed",
 }
 
@@ -167,7 +167,7 @@ def _train_config(args, task: Task):
     return configs[args.method], configs["lltboost"].seed
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> str:
     task = _parse_task(args.task)
     cfg, seed = _train_config(args, task)
 
@@ -198,11 +198,9 @@ def _cmd_train(args) -> int:
     with _writing(args.out):
         save_model(model, args.out)
 
-    print("stage,complexity,train_risk")
-    for m, stage in enumerate(trace.stages):
-        print(f"{m},{stage.complexity},{stage.train_risk!r}")
     print(f"model written to {args.out}", file=sys.stderr)
-    return EXIT_OK
+    return "\n".join(["stage,complexity,train_risk"] + [
+        f"{m},{stage.complexity},{stage.train_risk!r}" for m, stage in enumerate(trace.stages)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def _model_labels(model: ModelFile) -> tuple[str, ...]:
     return ()
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> str:
     model = load_model(args.model)
     ens = model.ensemble
     X, y = load_rows(args.data, model.feature_names, args.target or None, ens.task,
@@ -230,20 +228,16 @@ def _cmd_predict(args) -> int:
     if args.out:
         with _writing(args.out):
             Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
-    else:
-        for line in out_lines:
-            print(line)
+        out_lines = []
     if y is not None:
-        print(f"risk = {float(np.mean(loss(FIT_LOSS[ens.task], y, scores)))!r}")
-    return EXIT_OK
+        out_lines.append(f"risk = {float(np.mean(loss(FIT_LOSS[ens.task], y, scores)))!r}")
+    return "\n".join(out_lines)
 
 
-def _cmd_print(args) -> int:
+def _cmd_print(args) -> str:
     if not 0 <= args.precision <= 17:  # a double carries at most 17 significant digits
         raise UsageError(f"--precision must be between 0 and 17, got {args.precision}")
-    model = load_model(args.model)
-    print(print_rules(model, precision=args.precision))
-    return EXIT_OK
+    return print_rules(load_model(args.model), precision=args.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +271,7 @@ def _dataset_from_spec(spec: dict, position: int) -> Dataset:
     return replace(dataset, name=spec["name"]) if "name" in spec else dataset
 
 
-def _cmd_benchmark(args) -> int:
+def _cmd_benchmark(args) -> str:
     keys = (set(ProtocolConfig.__dataclass_fields__) - {"jobs"}) | {"datasets"}
     doc = _read_config(args.config, keys)
     specs = doc.pop("datasets", None)
@@ -298,20 +292,19 @@ def _cmd_benchmark(args) -> int:
         report.write(args.out)
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
-    print(f"report written to {args.out}\n\n"
-          "median minimum complexity to reach the baseline's mean test risk\n"
-          "(0/1 or squared metric; in brackets the (4th, 7th) order-statistic interval, "
-          "65.6% coverage):\n")
     header = f"{'dataset':<14} {'method':<10} {'median':>8} {'interval':>16}"
-    print(f"{header}\n{'-' * len(header)}")
+    lines = [f"report written to {args.out}\n\n"
+             "median minimum complexity to reach the baseline's mean test risk\n"
+             "(0/1 or squared metric; in brackets the (4th, 7th) order-statistic interval, "
+             "65.6% coverage):\n", header, "-" * len(header)]
     for row in report.complexity_rows:
         if row["metric"] in ("zero_one", "squared"):
             # the interval cells are blank unless there are 10 repetitions
             low, high = ("" if row[k] == "" else _fmt(row[k], 3)
                          for k in ("ci47_low", "ci47_high"))
-            print(f"{row['dataset']:<14} {row['method']:<10} "
-                  f"{_fmt(row['median'], 3):>8} {f'[{low}, {high}]':>16}")
-    return EXIT_OK
+            lines.append(f"{row['dataset']:<14} {row['method']:<10} "
+                         f"{_fmt(row['median'], 3):>8} {f'[{low}, {high}]':>16}")
+    return "\n".join(lines)
 
 
 def _synthesize(generator: str, /, **spec) -> Dataset:
@@ -323,13 +316,11 @@ def _synthesize(generator: str, /, **spec) -> Dataset:
         raise UsageError(f"synthetic {generator!r} dataset: too large to allocate") from None
 
 
-def _cmd_make_synthetic(args) -> int:
+def _cmd_make_synthetic(args) -> str:
     dataset = _synthesize(args.generator, n=args.n, d=args.d, noise=args.noise, seed=args.seed)
     with _writing(args.out):
-        write_csv(dataset, args.out, target_column=args.target_column)
-    print(f"{dataset.name}: {dataset.n_rows} rows, {dataset.n_features} features "
-          f"-> {args.out}")
-    return EXIT_OK
+        write_csv(dataset, args.out)
+    return f"{dataset.name}: {dataset.n_rows} rows, {dataset.n_features} features -> {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--propositions", type=int)
     p.add_argument("--nonzeros", type=int)
     p.add_argument("--reg", type=float)
-    p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_train)
 
@@ -387,20 +377,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--target-column", dest="target_column", default="target")
     p.set_defaults(func=_cmd_make_synthetic)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and write the text it returns to standard output here,
+    not at exit, so that a failed write exits 2 like an unwritable ``--out``
+    (with no message if a pipe's reader has gone, as in ``print ... | head``)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text = args.func(args)
+        with _writing("standard output"):
+            try:
+                print(text, end="\n" if text else "", flush=True)
+            except BrokenPipeError:
+                # Python's note on SIGPIPE: what is left goes to devnull, so that
+                # the flush at exit cannot fail again (unless stdout has no descriptor)
+                with suppress(AttributeError, ValueError):
+                    fd = sys.stdout.fileno()
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, fd)
+                    os.close(devnull)
+                return EXIT_USAGE
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -121,7 +121,7 @@ def learner_config(method: str, **settings):
 
 
 # the ProtocolConfig fields every fitted learner receives; LLTConfig checks them
-LEARNER_FIELDS = ("max_rules", "max_propositions", "max_nonzeros", "validation_fraction")
+LEARNER_FIELDS = ("max_rules", "max_propositions", "max_nonzeros")
 TGB_REG_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
@@ -133,7 +133,6 @@ class ProtocolConfig:
     max_nonzeros: int = 5
     bootstrap_cap: int = 500
     tgb_reg_grid: tuple[float, ...] = TGB_REG_GRID
-    validation_fraction: float = 0.25
     master_seed: int = 0
     jobs: int = 1
 

@@ -22,6 +22,7 @@ from .tgb import boost
 
 OBJECTIVE_TOLERANCE = 1e-9  # gradient-sum gains at or below this count as none
 SPARSITY_ACCEPT_DELTA = 0.01  # the share of validation sign risk a denser level must cut
+VALIDATION_FRACTION = 0.25  # the share of training rows held out for the sparsity choice
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,12 @@ class LLTConfig:
     max_propositions: int = 5
     max_nonzeros: int = 5
     loss: LossKind = LossKind.LOGISTIC
-    validation_fraction: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
         check_integer_fields(
             self, {"max_rules": 1, "max_propositions": 1, "max_nonzeros": 1, "seed": 0}
         )
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie strictly between 0 and 1")
         object.__setattr__(self, "loss", LossKind(self.loss))
 
 
@@ -150,14 +148,14 @@ def fit(X, y, cfg: LLTConfig) -> FitTrace:
     """Fit an ensemble of up to ``cfg.max_rules`` rules, tracing every stage.
 
     ``tgb.boost`` with one member, grown by ``fit_conjunction``.  A seeded
-    validation slice of the rows feeds only the sparsity acceptance
-    decisions; the intercept, the weight refits and the training risk use
-    the other rows.  Stage ``m`` of the returned trace holds the ensemble
-    after ``m`` rounds; its training risk never increases.
+    validation slice, ``VALIDATION_FRACTION`` of the rows, feeds only the
+    sparsity acceptance decisions; the intercept, the weight refits and the
+    training risk use the other rows.  Stage ``m`` of the returned trace
+    holds the ensemble after ``m`` rounds; its training risk never increases.
     """
     def prepare(Z, y):
         fit_idx, val_idx = _validation_split(y.size, y, cfg.loss is LossKind.LOGISTIC,
-                                             cfg.validation_fraction, cfg.seed)
+                                             VALIDATION_FRACTION, cfg.seed)
 
         def grow(g, members):
             body = fit_conjunction(Z, g, cfg, fit_idx, val_idx)

@@ -252,7 +252,8 @@ class LambdaPath:
 
     def __init__(self, problem: WeightedBinaryProblem):
         self.problem = problem
-        self.lam_floor = LAMBDA_FLOOR_RATIO * problem.lam_max
+        # below tol the KKT test cannot tell which features are active
+        self.lam_floor = max(LAMBDA_FLOOR_RATIO * problem.lam_max, problem.tol)
         self._last = _null_solution(problem, problem.lam_max)  # optimal for lam >= lam_max
         self._cache: dict[float, LinearSolution] = {problem.lam_max: self._last}
         self._held = {problem.lam_max: 0}
@@ -297,7 +298,7 @@ class LambdaPath:
             _, mu, g, _ = problem._grad(w, at.intercept)
             D = problem.sample_weights * mu * (1.0 - mu)
             # the nonzeros, and the zeros at |g_j| = lam leaving 0: within tol of
-            # lam, but never more than lam / 10 below it, as lam_floor may lie below tol
+            # lam, but never more than lam / 10 below it, as lam may come down to tol
             band = min(problem.tol, at.lam / 10)
             A = np.flatnonzero((w != 0) | (np.abs(g) >= at.lam - band))
             while True:

@@ -1,6 +1,12 @@
 import csv
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +308,19 @@ def test_train_non_fitting_loss_in_config_is_usage_error(tmp_path, clf_csv, caps
     assert "unknown config keys ['loss']" in capsys.readouterr().err
 
 
+def test_train_has_no_validation_fraction_setting(tmp_path, clf_csv, capsys):
+    # the share is lltboost.VALIDATION_FRACTION: neither a flag nor a config key
+    argv = ["train", "--data", str(clf_csv), "--target", "y", "--task", "clf",
+            "--method", "lltboost", "--out", str(tmp_path / "m.json")]
+    assert main(argv + ["--validation-fraction", "0.3"]) == 2
+    assert "unrecognized arguments: --validation-fraction 0.3" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"validation_fraction": 0.3}), encoding="utf-8")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "unknown config keys ['validation_fraction']" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("method", ["tgb", "lltboost"])
 @pytest.mark.parametrize("doc", [{"rules": 1.9}, {"seed": -1}, {"reg": float("nan")},
                                  {"nonzeros": True}])
@@ -356,8 +375,6 @@ def _is_checked(key, value) -> bool:
     """Whether a ``train --config`` value is one the learner configs accept."""
     if key == "reg":
         return type(value) in (int, float) and 0 <= value < math.inf
-    if key == "validation_fraction":
-        return type(value) in (int, float) and 0 < value < 1
     return type(value) is int and value >= (0 if key == "seed" else 1)
 
 
@@ -439,6 +456,52 @@ def test_predict_without_target_writes_scores(tmp_path, clf_csv, capsys):
     data = load_csv(clf_csv, "y", Task.CLASSIFICATION)
     expect = model.ensemble.decision_function(data.X)
     assert np.array_equal(np.asarray(scores), expect)
+
+
+class _FailingStdout(io.TextIOBase):
+    """A standard output whose every write and flush raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        raise self.error
+
+
+@pytest.mark.parametrize("error, err", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),  # the reader has gone: no message
+    (OSError(errno.ENOSPC, "No space left on device"),
+     "error: cannot write standard output: No space left on device\n"),
+], ids=["broken_pipe", "no_space"])
+@pytest.mark.parametrize("command", ["print", "predict"])
+def test_a_failed_write_to_standard_output_is_a_usage_error(tmp_path, clf_csv, command,
+                                                            error, err, capsys):
+    model_path = trained_model(tmp_path, clf_csv)
+    argv = ["print", "--model", str(model_path)] if command == "print" else [
+        "predict", "--model", str(model_path), "--data", str(clf_csv)]
+    capsys.readouterr()
+    with redirect_stdout(_FailingStdout(error)):
+        code = main(argv)
+    assert code == 2 and capsys.readouterr().err == err
+
+
+def test_a_closed_pipe_ends_the_command_quietly(tmp_path, clf_csv):
+    # a real pipe with no reader: what is left to write goes to devnull, so
+    # the interpreter's flush at exit does not fail either
+    model_path = trained_model(tmp_path, clf_csv)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "obliquerules", "print",
+                               "--model", str(model_path)],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert done.returncode == 2 and done.stderr == b""
 
 
 def test_predict_missing_feature_column(tmp_path, clf_csv):
@@ -939,6 +1002,14 @@ def test_benchmark_rejects_a_non_finite_csv_cell_before_the_protocol(
     assert not out_dir.exists()
 
 
+def test_make_synthetic_always_names_the_target_column_target(tmp_path, capsys):
+    argv = ["make-synthetic", "--generator", "oblique", "--n", "40", "--d", "2"]
+    assert main(argv + ["--out", str(tmp_path / "a.csv"), "--target-column", "y"]) == 2
+    assert "unrecognized arguments: --target-column y" in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_text().splitlines()[0] == "x1,x2,target"
+
+
 @pytest.mark.parametrize("flags", [["--d", "1"], ["--n", "-5"], ["--noise", "2"],
                                    ["--noise", "-0.1"], ["--noise", "nan"]])
 def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
@@ -965,7 +1036,7 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
                   {"synthetic": "oblique", "n": 50, "d": 3, "seed": 1}]},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "repetitions": 0},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": []},
-    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "validation_fraction": 1.0},
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "max_rules": 0},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "max_propositions": 0},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": "10"},
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "tgb_reg_grid": 5},
@@ -975,6 +1046,8 @@ def test_make_synthetic_bad_shape_is_usage_error(tmp_path, flags, capsys):
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "sparsity_accept_delta": 0.1},
     # every run fits lltboost and the whole tgb grid
     {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "methods": ["tgb"]},
+    # the validation share is lltboost.VALIDATION_FRACTION, not a protocol setting
+    {"datasets": [{"synthetic": "oblique", "n": 50, "d": 3}], "validation_fraction": 0.25},
 ])
 def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     cfg_path = tmp_path / "protocol.json"
@@ -985,7 +1058,8 @@ def test_benchmark_bad_spec_or_field_is_usage_error(tmp_path, fields, capsys):
     assert not (tmp_path / "o").exists()
     for key in ("nmae", "bogus", "generator"):  # an unknown dataset key is named
         assert key not in fields["datasets"][0] or repr(key) in err
-    assert "methods" not in fields or "unknown config keys ['methods']" in err
+    for key in ("methods", "validation_fraction"):  # a removed field is an unknown key
+        assert key not in fields or f"unknown config keys [{key!r}]" in err
 
 
 def test_benchmark_bad_synthetic_spec_names_its_position(tmp_path, capsys):

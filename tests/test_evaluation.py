@@ -581,14 +581,14 @@ def test_config_validation():
     {"master_seed": -1},
     {"master_seed": 2.0},
     {"jobs": "2"},
-    {"validation_fraction": 0.0},
-    {"validation_fraction": 1.0},
-    {"validation_fraction": float("nan")},
+    {"max_nonzeros": 1.5},
+    {"jobs": -1},
+    {"max_rules": float("nan")},
     {"bootstrap_cap": 1},  # a bootstrap needs at least two rows
     {"tgb_reg_grid": (0.1, -1.0)},
     {"tgb_reg_grid": (INF,)},
     {"max_rules": True},
-    {"validation_fraction": 1.5},
+    {"tgb_reg_grid": (0.0, -0.0)},  # 0.0 == -0.0: one value twice
     {"tgb_reg_grid": (float("nan"),)},
     {"max_propositions": 1.5},
     {"tgb_reg_grid": ()},  # the baseline's grid gives the targets
@@ -607,6 +607,12 @@ def test_config_has_no_methods_field():
     with pytest.raises(TypeError, match="methods"):
         ProtocolConfig(methods=("lltboost", "tgb"))
     assert "methods" not in ProtocolConfig.__dataclass_fields__
+
+
+def test_config_has_no_validation_fraction_field():
+    # the share is lltboost.VALIDATION_FRACTION, not a protocol setting
+    with pytest.raises(TypeError, match="validation_fraction"):
+        ProtocolConfig(validation_fraction=0.3)
 
 
 @pytest.mark.parametrize("grid", ["10", 5])

@@ -451,7 +451,7 @@ def test_validation_targets_do_not_leak_into_fit():
     rng = np.random.default_rng(30)
     X, y = make_regression(30, n=120)
     cfg = LLTConfig(max_rules=4, max_nonzeros=1, loss=LossKind.SQUARED, seed=9)
-    _, val_idx = _validation_split(120, y, False, cfg.validation_fraction, cfg.seed)
+    _, val_idx = _validation_split(120, y, False, lltboost.VALIDATION_FRACTION, cfg.seed)
     y_shuffled = y.copy()
     y_shuffled[val_idx] = y[rng.permutation(val_idx)]
     t1 = fit(X, y, cfg)
@@ -499,12 +499,14 @@ def test_input_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         LLTConfig(max_rules=0)
-    with pytest.raises(ValueError):
-        LLTConfig(validation_fraction=0.0)
-    with pytest.raises(ValueError):
-        LLTConfig(validation_fraction=1.0)
     with pytest.raises(ValueError, match="seed"):
         LLTConfig(seed=-1)
+
+
+def test_config_has_no_validation_fraction_field():
+    # the held-out share is the module constant VALIDATION_FRACTION
+    with pytest.raises(TypeError, match="validation_fraction"):
+        LLTConfig(validation_fraction=0.3)
 
 
 @pytest.mark.parametrize("field", ["max_rules", "max_propositions", "max_nonzeros", "seed"])

@@ -457,6 +457,18 @@ def test_the_walk_ends_at_the_answer_of_the_highest_level_asked():
             assert path.for_sparsity(k) is path._last, (seed_, k)
 
 
+def test_the_walk_never_solves_below_the_tolerance():
+    # separable: the path runs down to the floor, which at 1e-6 * lam_max
+    # (6.9e-6) would lie below tol (1e-5), where the KKT test cannot resolve
+    # the support; the floor is the larger of the two
+    X = np.random.default_rng(0).normal(size=(16, 3))
+    prob = WeightedBinaryProblem(X, (X[:, 0] + X[:, 1] > 0).astype(float), np.ones(16))
+    assert prob.lam_max == pytest.approx(6.8645, rel=1e-4) and prob.tol == KKT_TOL
+    path = LambdaPath(prob)
+    assert [path.for_sparsity(s).nnz for s in (1, 2, 3)] == [1, 2, 3]
+    assert min(path._cache) >= prob.tol
+
+
 def test_a_point_below_the_tolerance_counts_only_zeros_near_lam_in_its_support_below():
     # at lam < tol the band |g_j| >= lam - tol would hold for every zero
     # feature; it is min(tol, lam / 10), so zeros whose gradient is a hundredth

@@ -445,7 +445,7 @@ def test_every_stage_risk_is_the_mean_loss_of_its_ensemble_on_its_refit_rows(lea
     if learner == "lltboost":
         cfg = lltboost.LLTConfig(max_rules=5, loss=kind, seed=4)
         rows, _ = lltboost._validation_split(y.size, y, kind is LossKind.LOGISTIC,
-                                             cfg.validation_fraction, cfg.seed)
+                                             lltboost.VALIDATION_FRACTION, cfg.seed)
         assert rows.size < y.size
         traces = [lltboost.fit(X, y, cfg)]
     else:
