@@ -54,9 +54,10 @@ Each tree is imported in its own fresh interpreter, which writes:
   default 7-value tgb grid, over two classification datasets and one
   regression dataset, so that the grid is fitted under logistic and under
   squared loss;
-- model_lltboost.json and model_tgb.json written by ``obliquerules train``, and
-  model_lltboost_config.json and model_tgb_config.json written by ``train
-  --config`` with every settings key given in the file.
+- model_lltboost.json and model_tgb.json written by ``obliquerules train
+  --rules 4``, and model_lltboost_all_settings.json and
+  model_tgb_all_settings.json written by ``train`` with every settings flag
+  given.
 
 Then every file is compared byte for byte.  For a JSON file that differs, the
 paths of the differing values are listed with both sides (a list or object
@@ -91,10 +92,11 @@ from pathlib import Path
 
 FILES = ("fits.json", "report.json", "complexity_table.csv", "risk_table.csv",
          "curves.csv", "model_lltboost.json", "model_tgb.json",
-         "model_lltboost_config.json", "model_tgb_config.json")
+         "model_lltboost_all_settings.json", "model_tgb_all_settings.json")
 SCORE_ROWS = 40_000  # raw rows of the block every stage scores
 BOUNDARY_ROWS = 200  # of them moved onto each proposition's hyperplane
-TRAIN_CONFIG = {"rules": 3, "propositions": 2, "nonzeros": 2, "reg": 1, "seed": 4}
+ALL_SETTINGS = ["--rules", "3", "--propositions", "2", "--nonzeros", "2", "--reg", "1",
+                "--seed", "4"]
 
 
 def _stage_doc(stage, block) -> dict:
@@ -279,10 +281,8 @@ def write_outputs(out: Path) -> None:
 
     csv_path = out / "train.csv"
     write_csv(make_rotated_box(n=200, d=4, seed=5), csv_path)
-    config_path = out / "train_config.json"
-    config_path.write_text(json.dumps(TRAIN_CONFIG))
     for method in ("lltboost", "tgb"):
-        for suffix, flags in (("", ["--rules", "4"]), ("_config", ["--config", str(config_path)])):
+        for suffix, flags in (("", ["--rules", "4"]), ("_all_settings", ALL_SETTINGS)):
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = cli.main(["train", "--data", str(csv_path), "--target", "target",
                                  "--task", "clf", "--method", method, *flags,
@@ -291,7 +291,6 @@ def write_outputs(out: Path) -> None:
                 raise SystemExit(f"train --method {method} {' '.join(flags)} exited {code}: "
                                  f"{err.getvalue()}")
     csv_path.unlink()
-    config_path.unlink()
 
 
 def _json_diffs(a, b, path="") -> list[tuple[str, object, object]]:

@@ -1,8 +1,9 @@
 """Command-line surface: train, predict, print, benchmark, make-synthetic.
 
 Exit codes: 0 success, 2 usage/config problems (an unwritable ``--out`` or
-standard output included), 3 data errors, 4 fit failures.  All commands are
-deterministic given their flags and seeds.
+standard output included), 3 data errors, 4 fit failures.  Standard error
+carries only notes and error messages, so a failed write there changes no exit
+code.  All commands are deterministic given their flags and seeds.
 """
 
 from __future__ import annotations
@@ -112,6 +113,13 @@ def _read_config(path, keys) -> dict:
     return doc
 
 
+def _note(text: str, end: str = "\n") -> None:
+    """Write ``text`` to standard error, dropping a failed write: no command's
+    result depends on its notes and error messages."""
+    with suppress(OSError):
+        print(text, end=end, file=sys.stderr, flush=True)
+
+
 @contextmanager
 def _writing(path):
     """Report a failure to write ``path`` as a usage error, like an unreadable config."""
@@ -139,8 +147,8 @@ def _check_writable(path, make_dir=False):
 # train
 # ---------------------------------------------------------------------------
 
-# train --config key (and flag) -> learner config field; the config classes
-# hold the defaults and check the values
+# train flag -> learner config field; the config classes hold the defaults
+# and check the values
 TRAIN_FIELDS = {
     "rules": "max_rules",
     "propositions": "max_propositions",
@@ -153,16 +161,13 @@ TRAIN_FIELDS = {
 def _train_config(args, task: Task):
     """Checked config of ``args.method`` and the seed given (default 0).
 
-    Every learner's config is built, so that a key only another method reads is checked too.
+    Every learner's config is built, so that a flag only another method reads is checked too.
     """
-    settings = _read_config(args.config, TRAIN_FIELDS) if args.config else {}
-    for key in TRAIN_FIELDS:  # explicit flags override file values
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    fields = {TRAIN_FIELDS[key]: value for key, value in settings.items()}
+    fields = {field: getattr(args, flag) for flag, field in TRAIN_FIELDS.items()
+              if getattr(args, flag) is not None}
     try:
         configs = {m: learner_config(m, loss=FIT_LOSS[task], **fields) for m in LEARNERS}
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
     return configs[args.method], configs["lltboost"].seed
 
@@ -173,10 +178,7 @@ def _cmd_train(args) -> str:
 
     dataset = load_csv(args.data, args.target, task)
     if dataset.n_skipped_rows:
-        print(
-            f"note: skipped {dataset.n_skipped_rows} row(s) with missing cells",
-            file=sys.stderr,
-        )
+        _note(f"note: skipped {dataset.n_skipped_rows} row(s) with missing cells")
     _check_writable(args.out)
     try:
         trace = LEARNERS[args.method].module.fit(dataset.X, dataset.y, cfg)
@@ -198,7 +200,7 @@ def _cmd_train(args) -> str:
     with _writing(args.out):
         save_model(model, args.out)
 
-    print(f"model written to {args.out}", file=sys.stderr)
+    _note(f"model written to {args.out}")
     return "\n".join(["stage,complexity,train_risk"] + [
         f"{m},{stage.complexity},{stage.train_risk!r}" for m, stage in enumerate(trace.stages)])
 
@@ -291,7 +293,7 @@ def _cmd_benchmark(args) -> str:
     with _writing(args.out):
         report.write(args.out)
     for note in report.notes:
-        print(f"note: {note}", file=sys.stderr)
+        _note(f"note: {note}")
     header = f"{'dataset':<14} {'method':<10} {'median':>8} {'interval':>16}"
     lines = [f"report written to {args.out}\n\n"
              "median minimum complexity to reach the baseline's mean test risk\n"
@@ -328,8 +330,38 @@ def _cmd_make_synthetic(args) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _output(text: str) -> None:
+    """Write ``text`` to standard output now, not at exit: a failed write is the
+    usage error of :func:`_writing`, or exits 2 with no message when a pipe's
+    reader has gone (as in ``print ... | head``)."""
+    with _writing("standard output"):
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Python's note on SIGPIPE: what is left goes to devnull, so that
+            # the flush at exit cannot fail again (unless stdout has no descriptor)
+            with suppress(AttributeError, ValueError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise SystemExit(EXIT_USAGE) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that writes ``--help`` and ``--version`` by :func:`_output`, not
+    dropping a failed write, and usage errors by :func:`_note`; subcommands too."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _output(message)
+        elif message:
+            _note(message, end="")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="obliquerules",
         description="Small additive rule ensembles with sparse oblique conditions.",
     )
@@ -342,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True)
     p.add_argument("--method", required=True, choices=sorted(LEARNERS))
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON file; explicit flags override its values")
     p.add_argument("--rules", type=int)
     p.add_argument("--propositions", type=int)
     p.add_argument("--nonzeros", type=int)
@@ -383,37 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and write the text it returns to standard output here,
-    not at exit, so that a failed write exits 2 like an unwritable ``--out``
-    (with no message if a pipe's reader has gone, as in ``print ... | head``)."""
-    parser = build_parser()
+    """Run one command and write the text it returns to standard output by
+    :func:`_output`, as ``--help`` and ``--version`` write theirs."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         text = args.func(args)
-        with _writing("standard output"):
-            try:
-                print(text, end="\n" if text else "", flush=True)
-            except BrokenPipeError:
-                # Python's note on SIGPIPE: what is left goes to devnull, so that
-                # the flush at exit cannot fail again (unless stdout has no descriptor)
-                with suppress(AttributeError, ValueError):
-                    fd = sys.stdout.fileno()
-                    devnull = os.open(os.devnull, os.O_WRONLY)
-                    os.dup2(devnull, fd)
-                    os.close(devnull)
-                return EXIT_USAGE
+        _output(text + "\n" if text else "")
         return EXIT_OK
+    except SystemExit as exc:  # argparse's exit, or a closed pipe's
+        return int(exc.code or 0)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_USAGE
     except (DataError, ModelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_DATA
     except FitError as exc:
-        print(f"error: fit failed: {exc}", file=sys.stderr)
+        _note(f"error: fit failed: {exc}")
         return EXIT_FIT
 
 

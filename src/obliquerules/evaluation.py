@@ -92,7 +92,9 @@ def bootstrap_split(n: int, seed, cap: int = 500) -> BootstrapSplit:
     while True:
         rng = np.random.default_rng(seed + redraws if redraws else seed)
         train = rng.integers(0, n, size=size)
-        test = np.setdiff1d(np.arange(n), train)
+        out_of_bag = np.ones(n, dtype=bool)
+        out_of_bag[train] = False
+        test = np.flatnonzero(out_of_bag)
         if test.size > 0:
             return BootstrapSplit(train=train, test=test, redraws=redraws)
         redraws += 1
@@ -271,13 +273,7 @@ def _run_repetition(dataset: Dataset, config: ProtocolConfig, d_idx: int, rep: i
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):
-        if v == INF:
-            return "inf"
-        if v == -INF:
-            return "-inf"
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _jsonable(v):

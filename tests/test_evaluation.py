@@ -539,6 +539,19 @@ def test_importing_the_package_loads_no_multiprocessing():
     assert out.stdout.strip() == "False"
 
 
+def test_a_protocol_run_loads_no_numpy_ma():
+    # bootstrap_split takes the out-of-bag rows from a mask, not np.setdiff1d,
+    # whose np.unique imports numpy.ma
+    code = ("import sys; from obliquerules import datasets, evaluation as e\n"
+            "e.run_benchmark([datasets.make_oblique(n=60, d=3, seed=0)],\n"
+            "                e.ProtocolConfig(repetitions=2, max_rules=2, tgb_reg_grid=(1.0,)))\n"
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(obliquerules.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_same_seed_same_report_different_seed_differs(tmp_path):
     data = [make_oblique(n=60, d=3, noise=0.1, seed=0)]
     reports = [run_benchmark(data, small_config()) for _ in range(2)]
