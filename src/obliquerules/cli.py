@@ -102,22 +102,27 @@ def _parse_task(text: str) -> Task:
         ) from None
 
 
-def _read_config(path, keys) -> dict:
-    """The JSON object in config file ``path``, which may use only ``keys``."""
-    doc = read_json(path, UsageError)
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - set(keys)
-    if unknown:
-        raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
-    return doc
+def _discard(stream) -> None:
+    """Point the descriptor of ``stream`` at devnull after a failed write.
+
+    CPython keeps the bytes a failed flush left in the buffer and flushes them
+    again at exit, where a second failure would make the exit status 120; this
+    is Python's note on SIGPIPE.  A stream with no descriptor is left as it is.
+    """
+    with suppress(AttributeError, OSError, ValueError):
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _note(text: str, end: str = "\n") -> None:
     """Write ``text`` to standard error, dropping a failed write: no command's
     result depends on its notes and error messages."""
-    with suppress(OSError):
+    try:
         print(text, end=end, file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
 
 
 @contextmanager
@@ -274,8 +279,12 @@ def _dataset_from_spec(spec: dict, position: int) -> Dataset:
 
 
 def _cmd_benchmark(args) -> str:
+    doc = read_json(args.config, UsageError)
+    if not isinstance(doc, dict):
+        raise UsageError(f"{args.config}: config must be a JSON object")
     keys = (set(ProtocolConfig.__dataclass_fields__) - {"jobs"}) | {"datasets"}
-    doc = _read_config(args.config, keys)
+    if unknown := set(doc) - keys:
+        raise UsageError(f"{args.config}: unknown config keys {sorted(unknown)}")
     specs = doc.pop("datasets", None)
     if not specs or not isinstance(specs, list):
         raise UsageError(f"{args.config}: 'datasets' must be a non-empty list")
@@ -338,20 +347,21 @@ def _output(text: str) -> None:
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # Python's note on SIGPIPE: what is left goes to devnull, so that
-            # the flush at exit cannot fail again (unless stdout has no descriptor)
-            with suppress(AttributeError, ValueError):
-                fd = sys.stdout.fileno()
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, fd)
-                os.close(devnull)
-            raise SystemExit(EXIT_USAGE) from None
+        except OSError as exc:
+            _discard(sys.stdout)
+            if isinstance(exc, BrokenPipeError):
+                raise SystemExit(EXIT_USAGE) from None
+            raise
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that writes ``--help`` and ``--version`` by :func:`_output`, not
-    dropping a failed write, and usage errors by :func:`_note`; subcommands too."""
+    """argparse that writes ``--help`` and ``--version`` by :func:`_output` and
+    usage errors by :func:`_note`; subcommands too.
+
+    argparse writes that text without flushing it, so on a buffered stream a
+    failed write would surface only at exit, and some Python releases drop the
+    ``OSError`` of the write itself.
+    """
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:

@@ -422,7 +422,8 @@ def test_a_failed_write_to_standard_output_is_a_usage_error(tmp_path, clf_csv, c
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["train", "--help"]],
                          ids=["version", "help", "train_help"])
 def test_help_and_version_report_a_failed_write(argv, buffered, capsys):
-    # argparse drops a failed write of this text; the CLI exits 2 as for any command
+    # argparse writes this text unflushed, and some Python releases drop a failed
+    # write of it; the CLI exits 2 as for any command
     with redirect_stdout(_FailingStream(NO_SPACE, buffered)):
         code = main(argv)
     assert code == 2 and capsys.readouterr().err == (
@@ -440,20 +441,61 @@ def test_a_failed_write_to_standard_error_changes_no_result(tmp_path, clf_csv, c
     assert capsys.readouterr().out.splitlines()[0] == "stage,complexity,train_risk"
 
 
+def _run_module(argv, buffered=True, **streams):
+    """``python -m obliquerules *argv`` in a fresh interpreter whose standard
+    streams are buffered, as on a file or pipe, unless not ``buffered``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "obliquerules", *argv], env=env, **streams)
+
+
 def test_a_closed_pipe_ends_the_command_quietly(tmp_path, clf_csv):
     # a real pipe with no reader: what is left to write goes to devnull, so
     # the interpreter's flush at exit does not fail either
     model_path = trained_model(tmp_path, clf_csv)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run([sys.executable, "-m", "obliquerules", "print",
-                               "--model", str(model_path)],
-                              stdout=write, stderr=subprocess.PIPE, env=env)
+        done = _run_module(["print", "--model", str(model_path)],
+                           stdout=write, stderr=subprocess.PIPE)
     finally:
         os.close(write)
     assert done.returncode == 2 and done.stderr == b""
+
+
+# a device on which every write fails with ENOSPC
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["train", "--help"]],
+                         ids=["version", "help", "train_help"])
+def test_help_and_version_on_a_full_device_exit_2(argv, buffered):
+    # the bytes a failed flush leaves behind must not fail again at exit (status 120)
+    with open("/dev/full", "wb") as full:
+        done = _run_module(argv, buffered, stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr == b"error: cannot write standard output: No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_a_full_device_on_standard_error_changes_no_result(tmp_path, clf_csv, buffered):
+    out = tmp_path / "m.json"
+    with open("/dev/full", "wb") as full:
+        trained = _run_module(["train", "--data", str(clf_csv), "--target", "y",
+                               "--task", "clf", "--method", "tgb", "--rules", "2",
+                               "--out", str(out)],
+                              buffered, stdout=subprocess.PIPE, stderr=full)
+        missing = _run_module(["print", "--model", str(tmp_path / "missing.json")],
+                              buffered, stdout=subprocess.PIPE, stderr=full)
+    assert trained.returncode == 0
+    assert trained.stdout.splitlines()[0] == b"stage,complexity,train_risk"
+    assert load_model(out).metadata["config"]["max_rules"] == 2
+    assert missing.returncode == 3 and missing.stdout == b""
 
 
 def test_predict_missing_feature_column(tmp_path, clf_csv):
